@@ -357,6 +357,11 @@ def cmd_analyze(raw: dict, args) -> dict:
     if top["reserves0"] is None:
         raise ConfigError("missing key 'reserves0' in config")
     reserves0, n0, m0 = top["reserves0"], top["n0"], top["m0"]
+    if any(common["fees"].values()):
+        raise ConfigError(
+            "analyze: the closed form is fee-free and cannot model non-zero 'fees'; "
+            "use simulate for a fee schedule"
+        )
     report: dict = {}
 
     if top["matrix"] is not None:

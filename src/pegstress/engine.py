@@ -1,7 +1,14 @@
 """Simulation driver: one trader against one mechanism until depletion.
 
-Each step reveals a price, asks the trader for a trade, settles it through
-the mechanism, and stops when the reserves hit zero or the horizon runs out.
+Prices come in blocks of 512 from the source's block generator.  A step
+asks the trader for a trade, settles it on plain floats (mechanism.settle),
+and the run stops when the reserves hit zero or the horizon runs out.  In
+analytic mode the band (y1, y2) is fixed for the whole trial and a price
+inside it changes nothing, so the loop visits only the steps outside the
+band, found with one numpy pass per block.  Adaptive mode moves the band
+every step and a traced run records every step, so both visit all of them
+through the same loop.
+
 Buys are budgeted in backing coins: the trader deploys (1 - lambda_buy) of
 its backing, so the minted quantity is that budget divided by the mint cost.
 With zero fees this is exactly the all-in rule (1 - lambda_buy) * p_t * n.
@@ -18,8 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mechanism import MechanismState, apply_trade
-from .prices import NormalSpec, PriceSeries, WalkSpec, derive_seed
+from .mechanism import MechanismState, apply_trade, settle  # noqa: F401  (perfbench/tracing.py wraps engine.apply_trade)
+from .prices import NormalSpec, PriceSeries, WalkSpec, derive_seed, price_blocks
 from .speculator import NoTradeInterval, SpeculatorParams, WaitingInterval, waiting_interval
 
 __all__ = [
@@ -35,9 +42,7 @@ __all__ = [
     "SWEEP_AXES",
 ]
 
-_BLOCK = 512
-
-SWEEP_AXES = ("sigma2", "delta", "lambda", "sigma_step", "n0", "eps")
+SWEEP_AXES = ("sigma2", "delta", "lambda", "sigma_step", "n0", "eps", "reserves0")
 
 
 @dataclass(frozen=True)
@@ -80,6 +85,7 @@ class SimConfig:
             raise ValueError("max_steps must be >= 1")
         if self.mode not in ("auto", "analytic", "adaptive"):
             raise ValueError("mode must be auto, analytic, or adaptive")
+        MechanismState(self.reserves0, self.eps_alpha, self.eps_beta)  # reserves and fee checks
 
     def resolved_mode(self) -> str:
         """analytic for i.i.d. normal sources, adaptive for paths."""
@@ -134,81 +140,6 @@ class SweepPoint:
     summary: MonteCarloSummary
 
 
-class _IidFeed:
-    """Block-buffered i.i.d. draws clipped to the truncated support."""
-
-    clamp_count = 0
-
-    def __init__(self, spec: NormalSpec, seed: int):
-        self._spec = spec
-        self._rng = np.random.default_rng(seed)
-        self._buf: list[float] = []
-        self._pos = 0
-
-    def take(self) -> float:
-        if self._pos == len(self._buf):
-            s = self._spec
-            if s.is_point_mass:
-                self._buf = [s.mu] * _BLOCK
-            else:
-                block = self._rng.normal(s.mu, s.sigma, size=_BLOCK)
-                np.clip(block, s.support_lo, s.support_hi, out=block)
-                self._buf = block.tolist()
-            self._pos = 0
-        p = self._buf[self._pos]
-        self._pos += 1
-        return p
-
-
-class _WalkFeed:
-    """Clamped random walk, one price per call; clamp events counted."""
-
-    def __init__(self, spec: WalkSpec, seed: int):
-        self._spec = spec
-        self._rng = np.random.default_rng(seed)
-        self._buf: list[float] = []
-        self._pos = 0
-        self._p = spec.p0
-        self._first = True
-        self.clamp_count = 0
-
-    def take(self) -> float:
-        if self._first:
-            self._first = False
-            return self._p
-        if self._pos == len(self._buf):
-            self._buf = self._rng.normal(self._spec.mu_step, self._spec.sigma_step, size=_BLOCK).tolist()
-            self._pos = 0
-        p = self._p + self._buf[self._pos]
-        self._pos += 1
-        if p < self._spec.floor:
-            p = self._spec.floor
-            self.clamp_count += 1
-        self._p = p
-        return p
-
-
-class _SeriesFeed:
-    """Replays a fixed series; exhaustion ends the run."""
-
-    def __init__(self, series: PriceSeries):
-        self._it = iter(series.prices)
-        self.clamp_count = series.clamp_count
-
-    def take(self) -> float:
-        return next(self._it)
-
-
-def _make_feed(source, seed: int):
-    if isinstance(source, NormalSpec):
-        return _IidFeed(source, seed)
-    if isinstance(source, WalkSpec):
-        return _WalkFeed(source, seed)
-    if isinstance(source, PriceSeries):
-        return _SeriesFeed(source)
-    raise TypeError(f"unsupported price source: {type(source).__name__}")
-
-
 def _analytic_band(config: SimConfig) -> tuple[float, float]:
     """Trade triggers (y1, y2) for analytic mode.
 
@@ -249,17 +180,15 @@ def run(
         y1, y2 = -math.inf, math.inf  # no scale estimate yet: wait
 
     seed = config.master_seed if seed is None else seed
-    feed = _make_feed(config.source, seed)
+    source = config.source
+    eps_alpha, eps_beta = config.eps_alpha, config.eps_beta
     spec = config.speculator
     keep_buy = 1.0 - spec.lambda_buy
     keep_sell = 1.0 - spec.lambda_sell
-    one_plus_ea = 1.0 + config.eps_alpha
+    one_plus_ea = 1.0 + eps_alpha
 
-    mech = MechanismState(
-        reserves=config.reserves0, eps_alpha=config.eps_alpha, eps_beta=config.eps_beta
-    )
+    reserves = r_min = config.reserves0
     m, n = config.m0, config.n0
-    r_min = config.reserves0
     rounds = 0
     last_dir = -1  # so the first buy opens round 1
     adaptive = mode == "adaptive"
@@ -276,66 +205,79 @@ def run(
     tr_n: list[float] = []
     tr_m: list[float] = []
     record = config.record_traces
+    every_step = adaptive or record
 
     steps = 0
+    clamp_count = source.clamp_count if isinstance(source, PriceSeries) else 0
     depletion_step: int | None = None
-    for t in range(1, config.max_steps + 1):
-        try:
-            p = feed.take()
-        except StopIteration:
-            break
-        steps = t
+    for prices, clamped in price_blocks(source, seed):
+        block = prices[: config.max_steps - steps]
+        if every_step:
+            values = block.tolist()
+            visit = range(steps + 1, steps + 1 + len(values))
+        else:
+            # A price inside the fixed band leaves the state unchanged.
+            idx = np.flatnonzero((block > y2) | (block < y1))
+            values = block[idx].tolist()
+            visit = (idx + (steps + 1)).tolist()
+        for t, p in zip(visit, values):
+            if adaptive:
+                # Interval from the window of prices seen before this step.
+                k = len(win)
+                if k >= 2:
+                    mean = win_sum / k
+                    var = max(win_sumsq / k - mean * mean, 0.0)
+                    std = math.sqrt(var)
+                    y1, y2 = mean - c * std, mean + c * std
+                else:
+                    y1, y2 = -math.inf, math.inf
+                win.append(p)
+                win_sum += p
+                win_sumsq += p * p
+                if k + 1 > win_cap:
+                    old = win.popleft()
+                    win_sum -= old
+                    win_sumsq -= old * old
 
-        if adaptive:
-            # Interval from the window of prices seen before this step.
-            k = len(win)
-            if k >= 2:
-                mean = win_sum / k
-                var = max(win_sumsq / k - mean * mean, 0.0)
-                std = math.sqrt(var)
-                y1, y2 = mean - c * std, mean + c * std
-            else:
-                y1, y2 = -math.inf, math.inf
-            win.append(p)
-            win_sum += p
-            win_sumsq += p * p
-            if k + 1 > win_cap:
-                old = win.popleft()
-                win_sum -= old
-                win_sumsq -= old * old
+            delta = 0.0
+            if p > y2 and n > 0.0:
+                delta = keep_buy * p * n / one_plus_ea
+            elif p < y1 and m > 0.0:
+                delta = -(keep_sell * m)
 
-        delta = 0.0
-        if p > y2 and n > 0.0:
-            delta = keep_buy * p * n / one_plus_ea
-        elif p < y1 and m > 0.0:
-            delta = -(keep_sell * m)
+            if delta != 0.0:
+                reserves, flow = settle(reserves, delta, p, eps_alpha, eps_beta)
+                m += delta
+                n += flow
+                if m < 0.0 or n < 0.0:
+                    # Settlement can overshoot the budget by an ulp; anything
+                    # bigger is a logic error, not rounding.
+                    if m < -1e-9 or n < -1e-9 * max(1.0, abs(flow)):
+                        raise RuntimeError(f"negative holdings at step {t}: m={m}, n={n}")
+                    m = max(m, 0.0)
+                    n = max(n, 0.0)
+                if delta < 0.0 and last_dir > 0:
+                    rounds += 1
+                last_dir = 1 if delta > 0.0 else -1
+                if reserves < r_min:
+                    r_min = reserves
 
-        if delta != 0.0:
-            mech, flow = apply_trade(mech, delta, p, t)
-            m += delta
-            n += flow
-            if m < 0.0 or n < 0.0:
-                # Settlement can overshoot the budget by an ulp; anything
-                # bigger is a logic error, not rounding.
-                if m < -1e-9 or n < -1e-9 * max(1.0, abs(flow)):
-                    raise RuntimeError(f"negative holdings at step {t}: m={m}, n={n}")
-                m = max(m, 0.0)
-                n = max(n, 0.0)
-            if delta < 0.0 and last_dir > 0:
-                rounds += 1
-            last_dir = 1 if delta > 0.0 else -1
-            if mech.reserves < r_min:
-                r_min = mech.reserves
+            if record:
+                tr_p.append(p)
+                tr_delta.append(delta)
+                tr_res.append(reserves)
+                tr_n.append(n)
+                tr_m.append(m)
 
-        if record:
-            tr_p.append(p)
-            tr_delta.append(delta)
-            tr_res.append(mech.reserves)
-            tr_n.append(n)
-            tr_m.append(m)
-
-        if mech.depleted_at is not None:
-            depletion_step = mech.depleted_at
+            # Reserves start positive and only a redemption can empty them.
+            if reserves == 0.0:
+                depletion_step = t
+                break
+        used = len(block) if depletion_step is None else depletion_step - steps
+        if clamped is not None:
+            clamp_count += int(clamped[:used].sum())
+        steps += used
+        if depletion_step is not None or steps == config.max_steps:
             break
 
     traces = None
@@ -351,7 +293,7 @@ def run(
         final_m=m,
         final_n=n,
         steps=steps,
-        clamp_count=feed.clamp_count,
+        clamp_count=clamp_count,
         seed=seed,
         traces=traces,
     )
@@ -431,6 +373,8 @@ def _with_axis(config: SimConfig, axis: str, value: float) -> SimConfig:
         return replace(config, n0=value)
     if axis == "eps":
         return replace(config, eps_alpha=value, eps_beta=value)
+    if axis == "reserves0":
+        return replace(config, reserves0=value)
     raise ValueError(f"unknown sweep axis {axis!r} (have {', '.join(SWEEP_AXES)})")
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-__all__ = ["MechanismState", "mint_cost", "redeem_payout", "apply_trade"]
+__all__ = ["MechanismState", "mint_cost", "redeem_payout", "settle", "apply_trade"]
 
 
 @dataclass(frozen=True)
@@ -62,21 +62,35 @@ def redeem_payout(state: MechanismState, qty: float, p_t: float) -> float:
     return min(qty * (1.0 - state.eps_beta) / p_t, state.reserves)
 
 
-def apply_trade(state: MechanismState, delta: float, p_t: float, t: int = 0) -> tuple[MechanismState, float]:
+def settle(reserves: float, delta: float, p_t: float, eps_alpha: float, eps_beta: float) -> tuple[float, float]:
     """Settle a trade of delta stablecoins (buy > 0, sell < 0) at price p_t.
 
-    Returns (new state, backing-coin flow to the trader): negative flow on a
-    mint (the trader pays), positive on a redemption.  Reserve change and
-    flow cancel exactly.  delta == 0 is the identity.
+    Returns (new reserves, backing-coin flow to the trader): negative flow on
+    a mint (the trader pays delta * mint cost), positive on a redemption
+    (the redeem payout, capped at the reserves).  Reserve change and flow
+    cancel exactly.  Plain floats in and out, so a simulation can settle
+    every trade without building a MechanismState.
     """
+    if not (p_t > 0.0):
+        raise ValueError("price must be positive")
+    if delta > 0.0:
+        cost = delta * ((1.0 + eps_alpha) / p_t)
+        reserves, flow = reserves + cost, -cost
+    else:
+        payout = min(-delta * (1.0 - eps_beta) / p_t, reserves)
+        reserves, flow = reserves - payout, payout
+    if not (0.0 <= reserves < math.inf):
+        raise ValueError("reserves must be finite and >= 0")
+    return reserves, flow
+
+
+def apply_trade(state: MechanismState, delta: float, p_t: float, t: int = 0) -> tuple[MechanismState, float]:
+    """settle() on a MechanismState; a redemption that empties the reserves
+    records t as depleted_at.  delta == 0 is the identity."""
     if delta == 0.0:
         return state, 0.0
-    if delta > 0.0:
-        cost = delta * mint_cost(state, p_t)
-        return replace(state, reserves=state.reserves + cost), -cost
-    payout = redeem_payout(state, -delta, p_t)
-    reserves = state.reserves - payout
+    reserves, flow = settle(state.reserves, delta, p_t, state.eps_alpha, state.eps_beta)
     depleted_at = state.depleted_at
-    if reserves == 0.0 and depleted_at is None:
+    if delta < 0.0 and reserves == 0.0 and depleted_at is None:
         depleted_at = t
-    return replace(state, reserves=reserves, depleted_at=depleted_at), payout
+    return replace(state, reserves=reserves, depleted_at=depleted_at), flow

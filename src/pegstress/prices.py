@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,10 @@ __all__ = [
     "trunc_cdf",
     "cond_mean_below",
     "cond_mean_above",
+    "iid_blocks",
+    "walk_blocks",
+    "series_blocks",
+    "price_blocks",
     "sample_iid",
     "random_walk",
     "load_csv",
@@ -50,6 +55,10 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 _MIN_EVENT_PROB = 1e-13
 
 _POSITIVE_FLOOR = 1e-6
+
+# Prices per block drawn by the block generators; one simulation trial
+# holds one block at a time.
+BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -197,38 +206,100 @@ def cond_mean_above(spec: NormalSpec, x: float) -> float:
     return _cond_mean(spec, max(x, spec.support_lo), spec.support_hi)
 
 
+def iid_blocks(spec: NormalSpec, seed: int, size: int = BLOCK) -> Iterator[tuple[np.ndarray, None]]:
+    """Endless i.i.d. draws clipped to the truncated support, in blocks of ``size``.
+
+    Draws come from numpy's PCG64 generator seeded directly with ``seed``;
+    its normal stream does not depend on the block size.  Yields
+    (prices, None): clipping is not counted as clamping.
+    """
+    if spec.is_point_mass:
+        block = np.full(size, float(spec.mu))
+        while True:
+            yield block, None
+    rng = np.random.default_rng(seed)
+    while True:
+        block = rng.normal(spec.mu, spec.sigma, size=size)
+        np.clip(block, spec.support_lo, spec.support_hi, out=block)
+        yield block, None
+
+
+def walk_blocks(spec: WalkSpec, seed: int, size: int = BLOCK) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Endless clamped walk: p0 alone, then blocks of ``size`` prices.
+
+    Yields (prices, clamped), where clamped flags the prices the floor
+    caught.  Prices are the same floats as adding the steps one by one.
+    """
+    rng = np.random.default_rng(seed)
+    p = float(spec.p0)
+    yield np.array([p]), np.zeros(1, dtype=bool)
+    while True:
+        steps = rng.normal(spec.mu_step, spec.sigma_step, size=size)
+        # accumulate adds left to right: each price is previous + step.
+        prices = np.add.accumulate(np.concatenate(([p], steps)))[1:]
+        clamped = prices < spec.floor
+        if clamped.any():
+            # A clamp restarts the walk at the floor; go step by step from it.
+            i = int(clamped.argmax())
+            q = float(prices[i - 1]) if i else p
+            tail: list[float] = []
+            flags: list[bool] = []
+            for step in steps[i:].tolist():
+                q += step
+                flags.append(q < spec.floor)
+                if flags[-1]:
+                    q = spec.floor
+                tail.append(q)
+            prices[i:] = tail
+            clamped[i:] = flags
+        p = float(prices[-1])
+        yield prices, clamped
+
+
+def series_blocks(series: PriceSeries, size: int = BLOCK) -> Iterator[tuple[np.ndarray, None]]:
+    """A fixed series in blocks of ``size``; exhaustion ends the path."""
+    prices = series.prices
+    for start in range(0, len(prices), size):
+        yield np.array(prices[start : start + size]), None
+
+
+def price_blocks(
+    source: NormalSpec | WalkSpec | PriceSeries, seed: int
+) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+    """The block generator of the source's price model."""
+    if isinstance(source, NormalSpec):
+        return iid_blocks(source, seed)
+    if isinstance(source, WalkSpec):
+        return walk_blocks(source, seed)
+    if isinstance(source, PriceSeries):
+        return series_blocks(source)
+    raise TypeError(f"unsupported price source: {type(source).__name__}")
+
+
 def sample_iid(spec: NormalSpec, n: int, seed: int) -> PriceSeries:
     """Draw n i.i.d. prices, clipped to the truncated support.
 
-    Identical (spec, n, seed) always yields the identical series: draws come
-    from numpy's PCG64 generator seeded directly with ``seed``.
+    Identical (spec, n, seed) always yields the identical series, the same
+    prices a simulation trial with that seed sees.
     """
     if n <= 0:
         raise ValueError("n must be >= 1")
-    if spec.is_point_mass:
-        values = np.full(n, spec.mu)
-    else:
-        rng = np.random.default_rng(seed)
-        values = rng.normal(spec.mu, spec.sigma, size=n)
-        np.clip(values, spec.support_lo, spec.support_hi, out=values)
-    return PriceSeries(prices=tuple(float(v) for v in values), source="iid", seed=seed)
+    values, _ = next(iid_blocks(spec, seed, size=n))
+    return PriceSeries(prices=tuple(values.tolist()), source="iid", seed=seed)
 
 
 def random_walk(spec: WalkSpec, n: int, seed: int) -> PriceSeries:
     """Generate n prices of the clamped walk; clamp events are counted."""
     if n <= 0:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    steps = rng.normal(spec.mu_step, spec.sigma_step, size=n - 1)
-    prices = [spec.p0]
+    prices: list[float] = []
     clamps = 0
-    p = spec.p0
-    for s in steps:
-        p = p + float(s)
-        if p < spec.floor:
-            p = spec.floor
-            clamps += 1
-        prices.append(p)
+    for block, clamped in walk_blocks(spec, seed):
+        take = n - len(prices)
+        prices.extend(block[:take].tolist())
+        clamps += int(clamped[:take].sum())
+        if len(prices) == n:
+            break
     return PriceSeries(prices=tuple(prices), source="walk", seed=seed, clamp_count=clamps)
 
 

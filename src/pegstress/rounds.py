@@ -213,8 +213,7 @@ def expected_depletion_rounds(sys: EigenSystem, reserves0: float, n0: float) -> 
         if target > max(c1n, 0.0) + abs(c2n):
             return math.inf
     for k in range(1, SCAN_HORIZON + 1):
-        cur = _backing_at(sys, float(k))
-        if cur >= target:
+        if _backing_at(sys, float(k)) >= target:
             lo, hi = float(k - 1), float(k)
             for _ in range(200):
                 if hi - lo <= 1e-12 * max(1.0, hi):
@@ -225,7 +224,6 @@ def expected_depletion_rounds(sys: EigenSystem, reserves0: float, n0: float) -> 
                 else:
                     lo = mid
             return hi
-        prev = cur
     return math.inf
 
 

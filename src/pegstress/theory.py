@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .mechanism import MechanismState, apply_trade
+from .mechanism import MechanismState, apply_trade, settle  # noqa: F401  (perfbench/tracing.py wraps theory.apply_trade)
 from .prices import PriceSeries
 
 __all__ = [
@@ -293,29 +293,25 @@ def run_omniscient(
                 actions[t] = +1
                 state_out = True
     # Settlement against the actual mechanism.
-    mech = MechanismState(reserves=reserves0, eps_alpha=eps_alpha, eps_beta=eps_beta)
+    MechanismState(reserves=reserves0, eps_alpha=eps_alpha, eps_beta=eps_beta)  # validates the inputs
+    reserves = r_min = reserves0
     backing = n0
     coins = 0.0
-    r_min = reserves0
     for t, (p, act) in enumerate(zip(prices, actions), start=1):
         if act == +1 and backing > 0.0:
             delta = backing * _buy_factor(p, eps_alpha)
-            mech, flow = apply_trade(mech, delta, p, t)
+            reserves, flow = settle(reserves, delta, p, eps_alpha, eps_beta)
             backing = max(backing + flow, 0.0)
             coins += delta
         elif act == -1 and coins > 0.0:
-            mech, flow = apply_trade(mech, -coins, p, t)
+            reserves, flow = settle(reserves, -coins, p, eps_alpha, eps_beta)
             backing += flow
             coins = 0.0
-        r_min = min(r_min, mech.reserves)
-        if mech.depleted_at is not None:
-            return OmniscientRun(
-                depleted=True,
-                depletion_step=mech.depleted_at,
-                r_min=0.0,
-                final_backing=backing,
-                steps=t,
-            )
+            if reserves == 0.0:
+                return OmniscientRun(
+                    depleted=True, depletion_step=t, r_min=0.0, final_backing=backing, steps=t
+                )
+        r_min = min(r_min, reserves)
     return OmniscientRun(
         depleted=False, depletion_step=None, r_min=r_min, final_backing=backing, steps=t_len
     )

@@ -96,6 +96,20 @@ class TestAnalyze:
         assert main(["analyze", "--config", cfg]) == 1
         assert "distribution" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fees", [{"eps_alpha": 0.05}, {"eps_beta": 0.01}])
+    def test_nonzero_fees_rejected(self, tmp_path, capsys, fees):
+        cfg = write_config(tmp_path, "fees.json", dict(EX1_CONFIG, fees=fees))
+        assert main(["analyze", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "fee-free" in err and "simulate" in err
+
+    def test_zero_fees_accepted(self, tmp_path, capsys):
+        fees = {"eps_alpha": 0.0, "eps_beta": 0.0}
+        cfg = write_config(tmp_path, "fees.json", dict(EX1_CONFIG, fees=fees))
+        assert main(["analyze", "--config", cfg]) == 0
+        report = parse_console(capsys.readouterr().out)
+        assert float(report["depletion_timesteps"]) == pytest.approx(227.0, rel=2e-2)
+
     def test_file_matches_console(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "ex1.json", EX1_CONFIG)
         out = tmp_path / "report.csv"
@@ -305,6 +319,16 @@ class TestSweep:
         rows = read_csv(str(out))
         assert len(rows) == 7
         assert rows[-1]["fraction_depleted"] == "0.0"
+
+    def test_reserves0_grid_depletes_later_with_more_reserves(self, tmp_path, capsys):
+        payload = dict(EX1_CONFIG, sweep={"axis": "reserves0", "values": [20.0, 200.0], "trials": 20})
+        cfg = write_config(tmp_path, "res.json", payload)
+        out = tmp_path / "res.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        small, big = read_csv(str(out))
+        assert (small["axis"], small["value"], big["value"]) == ("reserves0", "20.0", "200.0")
+        assert small["fraction_depleted"] == big["fraction_depleted"] == "1.0"
+        assert float(big["mean_depletion_steps"]) > float(small["mean_depletion_steps"])
 
     def test_empty_values_rejected(self, tmp_path, capsys):
         payload = dict(EX1_CONFIG, sweep={"axis": "delta", "values": []})

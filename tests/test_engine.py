@@ -226,7 +226,7 @@ class TestSweep:
             sweep(EX1, "sigma_step", [1.0], trials=1)
 
     def test_axes_registry(self):
-        assert set(SWEEP_AXES) == {"sigma2", "delta", "lambda", "sigma_step", "n0", "eps"}
+        assert set(SWEEP_AXES) == {"sigma2", "delta", "lambda", "sigma_step", "n0", "eps", "reserves0"}
 
     def test_larger_traders_deplete_sooner(self):
         pts = sweep(dataclasses.replace(EX1, master_seed=7), "n0", [1.0, 100.0], trials=20)
