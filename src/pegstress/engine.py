@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mechanism import MechanismState, apply_trade, settle  # noqa: F401  (perfbench/tracing.py wraps engine.apply_trade)
+from .mechanism import apply_trade, check_schedule, settle  # noqa: F401  (perfbench/tracing.py wraps engine.apply_trade)
 from .prices import NormalSpec, PriceSeries, WalkSpec, derive_seed, price_blocks
 from .speculator import NoTradeInterval, SpeculatorParams, WaitingInterval, waiting_interval
 
@@ -85,7 +85,7 @@ class SimConfig:
             raise ValueError("max_steps must be >= 1")
         if self.mode not in ("auto", "analytic", "adaptive"):
             raise ValueError("mode must be auto, analytic, or adaptive")
-        MechanismState(self.reserves0, self.eps_alpha, self.eps_beta)  # reserves and fee checks
+        check_schedule(self.reserves0, self.eps_alpha, self.eps_beta)
 
     def resolved_mode(self) -> str:
         """analytic for i.i.d. normal sources, adaptive for paths."""

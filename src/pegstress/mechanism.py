@@ -17,7 +17,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-__all__ = ["MechanismState", "mint_cost", "redeem_payout", "settle", "apply_trade"]
+__all__ = ["MechanismState", "check_schedule", "mint_cost", "redeem_payout", "settle", "apply_trade"]
+
+
+def check_schedule(reserves: float, eps_alpha: float, eps_beta: float) -> None:
+    """Reject reserves that are not finite and >= 0, and fees out of range."""
+    if not (math.isfinite(reserves) and reserves >= 0.0):
+        raise ValueError("reserves must be finite and >= 0")
+    if not (eps_alpha >= 0.0 and math.isfinite(eps_alpha)):
+        raise ValueError("eps_alpha must be >= 0")
+    if not (0.0 <= eps_beta < 1.0):
+        raise ValueError("eps_beta must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -34,32 +44,7 @@ class MechanismState:
     depleted_at: int | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.reserves) and self.reserves >= 0.0):
-            raise ValueError("reserves must be finite and >= 0")
-        if not (self.eps_alpha >= 0.0 and math.isfinite(self.eps_alpha)):
-            raise ValueError("eps_alpha must be >= 0")
-        if not (0.0 <= self.eps_beta < 1.0):
-            raise ValueError("eps_beta must lie in [0, 1)")
-
-
-def mint_cost(state: MechanismState, p_t: float) -> float:
-    """Backing coins charged per stablecoin minted at price p_t."""
-    if not (p_t > 0.0):
-        raise ValueError("price must be positive")
-    return (1.0 + state.eps_alpha) / p_t
-
-
-def redeem_payout(state: MechanismState, qty: float, p_t: float) -> float:
-    """Backing coins paid for redeeming qty stablecoins at price p_t.
-
-    Capped at the reserves: a redemption that would overdraw them instead
-    empties them (and breaks the window).
-    """
-    if not (p_t > 0.0):
-        raise ValueError("price must be positive")
-    if qty < 0.0:
-        raise ValueError("redeem quantity must be >= 0")
-    return min(qty * (1.0 - state.eps_beta) / p_t, state.reserves)
+        check_schedule(self.reserves, self.eps_alpha, self.eps_beta)
 
 
 def settle(reserves: float, delta: float, p_t: float, eps_alpha: float, eps_beta: float) -> tuple[float, float]:
@@ -69,7 +54,8 @@ def settle(reserves: float, delta: float, p_t: float, eps_alpha: float, eps_beta
     a mint (the trader pays delta * mint cost), positive on a redemption
     (the redeem payout, capped at the reserves).  Reserve change and flow
     cancel exactly.  Plain floats in and out, so a simulation can settle
-    every trade without building a MechanismState.
+    every trade without building a MechanismState.  This is the one copy of
+    the trade rule; the quotes and apply_trade below go through it.
     """
     if not (p_t > 0.0):
         raise ValueError("price must be positive")
@@ -82,6 +68,22 @@ def settle(reserves: float, delta: float, p_t: float, eps_alpha: float, eps_beta
     if not (0.0 <= reserves < math.inf):
         raise ValueError("reserves must be finite and >= 0")
     return reserves, flow
+
+
+def mint_cost(state: MechanismState, p_t: float) -> float:
+    """Backing coins charged per stablecoin minted at price p_t (settle's rule)."""
+    return -settle(state.reserves, 1.0, p_t, state.eps_alpha, state.eps_beta)[1]
+
+
+def redeem_payout(state: MechanismState, qty: float, p_t: float) -> float:
+    """Backing coins paid for redeeming qty stablecoins at price p_t.
+
+    settle's rule: capped at the reserves, so a redemption that would
+    overdraw them instead empties them (and breaks the window).
+    """
+    if qty < 0.0:
+        raise ValueError("redeem quantity must be >= 0")
+    return settle(state.reserves, -qty, p_t, state.eps_alpha, state.eps_beta)[1]
 
 
 def apply_trade(state: MechanismState, delta: float, p_t: float, t: int = 0) -> tuple[MechanismState, float]:

@@ -224,8 +224,8 @@ def iid_blocks(spec: NormalSpec, seed: int, size: int = BLOCK) -> Iterator[tuple
         yield block, None
 
 
-def walk_blocks(spec: WalkSpec, seed: int, size: int = BLOCK) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Endless clamped walk: p0 alone, then blocks of ``size`` prices.
+def walk_blocks(spec: WalkSpec, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Endless clamped walk: p0 alone, then blocks of BLOCK prices.
 
     Yields (prices, clamped), where clamped flags the prices the floor
     caught.  Prices are the same floats as adding the steps one by one.
@@ -234,7 +234,7 @@ def walk_blocks(spec: WalkSpec, seed: int, size: int = BLOCK) -> Iterator[tuple[
     p = float(spec.p0)
     yield np.array([p]), np.zeros(1, dtype=bool)
     while True:
-        steps = rng.normal(spec.mu_step, spec.sigma_step, size=size)
+        steps = rng.normal(spec.mu_step, spec.sigma_step, size=BLOCK)
         # accumulate adds left to right: each price is previous + step.
         prices = np.add.accumulate(np.concatenate(([p], steps)))[1:]
         clamped = prices < spec.floor
@@ -256,11 +256,11 @@ def walk_blocks(spec: WalkSpec, seed: int, size: int = BLOCK) -> Iterator[tuple[
         yield prices, clamped
 
 
-def series_blocks(series: PriceSeries, size: int = BLOCK) -> Iterator[tuple[np.ndarray, None]]:
-    """A fixed series in blocks of ``size``; exhaustion ends the path."""
+def series_blocks(series: PriceSeries) -> Iterator[tuple[np.ndarray, None]]:
+    """A fixed series in blocks of BLOCK prices; exhaustion ends the path."""
     prices = series.prices
-    for start in range(0, len(prices), size):
-        yield np.array(prices[start : start + size]), None
+    for start in range(0, len(prices), BLOCK):
+        yield np.array(prices[start : start + BLOCK]), None
 
 
 def price_blocks(

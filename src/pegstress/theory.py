@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .mechanism import MechanismState, apply_trade, settle  # noqa: F401  (perfbench/tracing.py wraps theory.apply_trade)
+from .mechanism import apply_trade, check_schedule, settle  # noqa: F401  (perfbench/tracing.py wraps theory.apply_trade)
 from .prices import PriceSeries
 
 __all__ = [
@@ -265,6 +265,7 @@ def run_omniscient(
     a redemption the reserves cannot cover pays out what is left and breaks
     the window, at which point the run stops.
     """
+    check_schedule(reserves0, eps_alpha, eps_beta)
     prices = series.prices
     t_len = len(prices)
     # Forward pass of the profit ledger, remembering which action won.
@@ -293,7 +294,6 @@ def run_omniscient(
                 actions[t] = +1
                 state_out = True
     # Settlement against the actual mechanism.
-    MechanismState(reserves=reserves0, eps_alpha=eps_alpha, eps_beta=eps_beta)  # validates the inputs
     reserves = r_min = reserves0
     backing = n0
     coins = 0.0

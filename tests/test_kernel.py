@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 
 from pegstress.cli import main
 from pegstress.engine import SimConfig, monte_carlo, run
-from pegstress.mechanism import MechanismState, apply_trade, mint_cost, redeem_payout, settle
-from pegstress.prices import NormalSpec, WalkSpec, derive_seed
+from pegstress.mechanism import MechanismState, apply_trade, check_schedule, mint_cost, redeem_payout, settle
+from pegstress.prices import NormalSpec, PriceSeries, WalkSpec, derive_seed
 from pegstress.speculator import SpeculatorParams
+from pegstress.theory import run_omniscient
 
 REFERENCE = {
     "source": {"kind": "normal", "mu": 100.0, "sigma2": 100.0},
@@ -126,13 +127,18 @@ _eps_beta = st.floats(0.0, 0.99)
     eps_beta=_eps_beta,
 )
 def test_settle_matches_the_quote_formulas_bit_for_bit(reserves, qty, buy, p, eps_alpha, eps_beta):
+    # The formulas of the module docstring, in the float order the engine
+    # that built a MechanismState per trade used.
     state = MechanismState(reserves=reserves, eps_alpha=eps_alpha, eps_beta=eps_beta)
     if buy:
-        cost = qty * mint_cost(state, p)
+        unit_cost = (1.0 + eps_alpha) / p
+        assert mint_cost(state, p).hex() == unit_cost.hex()
+        cost = qty * unit_cost
         expected = (reserves + cost, -cost)
         delta = qty
     else:
-        payout = redeem_payout(state, qty, p)
+        payout = min(qty * (1.0 - eps_beta) / p, reserves)
+        assert redeem_payout(state, qty, p).hex() == payout.hex()
         expected = (reserves - payout, payout)
         delta = -qty
     got = settle(reserves, delta, p, eps_alpha, eps_beta)
@@ -150,3 +156,25 @@ def test_settle_keeps_the_state_checks():
     with pytest.raises(ValueError, match="reserves"):
         settle(math.nan, -1.0, 1.0, 0.0, 0.0)
     assert settle(0.5, -10.0, 1.0, 0.0, 0.0) == (0.0, 0.5)  # payout capped at the reserves
+
+
+@pytest.mark.parametrize(
+    "reserves, eps_alpha, eps_beta",
+    [(-1.0, 0.0, 0.0), (math.inf, 0.0, 0.0), (1.0, -0.1, 0.0), (1.0, math.inf, 0.0), (1.0, 0.0, 1.0)],
+)
+def test_schedule_checks_guard_every_entry_point(reserves, eps_alpha, eps_beta):
+    with pytest.raises(ValueError):
+        check_schedule(reserves, eps_alpha, eps_beta)
+    with pytest.raises(ValueError):
+        MechanismState(reserves, eps_alpha, eps_beta)
+    with pytest.raises(ValueError):
+        SimConfig(
+            source=NormalSpec(100.0, 100.0),
+            speculator=SpeculatorParams(delta=0.1),
+            reserves0=reserves,
+            n0=1.0,
+            eps_alpha=eps_alpha,
+            eps_beta=eps_beta,
+        )
+    with pytest.raises(ValueError):
+        run_omniscient(PriceSeries((1.0, 2.0, 1.0), "literal"), eps_alpha, eps_beta, reserves)
