@@ -238,19 +238,16 @@ def _parse_common(raw: dict, args) -> dict:
     return out
 
 
-def _build_sim_config(raw: dict, args, need_speculator: bool = True) -> tuple[SimConfig, int, dict]:
+def _build_sim_config(raw: dict, args) -> tuple[SimConfig, int, dict]:
     common = _parse_common(raw, args)
     top = common["top"]
     if top["source"] is None:
         raise ConfigError("missing key 'source' in config")
     source = _parse_source(top["source"])
-    spec_raw = top["speculator"]
-    if spec_raw is None:
-        if need_speculator:
-            raise ConfigError("missing key 'speculator' in config")
-        spec_raw = {}
+    if top["speculator"] is None:
+        raise ConfigError("missing key 'speculator' in config")
     s = _section(
-        spec_raw,
+        top["speculator"],
         "speculator",
         {
             "delta": (_as_float, 0.5),
@@ -456,9 +453,10 @@ def cmd_simulate(raw: dict, args) -> None:
     console: list[dict] = []
     for n0 in n0_grid:
         sub = replace(cfg, n0=n0)
-        summary = monte_carlo(sub, trials, keep_results=True)
+        # Per-trial records only go to --out; without it they are not kept.
+        summary = monte_carlo(sub, trials, keep_results=bool(args.out))
         console.append(_summary_rows(summary, {"n0": n0}))
-        for idx, res in enumerate(summary.results):
+        for idx, res in enumerate(summary.results or ()):
             row = {
                 "n0": n0,
                 "trial": idx,

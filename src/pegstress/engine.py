@@ -2,12 +2,12 @@
 
 Prices come in blocks of 512 from the source's block generator.  A step
 asks the trader for a trade, settles it on plain floats (mechanism.settle),
-and the run stops when the reserves hit zero or the horizon runs out.  In
-analytic mode the band (y1, y2) is fixed for the whole trial and a price
-inside it changes nothing, so the loop visits only the steps outside the
-band, found with one numpy pass per block.  Adaptive mode moves the band
-every step and a traced run records every step, so both visit all of them
-through the same loop.
+and the run stops when the reserves hit zero or the horizon runs out.  A
+price inside the trader's band changes nothing, so the loop visits only the
+steps outside it, found with one numpy pass per block.  In analytic mode the
+band (y1, y2) is fixed for the whole trial; in adaptive mode RollingBand
+gives each step of a block its own band from the prices before it.  Only a
+traced run, which records every step, visits all of them.
 
 Buys are budgeted in backing coins: the trader deploys (1 - lambda_buy) of
 its backing, so the minted quantity is that budget divided by the mint cost.
@@ -20,8 +20,8 @@ Monte Carlo trials are independent: trial seeds derive from
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .speculator import NoTradeInterval, SpeculatorParams, WaitingInterval, wait
 
 __all__ = [
     "AdaptiveSpec",
+    "RollingBand",
     "SimConfig",
     "Traces",
     "SimResult",
@@ -57,6 +58,58 @@ class AdaptiveSpec:
             raise ValueError("c must be >= 0")
         if self.window < 2:
             raise ValueError("window must be >= 2")
+
+
+class RollingBand:
+    """Adaptive band mean -/+ c*std over the trailing window of prices.
+
+    band(block) gives the band of each step of a block from the up to
+    ``window`` prices seen before that step (population std; fewer than two
+    prices give (-inf, +inf), so the trader waits).  Blocks must come in
+    path order.  The running sums take +p_t, then -p_{t-window} once the
+    window is full, in the same order as a step-by-step window would, so
+    they are the same floats.
+    """
+
+    def __init__(self, spec: AdaptiveSpec) -> None:
+        self.c = spec.c
+        self.window = spec.window
+        self.recent = np.zeros(spec.window)  # last `window` prices; zeros before the path
+        self.sum = 0.0
+        self.sumsq = 0.0
+        self.seen = 0
+
+    def band(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        size = len(block)
+        path = np.concatenate((self.recent, block))
+        old = path[:size]  # price leaving the window at each step (0.0 while filling)
+        total = _running_sums(self.sum, block, old)
+        sq = _running_sums(self.sumsq, block * block, old * old)
+        # Steps with fewer than two prices before them get no band.
+        wait = max(0, min(2 - self.seen, size))
+        k = np.minimum(np.arange(self.seen, self.seen + size), self.window)
+        k[:wait] = 1  # keeps the division defined
+        mean = total[:-1:2] / k
+        std = np.sqrt(np.maximum(sq[:-1:2] / k - mean * mean, 0.0))
+        lo = mean - self.c * std
+        hi = mean + self.c * std
+        lo[:wait] = -math.inf
+        hi[:wait] = math.inf
+        self.recent = path[size:]
+        self.sum, self.sumsq = float(total[-1]), float(sq[-1])
+        self.seen += size
+        return lo, hi
+
+
+def _running_sums(start: float, add: np.ndarray, sub: np.ndarray) -> np.ndarray:
+    """start, + add[0], - sub[0], + add[1], ...: every partial sum, added left
+    to right (np.add.accumulate), so entry 2j is the sum before step j.
+    Subtracting a 0.0 leaves a sum unchanged, exactly."""
+    inc = np.empty(2 * len(add) + 1)
+    inc[0] = start
+    inc[1::2] = add
+    inc[2::2] = -sub
+    return np.add.accumulate(inc)
 
 
 @dataclass(frozen=True)
@@ -166,18 +219,18 @@ def run(
     (monte_carlo passes it so the optimisation runs once, not per trial); a
     (y1, y2) tuple is accepted in place of a full WaitingInterval.
     """
-    mode = config.resolved_mode()
-    if mode == "analytic":
+    adaptive = config.resolved_mode() == "adaptive"
+    if adaptive:
+        window = RollingBand(config.adaptive)
+    else:
         if not isinstance(config.source, NormalSpec):
             raise ValueError("analytic mode requires a distribution source")
         if interval is None:
-            y1, y2 = _analytic_band(config)
+            lo, hi = _analytic_band(config)
         elif isinstance(interval, WaitingInterval):
-            y1, y2 = interval.y1, interval.y2
+            lo, hi = interval.y1, interval.y2
         else:
-            y1, y2 = interval
-    else:
-        y1, y2 = -math.inf, math.inf  # no scale estimate yet: wait
+            lo, hi = interval
 
     seed = config.master_seed if seed is None else seed
     source = config.source
@@ -191,13 +244,6 @@ def run(
     m, n = config.m0, config.n0
     rounds = 0
     last_dir = -1  # so the first buy opens round 1
-    adaptive = mode == "adaptive"
-    if adaptive:
-        win = deque()
-        win_cap = config.adaptive.window
-        win_sum = 0.0
-        win_sumsq = 0.0
-        c = config.adaptive.c
 
     tr_p: list[float] = []
     tr_delta: list[float] = []
@@ -205,40 +251,22 @@ def run(
     tr_n: list[float] = []
     tr_m: list[float] = []
     record = config.record_traces
-    every_step = adaptive or record
 
     steps = 0
     clamp_count = source.clamp_count if isinstance(source, PriceSeries) else 0
     depletion_step: int | None = None
     for prices, clamped in price_blocks(source, seed):
         block = prices[: config.max_steps - steps]
-        if every_step:
-            values = block.tolist()
-            visit = range(steps + 1, steps + 1 + len(values))
+        if adaptive:
+            lo, hi = window.band(block)
+        if record:
+            idx = np.arange(len(block))
         else:
-            # A price inside the fixed band leaves the state unchanged.
-            idx = np.flatnonzero((block > y2) | (block < y1))
-            values = block[idx].tolist()
-            visit = (idx + (steps + 1)).tolist()
-        for t, p in zip(visit, values):
-            if adaptive:
-                # Interval from the window of prices seen before this step.
-                k = len(win)
-                if k >= 2:
-                    mean = win_sum / k
-                    var = max(win_sumsq / k - mean * mean, 0.0)
-                    std = math.sqrt(var)
-                    y1, y2 = mean - c * std, mean + c * std
-                else:
-                    y1, y2 = -math.inf, math.inf
-                win.append(p)
-                win_sum += p
-                win_sumsq += p * p
-                if k + 1 > win_cap:
-                    old = win.popleft()
-                    win_sum -= old
-                    win_sumsq -= old * old
-
+            # A price inside the band leaves the state unchanged.
+            idx = np.flatnonzero((block > hi) | (block < lo))
+        bands = zip(lo[idx].tolist(), hi[idx].tolist()) if adaptive else repeat((lo, hi))
+        visit = (idx + (steps + 1)).tolist()
+        for t, p, (y1, y2) in zip(visit, block[idx].tolist(), bands):
             delta = 0.0
             if p > y2 and n > 0.0:
                 delta = keep_buy * p * n / one_plus_ea

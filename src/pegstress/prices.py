@@ -311,6 +311,21 @@ def load_csv(path: str, timestamp_column: str = "timestamp", price_column: str =
     offending row number (1-based, header is row 1).
     """
     with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if header.count(price_column) == 1 and timestamp_column in header:
+            col = header.index(price_column)
+            try:
+                return PriceSeries(prices=tuple([float(row[col]) for row in reader]), source="csv")
+            except (IndexError, ValueError):
+                pass
+    # A blank or short row, a bad price or a repeated column name: the row
+    # by row reader below skips, reports or resolves it.
+    return _load_csv_rows(path, timestamp_column, price_column)
+
+
+def _load_csv_rows(path: str, timestamp_column: str, price_column: str) -> PriceSeries:
+    with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ValueError(f"{path}: empty file (missing header row)")

@@ -10,7 +10,9 @@ import json
 
 import pytest
 
+from pegstress import cli
 from pegstress.cli import main
+from pegstress.engine import monte_carlo
 
 
 def write_config(tmp_path, name, payload):
@@ -208,6 +210,22 @@ class TestSimulate:
         assert float(console["mean_depletion_steps"]) == pytest.approx(
             sum(steps) / len(steps), rel=1e-12
         )
+
+    def test_console_is_the_same_without_out(self, tmp_path, capsys, monkeypatch):
+        payload = dict(EX1_CONFIG, run={"trials": 20}, n0_grid=[0.5, 2.0])
+        cfg = write_config(tmp_path, "mc.json", payload)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "mc.csv")]) == 0
+        with_out = capsys.readouterr().out
+        kept = []
+
+        def spy(config, trials, keep_results=False):
+            kept.append(keep_results)
+            return monte_carlo(config, trials, keep_results)
+
+        monkeypatch.setattr(cli, "monte_carlo", spy)
+        assert main(["simulate", "--config", cfg]) == 0
+        assert capsys.readouterr().out == with_out
+        assert kept == [False, False]  # no per-trial records held without --out
 
     def test_seed_flag_changes_trials(self, tmp_path):
         cfg = write_config(tmp_path, "ex1.json", EX1_CONFIG)

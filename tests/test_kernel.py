@@ -1,7 +1,9 @@
 """Engine kernel: pinned per-trial outputs and properties of the step loop.
 
-The pinned digests are the --out CSVs of the engine that visited every step
-and built a new MechanismState per trade.  Any change to the kernel must keep
+The pinned digests are --out CSVs recorded before the kernel skipped steps:
+the reference and adaptive_walk ones on an engine that visited every step and
+built a new MechanismState per trade, the other adaptive ones on an engine
+that still visited every adaptive step.  Any change to the kernel must keep
 them byte for byte.
 """
 
@@ -10,15 +12,16 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pegstress.cli import main
-from pegstress.engine import SimConfig, monte_carlo, run
+from pegstress.engine import AdaptiveSpec, RollingBand, SimConfig, monte_carlo, run
 from pegstress.mechanism import MechanismState, apply_trade, check_schedule, mint_cost, redeem_payout, settle
-from pegstress.prices import NormalSpec, PriceSeries, WalkSpec, derive_seed
-from pegstress.speculator import SpeculatorParams
+from pegstress.prices import BLOCK, NormalSpec, PriceSeries, WalkSpec, derive_seed, random_walk
+from pegstress.speculator import SpeculatorParams, adaptive_interval
 from pegstress.theory import run_omniscient
 
 REFERENCE = {
@@ -36,6 +39,20 @@ ADAPTIVE_WALK = {
     "n0": 1.0,
     "run": {"max_steps": 2000},
 }
+# Window longer than a 512-price block, so the window spans block edges.
+ADAPTIVE_WINDOW_600 = dict(ADAPTIVE_WALK, adaptive={"c": 1.0, "window": 600})
+# Smallest window and a zero-width band: nearly every step is a candidate.
+ADAPTIVE_WINDOW_2_C_0 = dict(ADAPTIVE_WALK, adaptive={"c": 0.0, "window": 2})
+# A fixed series with fees and haircuts; depletion lands on both sides of
+# the first block edge across the n0 grid.
+ADAPTIVE_LITERAL = dict(
+    ADAPTIVE_WALK,
+    source={"kind": "literal", "prices": [50.0 + ((k * 7919) % 1009) / 100.0 for k in range(1200)]},
+    speculator={"delta": 0.1, "lambda_buy": 0.3, "lambda_sell": 0.3},
+    fees={"eps_alpha": 0.01, "eps_beta": 0.01},
+    reserves0=1000.0,
+    n0_grid=[0.5, 1.0, 4.0],
+)
 
 
 @pytest.mark.parametrize(
@@ -43,8 +60,11 @@ ADAPTIVE_WALK = {
     [
         (REFERENCE, "5d414d05a8927b08f5e43470556d28617896316f6351cf034032d98385f14e9d"),
         (ADAPTIVE_WALK, "960e8a700ecc729cd1c4e59d4b2896e8b9633bf3ecce9fe3e8f43e3942141adc"),
+        (ADAPTIVE_WINDOW_600, "6e64d01492419acc198747eb2fe8f4121f0a2e26171697406ee2fb1db916da8d"),
+        (ADAPTIVE_WINDOW_2_C_0, "d939e9684c6d70f45c8f4ee5683d2ec192bda3e2b75a52ad8ad9932f2c680deb"),
+        (ADAPTIVE_LITERAL, "f6d48be0857740d6ba6b107bda36deaf4482449824919ddc6c47cdefd26cfdd0"),
     ],
-    ids=["reference", "adaptive_walk"],
+    ids=["reference", "adaptive_walk", "adaptive_window_600", "adaptive_window_2_c_0", "adaptive_literal"],
 )
 def test_simulate_out_is_pinned(tmp_path, capsys, payload, digest):
     cfg = tmp_path / "cfg.json"
@@ -77,6 +97,10 @@ def sim_configs(draw):
         eps_alpha=eps,
         eps_beta=eps,
         mode=mode,
+        adaptive=AdaptiveSpec(
+            c=draw(st.sampled_from([0.0, 1.0, 3.5])),
+            window=draw(st.sampled_from([2, 168, 511, 512, 513, 1200])),
+        ),
         max_steps=draw(st.integers(1, 1500)),
         master_seed=draw(st.integers(0, 2**32)),
     )
@@ -95,8 +119,8 @@ def test_trial_record_ignores_batch_size(cfg, trials):
 @settings(max_examples=40, deadline=None)
 @given(cfg=sim_configs(), seed=st.integers(0, 2**32))
 def test_traced_run_gives_the_same_record(cfg, seed):
-    # A traced run visits every step; an untraced analytic run skips the
-    # steps inside the band.  Both must land on the same record.
+    # A traced run visits every step; an untraced run skips the steps inside
+    # the band.  Both must land on the same record.
     traced = run(dataclasses.replace(cfg, record_traces=True), seed=seed)
     assert len(traced.traces.p) == traced.steps
     assert dataclasses.replace(traced, traces=None) == run(cfg, seed=seed)
@@ -109,6 +133,32 @@ def test_reserves_plus_backing_conserved_every_step(cfg, seed):
     total0 = cfg.reserves0 + cfg.n0
     for reserves, n in zip(res.traces.reserves, res.traces.n):
         assert reserves + n == pytest.approx(total0, rel=1e-9)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    sigma=st.sampled_from([0.5, 1.0, 30.0]),
+    window=st.sampled_from([2, 3, 168, 511, 512, 513, 1200]),
+    c=st.sampled_from([1.0, 3.5]),
+)
+def test_rolling_band_matches_adaptive_interval(seed, sigma, window, c):
+    # The running sums lose digits against the price level, not against the
+    # window's spread: over 200k steps at a price of ~3e4 the mean stays
+    # within 1e-12 of the two-pass mean, relative, and the variance within
+    # 1e-12 * mean**2 (measured: under 2e-13 for windows 2..1200).  Relative
+    # to the band edges that is up to ~1e-6 where the window is nearly flat.
+    prices = random_walk(WalkSpec(0.0, sigma, 3e4), 200_000, seed).prices
+    band = RollingBand(AdaptiveSpec(c=c, window=window))
+    lo, hi = zip(*(band.band(np.array(prices[s : s + BLOCK])) for s in range(0, len(prices), BLOCK)))
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    assert (lo[:2] == -math.inf).all() and (hi[:2] == math.inf).all()
+    for t in [*range(2, 600), *range(600, len(prices), 397)]:
+        ref_lo, ref_hi = adaptive_interval(prices[max(0, t - window) : t], c)
+        ref_mean, ref_std = (ref_lo + ref_hi) / 2, (ref_hi - ref_lo) / (2 * c)
+        mean, std = (lo[t] + hi[t]) / 2, (hi[t] - lo[t]) / (2 * c)
+        assert abs(mean - ref_mean) <= 1e-12 * ref_mean
+        assert abs(std * std - ref_std * ref_std) <= 1e-12 * ref_mean * ref_mean
 
 
 _prices = st.floats(1e-3, 1e5)

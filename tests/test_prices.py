@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from pegstress import prices
 from pegstress.prices import (
     NormalSpec,
     PriceSeries,
@@ -217,6 +218,51 @@ class TestCsv:
         f.write_text("ts,open\n1,42.5\n")
         series = load_csv(str(f), timestamp_column="ts", price_column="open")
         assert series.prices == (42.5,)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "open,price,volume,timestamp\n7,1.5,x,1\n8,2.25,y,2,extra\n",
+            'timestamp,price\n"2024-01-01, 00:00","101.5"\n"2024-01-02",\t 99\n',
+            "timestamp,price\r\n1,1.0\r\n2,2.0\r\n3,0.5\r\n",
+        ],
+        ids=["extra_and_reordered_columns", "quoted_fields", "crlf"],
+    )
+    def test_column_reader_matches_row_reader(self, tmp_path, monkeypatch, text):
+        f = tmp_path / "p.csv"
+        f.write_bytes(text.encode())
+        slow = prices._load_csv_rows(str(f), "timestamp", "price")
+
+        def fallback(*args):
+            raise AssertionError("fell back to the row reader")
+
+        monkeypatch.setattr(prices, "_load_csv_rows", fallback)
+        assert load_csv(str(f)) == slow
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "timestamp,price\n1,1.0\n\n2,2.0\n",
+            "timestamp,price\n1,1.0\n2\n",
+            "timestamp,price\n1,1.0\n2, \n",
+            "timestamp,price\n1,nan\n",
+            "timestamp,price\n1,1.0\n2,0\n",
+            "timestamp,price,price\n1,1.0,2.0\n",
+            "price\n1.0\n",
+            "\ntimestamp,price\n1,1.0\n",
+            "",
+        ],
+    )
+    def test_fallback_gives_the_row_reader_result(self, tmp_path, text):
+        f = tmp_path / "p.csv"
+        f.write_text(text)
+        outcomes = []
+        for load in (load_csv, lambda path: prices._load_csv_rows(path, "timestamp", "price")):
+            try:
+                outcomes.append(load(str(f)))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestStepStats:
