@@ -453,7 +453,6 @@ def cmd_simulate(raw: dict, args) -> None:
     console: list[dict] = []
     for n0 in n0_grid:
         sub = replace(cfg, n0=n0)
-        # Per-trial records only go to --out; without it they are not kept.
         summary = monte_carlo(sub, trials, keep_results=bool(args.out))
         console.append(_summary_rows(summary, {"n0": n0}))
         for idx, res in enumerate(summary.results or ()):
