@@ -66,37 +66,41 @@ class RollingBand:
     band(block) gives the band of each step of a block from the up to
     ``window`` prices seen before that step (population std; fewer than two
     prices give (-inf, +inf), so the trader waits).  Blocks must come in
-    path order.  The running sums take +p_t, then -p_{t-window} once the
-    window is full, in the same order as a step-by-step window would, so
-    they are the same floats.
+    path order.  Each block's sums are of the prices less a pivot (the
+    block's first price), started afresh from the window, so rounding
+    scales with the block's spread, not with the price level or the length
+    of the path.
     """
 
     def __init__(self, spec: AdaptiveSpec) -> None:
         self.c = spec.c
         self.window = spec.window
         self.recent = np.zeros(spec.window)  # last `window` prices; zeros before the path
-        self.sum = 0.0
-        self.sumsq = 0.0
         self.seen = 0
 
     def band(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         size = len(block)
         path = np.concatenate((self.recent, block))
-        old = path[:size]  # price leaving the window at each step (0.0 while filling)
-        total = _running_sums(self.sum, block, old)
-        sq = _running_sums(self.sumsq, block * block, old * old)
+        pivot = float(block[0]) if size else 0.0
+        dev = path - pivot
+        dev[: self.window - min(self.seen, self.window)] = 0.0  # no price there yet
+        held = dev[: self.window]
+        old = dev[:size]  # deviation leaving the window at each step (0.0 while filling)
+        new = dev[self.window :]
+        total = _running_sums(float(held.sum()), new, old)
+        sq = _running_sums(float((held * held).sum()), new * new, old * old)
         # Steps with fewer than two prices before them get no band.
         wait = max(0, min(2 - self.seen, size))
         k = np.minimum(np.arange(self.seen, self.seen + size), self.window)
         k[:wait] = 1  # keeps the division defined
         mean = total[:-1:2] / k
         std = np.sqrt(np.maximum(sq[:-1:2] / k - mean * mean, 0.0))
+        mean += pivot
         lo = mean - self.c * std
         hi = mean + self.c * std
         lo[:wait] = -math.inf
         hi[:wait] = math.inf
         self.recent = path[size:]
-        self.sum, self.sumsq = float(total[-1]), float(sq[-1])
         self.seen += size
         return lo, hi
 

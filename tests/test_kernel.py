@@ -143,11 +143,12 @@ def test_reserves_plus_backing_conserved_every_step(cfg, seed):
     c=st.sampled_from([1.0, 3.5]),
 )
 def test_rolling_band_matches_adaptive_interval(seed, sigma, window, c):
-    # The running sums lose digits against the price level, not against the
-    # window's spread: over 200k steps at a price of ~3e4 the mean stays
-    # within 1e-12 of the two-pass mean, relative, and the variance within
-    # 1e-12 * mean**2 (measured: under 2e-13 for windows 2..1200).  Relative
-    # to the band edges that is up to ~1e-6 where the window is nearly flat.
+    # The band's sums are of prices less the block's first price and start
+    # afresh each block, so their rounding follows the block's spread, not
+    # the price level or the path length: over 200k steps from a price of
+    # 3e4 the variance stays within 1e-12 * mean**2 of the two-pass variance
+    # even where the walk has fallen far below its start (measured: under
+    # 1e-16 for windows 2..600, band edges within 3e-11 relative).
     prices = random_walk(WalkSpec(0.0, sigma, 3e4), 200_000, seed).prices
     band = RollingBand(AdaptiveSpec(c=c, window=window))
     lo, hi = zip(*(band.band(np.array(prices[s : s + BLOCK])) for s in range(0, len(prices), BLOCK)))
