@@ -19,6 +19,7 @@ import sys
 from dataclasses import replace
 
 from .engine import AdaptiveSpec, MonteCarloSummary, SimConfig, SWEEP_AXES, monte_carlo, sweep
+from .mechanism import check_schedule
 from .prices import NormalSpec, PriceSeries, WalkSpec, load_csv, step_stats
 from .rounds import (
     build_round_matrix,
@@ -29,7 +30,7 @@ from .rounds import (
     round_matrix_from_params,
     rounds_to_timesteps,
 )
-from .speculator import SpeculatorParams, waiting_interval
+from .speculator import Portfolio, SpeculatorParams, waiting_interval
 from .theory import (
     L_criterion,
     converging_spread_series,
@@ -136,6 +137,8 @@ def _parse_source(raw) -> NormalSpec | WalkSpec | PriceSeries:
                 "support_hi": (_as_float, math.nan),
             },
         )
+        if s["support_lo"] <= 0.0:
+            raise ConfigError("support_lo must be > 0 in source(normal): prices must stay positive")
         return NormalSpec(mu=s["mu"], sigma2=s["sigma2"], support_lo=s["support_lo"], support_hi=s["support_hi"])
     if kind == "walk":
         s = _section(
@@ -348,17 +351,20 @@ def _matrix_from_config(raw_matrix):
     )
 
 
-def cmd_analyze(raw: dict, args) -> dict:
+def cmd_analyze(raw: dict, args) -> None:
     common = _parse_common(raw, args)
     top = common["top"]
     if top["reserves0"] is None:
         raise ConfigError("missing key 'reserves0' in config")
     reserves0, n0, m0 = top["reserves0"], top["n0"], top["m0"]
-    if any(common["fees"].values()):
+    fees = common["fees"]
+    if any(fees.values()):
         raise ConfigError(
             "analyze: the closed form is fee-free and cannot model non-zero 'fees'; "
             "use simulate for a fee schedule"
         )
+    check_schedule(reserves0, fees["eps_alpha"], fees["eps_beta"])
+    Portfolio(m=m0, n=n0)
     report: dict = {}
 
     if top["matrix"] is not None:
@@ -417,14 +423,14 @@ def cmd_analyze(raw: dict, args) -> dict:
         diverges=diverges,
     )
     if math.isinf(k):
-        report["outcome"] = "never depletes" if not diverges else "no depletion within horizon"
+        report["outcome"] = "never depletes"
         report["depletion_rounds"] = None
         report["depletion_timesteps"] = None
     else:
         report["outcome"] = "depletes"
         report["depletion_rounds"] = k
         report["depletion_timesteps"] = rounds_to_timesteps(k, mat.i, mat.j)
-    return report
+    _emit(report, args)
 
 
 def _summary_rows(summary: MonteCarloSummary, extra: dict) -> dict:
@@ -580,7 +586,7 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in (
-        ("analyze", None),
+        ("analyze", cmd_analyze),
         ("simulate", cmd_simulate),
         ("theory", cmd_theory),
         ("sweep", cmd_sweep),
@@ -592,12 +598,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        raw = _load_config(args.config)
-        if args.command == "analyze":
-            report = cmd_analyze(raw, args)
-            _emit(report, args)
-        else:
-            args.fn(raw, args)
+        args.fn(_load_config(args.config), args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -136,8 +136,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not (self.reserves0 > 0.0):
             raise ValueError("reserves0 must be > 0")
-        if self.n0 < 0.0 or self.m0 < 0.0:
-            raise ValueError("initial holdings must be >= 0")
+        if not (math.isfinite(self.n0) and math.isfinite(self.m0) and self.n0 >= 0.0 and self.m0 >= 0.0):
+            raise ValueError("initial holdings must be finite and >= 0")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         if self.mode not in ("auto", "analytic", "adaptive"):

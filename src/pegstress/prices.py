@@ -32,6 +32,7 @@ __all__ = [
     "PriceSeries",
     "pdf",
     "cdf",
+    "TruncatedNormal",
     "trunc_cdf",
     "cond_mean_below",
     "cond_mean_above",
@@ -141,47 +142,103 @@ class PriceSeries:
         return len(self.prices)
 
 
+# The standard-normal formulas behind pdf/cdf and TruncatedNormal; z is the
+# standardised price and scale = sigma * sqrt(2 pi).
+def _std_cdf(z: float) -> float:
+    return 0.5 * (1.0 + math.erf(z / _SQRT2))
+
+
+def _density(z: float, scale: float) -> float:
+    return math.exp(-0.5 * z * z) / scale
+
+
 def pdf(spec: NormalSpec, x: float) -> float:
     """Normal density of N(mu, sigma2) at x (no truncation renormalisation)."""
     if spec.is_point_mass:
         raise ValueError("degenerate distribution: pdf undefined for a point mass (sigma2 == 0)")
-    z = (x - spec.mu) / spec.sigma
-    return math.exp(-0.5 * z * z) / (spec.sigma * _SQRT2PI)
+    return _density((x - spec.mu) / spec.sigma, spec.sigma * _SQRT2PI)
 
 
 def cdf(spec: NormalSpec, x: float) -> float:
     """Normal CDF of N(mu, sigma2) at x (no truncation renormalisation)."""
     if spec.is_point_mass:
         return 0.0 if x < spec.mu else 1.0
-    z = (x - spec.mu) / spec.sigma
-    return 0.5 * (1.0 + math.erf(z / _SQRT2))
+    return _std_cdf((x - spec.mu) / spec.sigma)
+
+
+class TruncatedNormal:
+    """A non-degenerate NormalSpec on its support, with its constants computed once.
+
+    The support edges' CDF and density and the mass between them are what the
+    truncated CDF and the conditional means need at every x.  A caller that
+    evaluates many points (the speculator's optimisations) builds one of these
+    per spec, takes each point's CDF once with ``at`` and hands it to
+    ``prob_below``, ``mean_below`` and ``mean_above``.  ``trunc_cdf``,
+    ``cond_mean_below`` and ``cond_mean_above`` are the one-point forms.
+    """
+
+    __slots__ = ("mu", "sigma2", "sigma", "lo", "hi", "cdf_lo", "cdf_hi", "mass", "pdf_lo", "pdf_hi", "_pdf_scale")
+
+    def __init__(self, spec: NormalSpec) -> None:
+        if spec.is_point_mass:
+            raise ValueError("degenerate distribution: no density for a point mass (sigma2 == 0)")
+        self.mu, self.sigma2, self.sigma = spec.mu, spec.sigma2, spec.sigma
+        self.lo, self.hi = spec.support_lo, spec.support_hi
+        self._pdf_scale = self.sigma * _SQRT2PI
+        self.cdf_lo, self.cdf_hi = cdf(spec, self.lo), cdf(spec, self.hi)
+        self.mass = self.cdf_hi - self.cdf_lo
+        self.pdf_lo, self.pdf_hi = self._pdf(self.lo), self._pdf(self.hi)
+
+    def _pdf(self, x: float) -> float:
+        return _density((x - self.mu) / self.sigma, self._pdf_scale)
+
+    def at(self, x: float) -> tuple[float, float]:
+        """x clamped to the support, and the untruncated CDF there."""
+        if x <= self.lo:
+            return self.lo, self.cdf_lo
+        if x >= self.hi:
+            return self.hi, self.cdf_hi
+        return x, _std_cdf((x - self.mu) / self.sigma)
+
+    def prob_below(self, x: float, c: float) -> float:
+        """P[p <= x] on the support, for (x, c) from ``at``."""
+        if x <= self.lo:
+            return 0.0
+        if x >= self.hi:
+            return 1.0
+        if self.mass <= 0.0:
+            raise ValueError("truncated support carries no probability mass")
+        return (c - self.cdf_lo) / self.mass
+
+    def mean_below(self, x: float, c: float) -> float:
+        """E[p | p <= x] on the support, for (x, c) from ``at``."""
+        if x <= self.lo:
+            raise ValueError("empty conditioning event: {p <= x} has no mass below the support")
+        return self._mean(self.lo, x, c - self.cdf_lo, self.pdf_lo, self._pdf(x))
+
+    def mean_above(self, x: float, c: float) -> float:
+        """E[p | p >= x] on the support, for (x, c) from ``at``."""
+        if x >= self.hi:
+            raise ValueError("empty conditioning event: {p >= x} has no mass above the support")
+        return self._mean(x, self.hi, self.cdf_hi - c, self._pdf(x), self.pdf_hi)
+
+    def _mean(self, a: float, b: float, df: float, pdf_a: float, pdf_b: float) -> float:
+        """E[p | a <= p <= b] via the x*f expansion, given F(b) - F(a) and f at a, b."""
+        if df <= _MIN_EVENT_PROB:
+            # The interval is so thin that the expansion ratio is pure noise;
+            # to second order the conditional mean is the midpoint.
+            if b - a > 1e-6 * max(1.0, self.sigma):
+                raise ValueError("empty conditioning event (numerically zero probability)")
+            return 0.5 * (a + b)
+        return self.mu - self.sigma2 * (pdf_b - pdf_a) / df
 
 
 def trunc_cdf(spec: NormalSpec, x: float) -> float:
     """CDF renormalised to the truncated support; 0 below it, 1 above it."""
     if spec.is_point_mass:
         return 0.0 if x < spec.mu else 1.0
-    if x <= spec.support_lo:
-        return 0.0
-    if x >= spec.support_hi:
-        return 1.0
-    lo_mass = cdf(spec, spec.support_lo)
-    z = cdf(spec, spec.support_hi) - lo_mass
-    if z <= 0.0:
-        raise ValueError("truncated support carries no probability mass")
-    return (cdf(spec, x) - lo_mass) / z
-
-
-def _cond_mean(spec: NormalSpec, a: float, b: float) -> float:
-    """E[p | a <= p <= b] via the x*f expansion; a, b inside the support."""
-    df = cdf(spec, b) - cdf(spec, a)
-    if df <= _MIN_EVENT_PROB:
-        # The interval is so thin that the expansion ratio is pure noise;
-        # to second order the conditional mean is the midpoint.
-        if b - a > 1e-6 * max(1.0, spec.sigma):
-            raise ValueError("empty conditioning event (numerically zero probability)")
-        return 0.5 * (a + b)
-    return spec.mu - spec.sigma2 * (pdf(spec, b) - pdf(spec, a)) / df
+    tn = TruncatedNormal(spec)
+    return tn.prob_below(*tn.at(x))
 
 
 def cond_mean_below(spec: NormalSpec, x: float) -> float:
@@ -190,9 +247,8 @@ def cond_mean_below(spec: NormalSpec, x: float) -> float:
         if x < spec.mu:
             raise ValueError("empty conditioning event (zero probability)")
         return spec.mu
-    if x <= spec.support_lo:
-        raise ValueError("empty conditioning event: {p <= x} has no mass below the support")
-    return _cond_mean(spec, spec.support_lo, min(x, spec.support_hi))
+    tn = TruncatedNormal(spec)
+    return tn.mean_below(*tn.at(x))
 
 
 def cond_mean_above(spec: NormalSpec, x: float) -> float:
@@ -201,9 +257,8 @@ def cond_mean_above(spec: NormalSpec, x: float) -> float:
         if x > spec.mu:
             raise ValueError("empty conditioning event (zero probability)")
         return spec.mu
-    if x >= spec.support_hi:
-        raise ValueError("empty conditioning event: {p >= x} has no mass above the support")
-    return _cond_mean(spec, max(x, spec.support_lo), spec.support_hi)
+    tn = TruncatedNormal(spec)
+    return tn.mean_above(*tn.at(x))
 
 
 def iid_blocks(spec: NormalSpec, seed: int, size: int = BLOCK) -> Iterator[tuple[np.ndarray, None]]:

@@ -48,7 +48,10 @@ __all__ = [
     "divergence_check",
 ]
 
-SCAN_HORIZON = 10**6
+# Rounds checked one by one before the shape of the trajectory is used.
+_PREFIX = 8
+# Terms below this sit near the subnormal range, where rounding is coarse.
+_TINY = 2.0**-1000
 _R_TOL = 1e-14
 
 
@@ -193,38 +196,175 @@ def _backing_at(sys: EigenSystem, k: float) -> float:
         return math.inf
 
 
+def _first_true(pred, lo: int, hi: int) -> int | None:
+    """Smallest k in [lo, hi] with pred(k), for pred false-then-true there.
+
+    Gallops out from lo before bisecting, so the cost is O(log(k - lo)) calls
+    however far away hi is.  None when pred(hi) is false.
+    """
+    step = 1
+    while True:
+        probe = min(lo + step - 1, hi)
+        if pred(probe):
+            hi = probe
+            break
+        if probe == hi:
+            return None
+        lo = probe + 1
+        step *= 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _first_round(pred) -> int:
+    """First round k >= 1 with pred(k), for pred that turns true and stays true."""
+    return _first_true(pred, 1, 2**64)
+
+
+def _overflows(bases: list[float], k: int) -> bool:
+    try:
+        for b in bases:
+            b ** float(k)
+    except OverflowError:
+        return True
+    return False
+
+
+def _rising_runs(p: float, x: float, q: float, y: float, last: int) -> list[tuple[int, int]]:
+    """Runs of m in 0..last where g(m) = p x^m + q y^m may first reach a target.
+
+    x, y >= 0, and g(-1) is known to miss the target.  g has at most one
+    turning point m*, where p ln(x) x^m = -q ln(y) y^m.  Where g falls, the
+    point before is higher, so a falling run holds no first crossing and is
+    left out; rising runs come back whole, and the few m around m* one by
+    one, so an error in m* cannot put a point on the wrong side.
+    """
+    u = p * math.log(x) if p != 0.0 and x > 0.0 else 0.0
+    v = q * math.log(y) if q != 0.0 and y > 0.0 else 0.0
+    if x == y:
+        u, v = u + v, 0.0
+    if u == 0.0 or v == 0.0 or (u > 0.0) == (v > 0.0):
+        return [(0, last)] if u + v > 0.0 else []
+    # g' = u x^m + v y^m changes sign once: the smaller base's term leads
+    # before m*, the larger one's after it.
+    m_star = (math.log(abs(v)) - math.log(abs(u))) / (math.log(x) - math.log(y))
+    before, after = (v > 0.0, u > 0.0) if x > y else (u > 0.0, v > 0.0)
+    if not m_star > 0.0:
+        return [(0, last)] if after else []
+    if m_star >= last:
+        return [(0, last)] if before else []
+    margin = 2 + int(m_star * 1e-9)
+    mid_lo = max(0, int(m_star) - margin)
+    mid_hi = min(last, int(m_star) + 1 + margin)
+    runs = [(0, mid_lo - 1)] if before and mid_lo > 0 else []
+    runs += [(m, m) for m in range(mid_lo, mid_hi + 1)]
+    if after and mid_hi < last:
+        runs.append((mid_hi + 1, last))
+    return runs
+
+
+def _first_crossing(sys: EigenSystem, target: float) -> int | None:
+    """Smallest integer k >= 1 with _backing_at(sys, k) >= target, or None.
+
+    n_k = c1n a1^k + c2n a2^k, and every round is evaluated exactly as a
+    unit-step scan would evaluate it.  Past a short prefix checked round by
+    round, the rounds are split by parity when a base is negative; along
+    each progression k = k0 + s m the backing is p x^m + q y^m with x, y >= 0,
+    and only its rising runs can hold the first crossing, found there by
+    galloping bisection.  The search stops at the round where a base's
+    power overflows (the backing is inf there), or one past the round where
+    every decaying power has underflowed to 0.0, after which each parity
+    repeats one value, so None is proven.  When the backing decays to 0,
+    the rounds where every term is below _TINY are scanned one by one
+    instead: there subnormal rounding, not the closed form, orders them.
+    """
+
+    def hits(k: int) -> bool:
+        return _backing_at(sys, float(k)) >= target
+
+    for k in range(1, _PREFIX + 1):
+        if hits(k):
+            return k
+    a1, a2, c1n, c2n = sys.a1, sys.a2, sys.c1[1], sys.c2[1]
+    big = [abs(b) for b in (a1, a2) if abs(b) > 1.0]
+    small = [abs(b) for b in (a1, a2) if abs(b) < 1.0]
+    overflow = _first_round(lambda k: _overflows(big, k)) if big else None
+    underflow = _first_round(lambda k: all(b ** float(k) == 0.0 for b in small))
+    last_k = overflow if overflow is not None else max(underflow, _PREFIX) + 1
+    tail = range(0)
+    terms = [(abs(a), abs(c)) for a, c in ((a1, c1n), (a2, c2n)) if c != 0.0]
+    if all(a < 1.0 for a, _ in terms):
+        fine = _first_round(lambda k: all(c * a ** float(k) < _TINY for a, c in terms))
+        if fine <= last_k:
+            if target <= 2.0 * _TINY:
+                tail = range(max(fine, _PREFIX + 1), min(last_k, max(underflow, _PREFIX) + 1) + 1)
+            last_k = fine - 1
+
+    best = None
+    step = 2 if min(a1, a2) < 0.0 else 1
+    for k0 in range(_PREFIX + 1, min(_PREFIX + 1 + step, last_k + 1)):
+        p, x = c1n * a1**k0, a1**step
+        q, y = c2n * a2**k0, a2**step
+        for first, stop in _rising_runs(p, x, q, y, (last_k - k0) // step):
+            if best is not None and k0 + step * first >= best:
+                break
+            m = _first_true(lambda m: hits(k0 + step * m), first, stop)
+            if m is not None:
+                k = k0 + step * m
+                if best is None or k < best:
+                    best = k
+                break
+    if best is None:
+        best = next((k for k in tail if hits(k)), overflow)
+    return best
+
+
 def expected_depletion_rounds(sys: EigenSystem, reserves0: float, n0: float) -> float:
     """Smallest k >= 0 with expected backing holdings n_k = n0 + reserves0.
 
-    Returns math.inf when the trajectory provably never reaches the target
-    (non-divergent case: n_k stays inside the band c1 +/- |c2|) or when no
-    crossing occurs within SCAN_HORIZON rounds.  The crossing is located by
-    a unit-step scan (robust to the sign oscillation of a2 < 0) followed by
-    bisection.
+    Returns math.inf only when the trajectory provably never reaches the
+    target: it stays inside the band c1 +/- |c2| below the target, or it
+    settles (every decaying term underflowed) without reaching it.  There
+    is no horizon: the first whole round at or past the target is found by
+    _first_crossing in O(log k) evaluations, each the same float a
+    round-by-round scan would compute, then the fraction of the last round
+    by bisection on the closed form (which interpolates the sign of a2 < 0).
+    A base above 1 in modulus always crosses: by the round where its power
+    overflows at the latest.
     """
-    if reserves0 < 0.0:
-        raise ValueError("reserves0 must be >= 0")
+    if not (math.isfinite(reserves0) and reserves0 >= 0.0):
+        raise ValueError("reserves0 must be finite and >= 0")
+    if not math.isfinite(n0):
+        raise ValueError("n0 must be finite")
+    a1, a2, c1n, c2n = sys.a1, sys.a2, sys.c1[1], sys.c2[1]
+    if not all(math.isfinite(v) for v in (a1, a2, c1n, c2n)):
+        raise ValueError("eigen system is not finite: the round matrix overflowed")
     target = n0 + reserves0
     if _backing_at(sys, 0.0) >= target:
         return 0.0
-    c1n, c2n = sys.c1[1], sys.c2[1]
-    if sys.a1 <= 1.0 and abs(sys.a2) <= 1.0:
-        # Bounded trajectory: n_k can never exceed max(c1n, 0) + |c2n|.
-        if target > max(c1n, 0.0) + abs(c2n):
+    if abs(a1) <= 1.0 and abs(a2) <= 1.0:
+        # Bounded trajectory: n_k can never exceed that bound.
+        top = abs(c1n) if a1 < 0.0 else max(c1n, 0.0)
+        if target > top + abs(c2n):
             return math.inf
-    for k in range(1, SCAN_HORIZON + 1):
-        if _backing_at(sys, float(k)) >= target:
-            lo, hi = float(k - 1), float(k)
-            for _ in range(200):
-                if hi - lo <= 1e-12 * max(1.0, hi):
-                    break
-                mid = 0.5 * (lo + hi)
-                if _backing_at(sys, mid) >= target:
-                    hi = mid
-                else:
-                    lo = mid
-            return hi
-    return math.inf
+    k = _first_crossing(sys, target)
+    if k is None:
+        return math.inf
+    lo, hi = float(k - 1), float(k)
+    for _ in range(200):
+        if hi - lo <= 1e-12 * max(1.0, hi):
+            break
+        mid = 0.5 * (lo + hi)
+        if _backing_at(sys, mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def rounds_to_timesteps(k: float, i: float, j: float) -> float:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .prices import NormalSpec, cond_mean_above, cond_mean_below, trunc_cdf
+from .prices import NormalSpec, TruncatedNormal
 
 __all__ = [
     "NoTradeInterval",
@@ -160,6 +160,36 @@ def _discount_pow(one_minus_delta: float, prob: float) -> float:
     return one_minus_delta ** (1.0 / prob)
 
 
+def _sell_mean(tn: TruncatedNormal, x: float, c: float) -> float:
+    """E[p | p <= x], which the trader's objectives divide by; must be > 0."""
+    mean = tn.mean_below(x, c)
+    if mean <= 0.0:
+        raise ValueError(
+            "conditional mean price below the threshold is not positive: the "
+            "support reaches non-positive prices (support_lo must be > 0)"
+        )
+    return mean
+
+
+def _s1(tn: TruncatedNormal, omd: float) -> float:
+    """Stablecoin value for a non-degenerate model; omd = 1 - delta."""
+
+    def objective(x: float) -> float:
+        x, c = tn.at(x)
+        disc = _discount_pow(omd, tn.prob_below(x, c))
+        if disc == 0.0:
+            return 0.0
+        return disc / _sell_mean(tn, x, c)
+
+    lo, hi = tn.lo, tn.hi
+    # Skip the zero-probability edge itself; the grid covers everything else.
+    eps = (hi - lo) * 1e-12
+    _, best = _argmax(objective, lo + eps, hi, GRID_POINTS)
+    if not (best > 0.0):
+        raise ValueError("stablecoin value optimisation failed (nonpositive objective)")
+    return best
+
+
 def stablecoin_value_s1(dist: NormalSpec, delta: float) -> float:
     """Present value of one stablecoin in backing coins.
 
@@ -170,49 +200,35 @@ def stablecoin_value_s1(dist: NormalSpec, delta: float) -> float:
         raise ValueError("delta must lie in [0, 1)")
     if dist.is_point_mass:
         return (1.0 - delta) / dist.mu
-    omd = 1.0 - delta
-
-    def objective(x: float) -> float:
-        prob = trunc_cdf(dist, x)
-        disc = _discount_pow(omd, prob)
-        if disc == 0.0:
-            return 0.0
-        return disc / cond_mean_below(dist, x)
-
-    lo, hi = dist.support_lo, dist.support_hi
-    # Skip the zero-probability edge itself; the grid covers everything else.
-    eps = (hi - lo) * 1e-12
-    _, best = _argmax(objective, lo + eps, hi, GRID_POINTS)
-    if not (best > 0.0):
-        raise ValueError("stablecoin value optimisation failed (nonpositive objective)")
-    return best
+    return _s1(TruncatedNormal(dist), 1.0 - delta)
 
 
 def waiting_interval(dist: NormalSpec, params: SpeculatorParams) -> WaitingInterval:
     """Compute the closed no-trade interval [y1, y2] for an i.i.d. price model."""
     if dist.is_point_mass:
         raise NoTradeInterval("waiting interval needs a nondegenerate distribution")
-    s1 = stablecoin_value_s1(dist, params.delta)
+    tn = TruncatedNormal(dist)
     omd = 1.0 - params.delta
-    lo, hi = dist.support_lo, dist.support_hi
+    s1 = _s1(tn, omd)
+    lo, hi = tn.lo, tn.hi
     pivot = 1.0 / s1
     eps = (hi - lo) * 1e-12
 
     def gain_selling_at(x: float) -> float:
         # Utility gain per stablecoin of waiting to sell below x.
-        prob = trunc_cdf(dist, x)
-        disc = _discount_pow(omd, prob)
+        x, c = tn.at(x)
+        disc = _discount_pow(omd, tn.prob_below(x, c))
         if disc == 0.0:
             return 0.0
-        return disc * (1.0 / cond_mean_below(dist, x) - s1)
+        return disc * (1.0 / _sell_mean(tn, x, c) - s1)
 
     def gain_buying_at(x: float) -> float:
         # Utility gain per backing coin of waiting to buy above x.
-        prob = 1.0 - trunc_cdf(dist, x)
-        disc = _discount_pow(omd, prob)
+        x, c = tn.at(x)
+        disc = _discount_pow(omd, 1.0 - tn.prob_below(x, c))
         if disc == 0.0:
             return 0.0
-        return disc * (cond_mean_above(dist, x) * s1 - 1.0)
+        return disc * (tn.mean_above(x, c) * s1 - 1.0)
 
     if pivot <= lo or pivot >= hi:
         raise NoTradeInterval(
@@ -225,10 +241,12 @@ def waiting_interval(dist: NormalSpec, params: SpeculatorParams) -> WaitingInter
     if g1 < 0.0 or g2 < 0.0:
         raise ValueError("waiting-value optimisation failed (negative gain at optimum)")
 
-    d1 = _discount_pow(omd, trunc_cdf(dist, x1))
-    y1 = 1.0 / ((1.0 - d1) * s1 + d1 / cond_mean_below(dist, x1))
-    d2 = _discount_pow(omd, 1.0 - trunc_cdf(dist, x2))
-    y2 = d2 * cond_mean_above(dist, x2) + (1.0 - d2) / s1
+    at1 = tn.at(x1)
+    d1 = _discount_pow(omd, tn.prob_below(*at1))
+    y1 = 1.0 / ((1.0 - d1) * s1 + d1 / _sell_mean(tn, *at1))
+    at2 = tn.at(x2)
+    d2 = _discount_pow(omd, 1.0 - tn.prob_below(*at2))
+    y2 = d2 * tn.mean_above(*at2) + (1.0 - d2) / s1
     return WaitingInterval(y1=y1, y2=y2, x1=x1, x2=x2, s1=s1)
 
 

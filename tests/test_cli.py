@@ -112,6 +112,33 @@ class TestAnalyze:
         report = parse_console(capsys.readouterr().out)
         assert float(report["depletion_timesteps"]) == pytest.approx(227.0, rel=2e-2)
 
+    @pytest.mark.parametrize(
+        "holdings, key",
+        [({"reserves0": float("inf")}, "reserves"), ({"reserves0": float("nan")}, "reserves"), ({"n0": float("nan")}, "n ")],
+    )
+    def test_non_finite_holdings_rejected(self, tmp_path, capsys, holdings, key):
+        # json writes these as Infinity / NaN, which json.load reads back.
+        cfg = write_config(tmp_path, "bad.json", dict(EX1_CONFIG, **holdings))
+        assert main(["analyze", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err and "finite" in err
+
+    def test_slowly_diverging_matrix_depletes(self, tmp_path, capsys):
+        # Dominant eigenvalue 1 + 3.3e-8: the crossing lies near 1e8 rounds.
+        lam, i, j, eps = 0.25, 10.0, 4.0, 3.3e-8
+        l1, l2 = lam**i, lam**j
+        trace = ((1.0 + eps) ** 2 + l1 * l2) / (1.0 + eps)
+        y_ratio = (trace - l1 - l2) / ((1.0 - l1) * (1.0 - l2))
+        matrix = {"lambda_buy": lam, "lambda_sell": lam, "i": i, "j": j, "y_ratio": y_ratio}
+        cfg = write_config(tmp_path, "slow.json", {"matrix": matrix, "reserves0": 100.0, "n0": 1.0})
+        assert main(["analyze", "--config", cfg]) == 0
+        report = parse_console(capsys.readouterr().out)
+        assert report["outcome"] == "depletes"
+        assert report["diverges"] == "true"
+        k = float(report["depletion_rounds"])
+        assert 1e7 < k < 1e9
+        assert float(report["depletion_timesteps"]) == i + k * (i + j)
+
     def test_file_matches_console(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "ex1.json", EX1_CONFIG)
         out = tmp_path / "report.csv"
@@ -407,6 +434,20 @@ class TestIngestStats:
 
 
 class TestErrorPlumbing:
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_normal_support_reaching_zero_rejected(self, tmp_path, capsys, command):
+        source = {"kind": "normal", "mu": 0.0, "sigma2": 1.0, "support_lo": -4.0, "support_hi": 4.0}
+        cfg = write_config(tmp_path, "bad.json", dict(EX1_CONFIG, source=source))
+        assert main([command, "--config", cfg, "--trials", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "support_lo must be > 0" in err
+
+    @pytest.mark.parametrize("key", ["n0", "m0"])
+    def test_simulate_rejects_nan_holdings(self, tmp_path, capsys, key):
+        cfg = write_config(tmp_path, "bad.json", dict(EX1_CONFIG, **{key: float("nan")}))
+        assert main(["simulate", "--config", cfg, "--trials", "2"]) == 1
+        assert "initial holdings must be finite" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["analyze", "--config", str(tmp_path / "nope.json")]) == 1
         assert "not found" in capsys.readouterr().err

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from pegstress.prices import NormalSpec, cond_mean_above, cond_mean_below
@@ -30,6 +32,46 @@ EX1_DIST = NormalSpec(100.0, 100.0)
 EX1_PARAMS = SpeculatorParams(delta=0.1)
 EX1_INTERVAL = waiting_interval(EX1_DIST, EX1_PARAMS)
 EX1_MATRIX = build_round_matrix(EX1_DIST, EX1_INTERVAL, EX1_PARAMS)
+
+
+def backing(sys_, k):
+    """Expected backing after k rounds; an overflowing power counts as inf."""
+    try:
+        return expected_portfolio(sys_, k)[1]
+    except OverflowError:
+        return math.inf
+
+
+def scan_depletion_rounds(sys_, reserves0, n0, horizon):
+    """Unit-step reference: the first whole round at or past the target,
+    found round by round up to horizon (None past it), then the last round
+    bisected to 1e-12 relative."""
+    target = n0 + reserves0
+    if backing(sys_, 0.0) >= target:
+        return 0.0
+    for k in range(1, horizon + 1):
+        if backing(sys_, float(k)) >= target:
+            lo, hi = float(k - 1), float(k)
+            for _ in range(200):
+                if hi - lo <= 1e-12 * max(1.0, hi):
+                    break
+                mid = 0.5 * (lo + hi)
+                if backing(sys_, mid) >= target:
+                    hi = mid
+                else:
+                    lo = mid
+            return hi
+    return None
+
+
+def slowly_diverging_matrix(eps, lam=0.25, i=10.0, j=4.0):
+    """Round matrix with dominant eigenvalue 1 + eps: det M = L1 L2 and
+    trace M = L1 + L2 + (1 - L1)(1 - L2) Y, so a1 pins Y."""
+    l1, l2 = lam**i, lam**j
+    a1 = 1.0 + eps
+    trace = (a1 * a1 + l1 * l2) / a1
+    y_ratio = (trace - l1 - l2) / ((1.0 - l1) * (1.0 - l2))
+    return round_matrix_from_params(lam, lam, i=i, j=j, y_ratio=y_ratio)
 
 
 def random_matrices(seed, count, y_min=1.0):
@@ -299,6 +341,63 @@ class TestDepletion:
         sys_ = eigen(EX1_MATRIX, (0.0, 1.0))
         with pytest.raises(ValueError, match=">= 0"):
             expected_depletion_rounds(sys_, reserves0=-1.0, n0=1.0)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_holdings_rejected(self, value):
+        sys_ = eigen(EX1_MATRIX, (0.0, 1.0))
+        with pytest.raises(ValueError, match="reserves0"):
+            expected_depletion_rounds(sys_, reserves0=value, n0=1.0)
+        with pytest.raises(ValueError, match="n0"):
+            expected_depletion_rounds(sys_, reserves0=1.0, n0=value)
+
+    def test_slowly_diverging_matrix_crosses_far_out(self):
+        # a1 - 1 = 3.3e-8 puts the crossing near 1e8 rounds, far past any
+        # round-by-round scan; it is found, and it is the first crossing.
+        mat = slowly_diverging_matrix(3.3e-8)
+        sys_ = eigen(mat, (0.0, 1.0))
+        assert sys_.a1 == pytest.approx(1.0 + 3.3e-8, abs=1e-12)
+        assert divergence_check(mat, (0.0, 1.0))
+        k = expected_depletion_rounds(sys_, reserves0=100.0, n0=1.0)
+        assert 1e7 < k < 1e9
+        assert backing(sys_, k) >= 101.0 > backing(sys_, float(math.floor(k)))
+
+    def test_bounded_trajectory_that_settles_below_target_never_depletes(self):
+        # n_k = 10 - 5 * 0.5^k rises toward 10 and, in floats, reaches it
+        # once 0.5^k drops below 10's rounding; 10.5 is never reached.
+        sys_ = EigenSystem(a1=1.0, a2=0.5, c1=(0.0, 10.0), c2=(0.0, -5.0), x0=(0.0, 5.0))
+        assert expected_depletion_rounds(sys_, reserves0=5.0, n0=5.0) == scan_depletion_rounds(sys_, 5.0, 5.0, 200)
+        assert expected_depletion_rounds(sys_, reserves0=0.0, n0=10.0) == scan_depletion_rounds(sys_, 0.0, 10.0, 200)
+        assert expected_depletion_rounds(sys_, reserves0=0.5, n0=10.0) == math.inf
+        # a2 = -1: n_k alternates 0.5, -2.5 forever; the band bound (1.5)
+        # does not exclude 1.0, the settled trajectory does.
+        periodic = EigenSystem(a1=1.0, a2=-1.0, c1=(0.0, -1.0), c2=(0.0, 1.5), x0=(0.0, 0.5))
+        assert expected_depletion_rounds(periodic, reserves0=1.0, n0=0.0) == math.inf
+
+    @settings(max_examples=300, deadline=None)
+    @example(a1=0.75, a2=0.75, c1n=1.5, c2n=-1.625, at=114, nudge=1.0, reserves0=8.0)
+    @given(
+        a1=st.one_of(st.floats(0.2, 1.6), st.sampled_from([1.0, -0.9, 1.0 + 1e-4])),
+        a2=st.one_of(st.floats(-1.2, 1.2), st.sampled_from([0.0, -1.0, 1.0, -0.999, 0.999])),
+        c1n=st.floats(-5.0, 5.0),
+        c2n=st.floats(-5.0, 5.0),
+        at=st.integers(1, 3000),
+        nudge=st.sampled_from([1.0, 1.0 + 1e-9, 1.0 - 1e-9]),
+        reserves0=st.floats(0.0, 10.0),
+    )
+    def test_matches_unit_step_scan(self, a1, a2, c1n, c2n, at, nudge, reserves0):
+        # Targets are the trajectory's own value at some round (nudged), so
+        # most cases cross within a few thousand rounds: hills, valleys,
+        # a2 < 0 oscillation and overflow included.  The example's target
+        # rounds to 0, which the backing reaches through subnormal values.
+        sys_ = EigenSystem(a1=a1, a2=a2, c1=(0.0, c1n), c2=(0.0, c2n), x0=(0.0, c1n + c2n))
+        n0 = backing(sys_, float(at)) * nudge - reserves0
+        assume(math.isfinite(n0))
+        want = scan_depletion_rounds(sys_, reserves0, n0, 4000)
+        got = expected_depletion_rounds(sys_, reserves0, n0)
+        if want is None:
+            assert got > 4000.0
+        else:
+            assert got == want
 
     def test_monotone_in_y_ratio(self):
         ks = []

@@ -4,6 +4,7 @@ The s1 optimisation and the waiting interval drive every downstream number,
 so they get dense-grid oracles here in addition to the spot values.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -139,6 +140,39 @@ class TestWaitingInterval:
     def test_rejects_inverted_interval(self):
         with pytest.raises(ValueError):
             WaitingInterval(y1=101.0, y2=100.0, x1=99.0, x2=102.0, s1=0.01)
+
+    def test_pinned_outputs_of_the_acceptance_draws(self):
+        # repr((s1, y1, y2, x1, x2)) of every interval acceptance test 04
+        # computes (its 1000 seeded draws, then its variance-collapse grid),
+        # hashed in order.  The digest was recorded before the per-point
+        # normal constants were shared (TruncatedNormal), so any change to
+        # the float operations behind the interval shows here.
+        digest = hashlib.sha256()
+        rng = np.random.default_rng(2)
+        produced = 0
+        while produced < 1_000:
+            mu = rng.uniform(20.0, 200.0)
+            sigma2 = rng.uniform(0.05, 0.3) * mu * mu / 4.0
+            delta = rng.uniform(0.01, 0.3)
+            try:
+                wi = waiting_interval(NormalSpec(mu=mu, sigma2=sigma2), SpeculatorParams(delta=delta))
+            except NoTradeInterval:
+                continue
+            produced += 1
+            digest.update(repr((wi.s1, wi.y1, wi.y2, wi.x1, wi.x2)).encode())
+        for sigma2 in (100.0, 25.0, 4.0, 1.0, 1e-2, 1e-4, 1e-6, 1e-8):
+            wi = waiting_interval(NormalSpec(mu=100.0, sigma2=sigma2), SpeculatorParams(delta=1e-8))
+            digest.update(repr((wi.s1, wi.y1, wi.y2, wi.x1, wi.x2)).encode())
+        assert digest.hexdigest() == "8312fa28c7ab90cc30ba4332b22f1ad319eefa93f4429990c991aae554405c9e"
+
+    def test_nonpositive_sell_mean_is_a_value_error(self):
+        # Below x = 0 the conditional mean of a support reaching -4 is <= 0;
+        # the trader's value divides by it.
+        dist = NormalSpec(mu=0.0, sigma2=1.0, support_lo=-4.0, support_hi=4.0)
+        with pytest.raises(ValueError, match="support_lo must be > 0"):
+            waiting_interval(dist, SpeculatorParams(delta=0.1))
+        with pytest.raises(ValueError, match="support_lo must be > 0"):
+            stablecoin_value_s1(dist, 0.1)
 
 
 class TestDecide:
