@@ -27,7 +27,7 @@ import numpy as np
 
 from .mechanism import apply_trade, check_schedule, settle  # noqa: F401  (perfbench/tracing.py wraps engine.apply_trade)
 from .prices import NormalSpec, PriceSeries, WalkSpec, derive_seed, price_blocks
-from .speculator import NoTradeInterval, SpeculatorParams, WaitingInterval, waiting_interval
+from .speculator import NoTradeInterval, Portfolio, SpeculatorParams, WaitingInterval, waiting_interval
 
 __all__ = [
     "AdaptiveSpec",
@@ -136,8 +136,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not (self.reserves0 > 0.0):
             raise ValueError("reserves0 must be > 0")
-        if not (math.isfinite(self.n0) and math.isfinite(self.m0) and self.n0 >= 0.0 and self.m0 >= 0.0):
-            raise ValueError("initial holdings must be finite and >= 0")
+        Portfolio(m=self.m0, n=self.n0)  # initial holdings: finite and >= 0
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         if self.mode not in ("auto", "analytic", "adaptive"):

@@ -446,7 +446,7 @@ class TestErrorPlumbing:
     def test_simulate_rejects_nan_holdings(self, tmp_path, capsys, key):
         cfg = write_config(tmp_path, "bad.json", dict(EX1_CONFIG, **{key: float("nan")}))
         assert main(["simulate", "--config", cfg, "--trials", "2"]) == 1
-        assert "initial holdings must be finite" in capsys.readouterr().err
+        assert "must be finite and >= 0" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["analyze", "--config", str(tmp_path / "nope.json")]) == 1
