@@ -373,6 +373,17 @@ class TestDepletion:
         periodic = EigenSystem(a1=1.0, a2=-1.0, c1=(0.0, -1.0), c2=(0.0, 1.5), x0=(0.0, 0.5))
         assert expected_depletion_rounds(periodic, reserves0=1.0, n0=0.0) == math.inf
 
+    def test_crossings_the_band_bound_and_the_closed_form_miss(self):
+        # a1 = -0.9: n_1 = 1.8 although c1n < 0, so the band bound must use
+        # |c1n|.  a1 = 2 with c1n < 0: n_k falls without bound, and the
+        # first crossing is where 2**k overflows (the backing reads inf).
+        flipping = EigenSystem(a1=-0.9, a2=0.0, c1=(0.0, -2.0), c2=(0.0, 0.0), x0=(0.0, -2.0))
+        falling = EigenSystem(a1=2.0, a2=0.5, c1=(0.0, -1.0), c2=(0.0, 3.0), x0=(0.0, 2.0))
+        for sys_, reserves0, n0 in ((flipping, 1.5, 0.0), (falling, 8.0, 2.0)):
+            k = expected_depletion_rounds(sys_, reserves0, n0)
+            assert math.isfinite(k)
+            assert k == scan_depletion_rounds(sys_, reserves0, n0, 2000)
+
     @settings(max_examples=300, deadline=None)
     @example(a1=0.75, a2=0.75, c1n=1.5, c2n=-1.625, at=114, nudge=1.0, reserves0=8.0)
     @given(
