@@ -373,7 +373,7 @@ class TestDepletion:
         periodic = EigenSystem(a1=1.0, a2=-1.0, c1=(0.0, -1.0), c2=(0.0, 1.5), x0=(0.0, 0.5))
         assert expected_depletion_rounds(periodic, reserves0=1.0, n0=0.0) == math.inf
 
-    def test_crossings_the_band_bound_and_the_closed_form_miss(self):
+    def test_negative_base_and_overflow_crossings(self):
         # a1 = -0.9: n_1 = 1.8 although c1n < 0, so the band bound must use
         # |c1n|.  a1 = 2 with c1n < 0: n_k falls without bound, and the
         # first crossing is where 2**k overflows (the backing reads inf).
