@@ -363,6 +363,7 @@ def cmd_analyze(raw: dict, args) -> None:
             "analyze: the closed form is fee-free and cannot model non-zero 'fees'; "
             "use simulate for a fee schedule"
         )
+    # Finite, non-negative holdings, checked as simulate checks them.
     check_schedule(reserves0, fees["eps_alpha"], fees["eps_beta"])
     Portfolio(m=m0, n=n0)
     report: dict = {}
