@@ -18,26 +18,14 @@ import math
 import sys
 from dataclasses import replace
 
-from .engine import AdaptiveSpec, MonteCarloSummary, SimConfig, SWEEP_AXES, monte_carlo, sweep
-from .mechanism import check_schedule
+from .engine import AdaptiveSpec, MonteCarloSummary, SimConfig, monte_carlo, sweep
 from .prices import NormalSpec, PriceSeries, WalkSpec, load_csv, step_stats
 from .rounds import (
-    build_round_matrix,
-    discriminant,
-    divergence_check,
-    eigen,
-    expected_depletion_rounds,
-    round_matrix_from_params,
-    rounds_to_timesteps,
+    build_round_matrix, discriminant, divergence_check, eigen, expected_depletion_rounds,
+    round_matrix_from_params, rounds_to_timesteps,
 )
-from .speculator import Portfolio, SpeculatorParams, waiting_interval
-from .theory import (
-    L_criterion,
-    converging_spread_series,
-    min_fee,
-    stability_label,
-    tail_spread,
-)
+from .speculator import SpeculatorParams, waiting_interval
+from .theory import L_criterion, converging_spread_series, min_fee, stability_label, tail_spread
 
 __all__ = ["main", "ConfigError"]
 
@@ -56,7 +44,10 @@ def _section(raw: dict, where: str, keys: dict):
     """Pull typed values out of a dict; unknown keys are errors.
 
     keys maps name -> (converter, default); default _REQUIRED means the key
-    must be present.
+    must be present.  A dict converter is a sub-section, parsed by this
+    function.  Absent or null, it takes its default: None leaves it for _need
+    to demand, {} gives the sub-section's own defaults (so does any empty
+    value, as `x or {}` would).
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"{where} must be an object")
@@ -66,9 +57,16 @@ def _section(raw: dict, where: str, keys: dict):
         raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in {where} (allowed: {allowed})")
     out = {}
     for name, (conv, default) in keys.items():
-        if name in raw:
+        if isinstance(conv, dict):
+            value = raw.get(name)
+            if default is not None:
+                value = value or default
+            out[name] = None if value is None else _section(value, name, conv)
+        elif name in raw:
             try:
                 out[name] = conv(raw[name])
+            except ConfigError:
+                raise
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad value for {name!r} in {where}: {exc}") from None
         elif default is _REQUIRED:
@@ -76,6 +74,13 @@ def _section(raw: dict, where: str, keys: dict):
         else:
             out[name] = default
     return out
+
+
+def _need(cfg: dict, key: str):
+    """cfg[key], which this subcommand cannot do without."""
+    if cfg[key] is None:
+        raise ConfigError(f"missing key {key!r} in config")
+    return cfg[key]
 
 
 def _as_float(v) -> float:
@@ -102,10 +107,20 @@ def _as_bool(v) -> bool:
     return v
 
 
-def _as_float_list(v) -> list[float]:
-    if not isinstance(v, list) or not v:
-        raise ValueError("expected a non-empty list of numbers")
-    return [_as_float(x) for x in v]
+def _as_holding(v) -> float:
+    x = _as_float(v)
+    if not (math.isfinite(x) and x >= 0.0):
+        raise ValueError("must be finite and >= 0")
+    return x
+
+
+def _list_of(conv):
+    def parse(v) -> list[float]:
+        if not isinstance(v, list) or not v:
+            raise ValueError("expected a non-empty list of numbers")
+        return [conv(x) for x in v]
+
+    return parse
 
 
 def _load_config(path: str) -> dict:
@@ -121,162 +136,120 @@ def _load_config(path: str) -> dict:
     return raw
 
 
-def _parse_source(raw) -> NormalSpec | WalkSpec | PriceSeries:
-    if not isinstance(raw, dict) or "kind" not in raw:
-        raise ConfigError("source must be an object with a 'kind' key")
-    kind = raw["kind"]
-    if kind == "normal":
-        s = _section(
-            raw,
-            "source(normal)",
-            {
-                "kind": (_as_str, _REQUIRED),
-                "mu": (_as_float, _REQUIRED),
-                "sigma2": (_as_float, _REQUIRED),
-                "support_lo": (_as_float, math.nan),
-                "support_hi": (_as_float, math.nan),
-            },
-        )
-        if s["support_lo"] <= 0.0:
-            raise ConfigError("support_lo must be > 0 in source(normal): prices must stay positive")
-        return NormalSpec(mu=s["mu"], sigma2=s["sigma2"], support_lo=s["support_lo"], support_hi=s["support_hi"])
-    if kind == "walk":
-        s = _section(
-            raw,
-            "source(walk)",
-            {
-                "kind": (_as_str, _REQUIRED),
-                "mu_step": (_as_float, _REQUIRED),
-                "sigma_step": (_as_float, _REQUIRED),
-                "p0": (_as_float, _REQUIRED),
-                "floor": (_as_float, 1e-6),
-            },
-        )
-        return WalkSpec(mu_step=s["mu_step"], sigma_step=s["sigma_step"], p0=s["p0"], floor=s["floor"])
-    if kind == "csv":
-        s = _section(
-            raw,
-            "source(csv)",
-            {
-                "kind": (_as_str, _REQUIRED),
-                "path": (_as_str, _REQUIRED),
-                "timestamp_column": (_as_str, "timestamp"),
-                "price_column": (_as_str, "price"),
-            },
-        )
-        return load_csv(s["path"], s["timestamp_column"], s["price_column"])
-    if kind == "literal":
-        s = _section(
-            raw,
-            "source(literal)",
-            {
-                "kind": (_as_str, _REQUIRED),
-                "prices": (_as_float_list, _REQUIRED),
-                "repeat": (_as_int, 1),
-            },
-        )
-        if s["repeat"] < 1:
-            raise ConfigError("repeat must be >= 1 in source(literal)")
-        return PriceSeries(prices=tuple(s["prices"]) * s["repeat"], source="literal")
-    if kind == "converging_spread":
-        s = _section(
-            raw,
-            "source(converging_spread)",
-            {
-                "kind": (_as_str, _REQUIRED),
-                "inv_lo": (_as_float, 1.0),
-                "inv_hi": (_as_float, 2.0),
-                "pairs": (_as_int, _REQUIRED),
-            },
-        )
-        return converging_spread_series(s["inv_lo"], s["inv_hi"], s["pairs"])
-    raise ConfigError(
-        f"unknown source kind {kind!r} (allowed: normal, walk, csv, literal, converging_spread)"
-    )
+def _normal(s: dict) -> NormalSpec:
+    if s["support_lo"] <= 0.0:
+        raise ConfigError("support_lo must be > 0 in source(normal): prices must stay positive")
+    return NormalSpec(**s)
 
 
-_TOP_KEYS = {
-    "source": (lambda v: v, None),
-    "speculator": (lambda v: v, None),
-    "mode": (_as_str, "auto"),
-    "adaptive": (lambda v: v, None),
-    "fees": (lambda v: v, None),
-    "reserves0": (_as_float, None),
-    "n0": (_as_float, 1.0),
-    "m0": (_as_float, 0.0),
-    "n0_grid": (_as_float_list, None),
-    "run": (lambda v: v, None),
-    "sweep": (lambda v: v, None),
-    "theory": (lambda v: v, None),
-    "matrix": (lambda v: v, None),
+def _literal(s: dict) -> PriceSeries:
+    if s["repeat"] < 1:
+        raise ConfigError("repeat must be >= 1 in source(literal)")
+    return PriceSeries(prices=tuple(s["prices"]) * s["repeat"], source="literal")
+
+
+# kind -> (keys besides "kind", build).  The builders look load_csv and
+# converging_spread_series up at call time, so wrappers installed on this
+# module's names (perfbench/tracing.py) see the calls.
+_SOURCES = {
+    "normal": (
+        {"mu": (_as_float, _REQUIRED), "sigma2": (_as_float, _REQUIRED),
+         "support_lo": (_as_float, math.nan), "support_hi": (_as_float, math.nan)},
+        _normal,
+    ),
+    "walk": (
+        {"mu_step": (_as_float, _REQUIRED), "sigma_step": (_as_float, _REQUIRED),
+         "p0": (_as_float, _REQUIRED), "floor": (_as_float, 1e-6)},
+        lambda s: WalkSpec(**s),
+    ),
+    "csv": (
+        {"path": (_as_str, _REQUIRED), "timestamp_column": (_as_str, "timestamp"),
+         "price_column": (_as_str, "price")},
+        lambda s: load_csv(s["path"], s["timestamp_column"], s["price_column"]),
+    ),
+    "literal": ({"prices": (_list_of(_as_float), _REQUIRED), "repeat": (_as_int, 1)}, _literal),
+    "converging_spread": (
+        {"inv_lo": (_as_float, 1.0), "inv_hi": (_as_float, 2.0), "pairs": (_as_int, _REQUIRED)},
+        lambda s: converging_spread_series(s["inv_lo"], s["inv_hi"], s["pairs"]),
+    ),
 }
 
 
-def _parse_common(raw: dict, args) -> dict:
-    top = _section(raw, "config", _TOP_KEYS)
-    out: dict = {}
-    out["fees"] = _section(
-        top["fees"] or {},
-        "fees",
-        {"eps_alpha": (_as_float, 0.0), "eps_beta": (_as_float, 0.0)},
-    )
-    run = _section(
-        top["run"] or {},
-        "run",
-        {
-            "max_steps": (_as_int, 100_000),
-            "seed": (_as_int, 0),
-            "trials": (_as_int, 1),
-            "record_traces": (_as_bool, False),
-        },
-    )
-    if args.seed is not None:
-        run["seed"] = args.seed
-    if args.trials is not None:
-        run["trials"] = args.trials
-    if args.max_steps is not None:
-        run["max_steps"] = args.max_steps
-    out["run"] = run
-    out["top"] = top
-    return out
+def _parse_source(raw) -> NormalSpec | WalkSpec | PriceSeries | None:
+    if raw is None:
+        return None  # null: as if absent
+    if not isinstance(raw, dict) or "kind" not in raw:
+        raise ConfigError("source must be an object with a 'kind' key")
+    kind = raw["kind"]
+    if not isinstance(kind, str) or kind not in _SOURCES:
+        raise ConfigError(f"unknown source kind {kind!r} (allowed: {', '.join(_SOURCES)})")
+    keys, build = _SOURCES[kind]
+    s = _section(raw, f"source({kind})", {"kind": (_as_str, _REQUIRED), **keys})
+    del s["kind"]
+    try:
+        return build(s)
+    except ValueError as exc:  # the model's own message, not "bad value for 'source'"
+        raise ConfigError(str(exc)) from None
 
 
-def _build_sim_config(raw: dict, args) -> tuple[SimConfig, int, dict]:
-    common = _parse_common(raw, args)
-    top = common["top"]
-    if top["source"] is None:
-        raise ConfigError("missing key 'source' in config")
-    source = _parse_source(top["source"])
-    if top["speculator"] is None:
-        raise ConfigError("missing key 'speculator' in config")
-    s = _section(
-        top["speculator"],
-        "speculator",
-        {
-            "delta": (_as_float, 0.5),
-            "lambda_buy": (_as_float, 0.0),
-            "lambda_sell": (_as_float, 0.0),
-        },
+_SPECULATOR = {"delta": (_as_float, 0.5), "lambda_buy": (_as_float, 0.0), "lambda_sell": (_as_float, 0.0)}
+
+# Top-level keys.  Sub-sections defaulting to None are needed by only some
+# subcommands, which demand them with _need.
+_CONFIG = {
+    "source": (_parse_source, None),
+    "speculator": (_SPECULATOR, None),
+    "mode": (_as_str, "auto"),
+    "adaptive": ({"c": (_as_float, 3.5), "window": (_as_int, 168)}, {}),
+    "fees": ({"eps_alpha": (_as_float, 0.0), "eps_beta": (_as_float, 0.0)}, {}),
+    "reserves0": (_as_holding, None),
+    "n0": (_as_holding, 1.0),
+    "m0": (_as_holding, 0.0),
+    "n0_grid": (_list_of(_as_holding), None),
+    "run": (
+        {"max_steps": (_as_int, 100_000), "seed": (_as_int, 0), "trials": (_as_int, 1),
+         "record_traces": (_as_bool, False)},
+        {},
+    ),
+    "sweep": (
+        {"axis": (_as_str, _REQUIRED), "values": (_list_of(_as_float), _REQUIRED), "trials": (_as_int, None)},
+        None,
+    ),
+    "theory": ({"tail_fraction": (_as_float, 0.5), "boundary_tol": (_as_float, 1e-12)}, {}),
+    "matrix": (
+        {"lambda_buy": (_as_float, 0.0), "lambda_sell": (_as_float, 0.0), "i": (_as_float, _REQUIRED),
+         "j": (_as_float, _REQUIRED), "y_ratio": (_as_float, _REQUIRED), "sell_mean": (_as_float, 1.0)},
+        None,
+    ),
+}
+
+
+def _parse_config(raw: dict, args) -> dict:
+    """The whole config, typed, with the command-line overrides applied."""
+    cfg = _section(raw, "config", _CONFIG)
+    for key in ("seed", "trials", "max_steps"):
+        if getattr(args, key) is not None:
+            cfg["run"][key] = getattr(args, key)
+    return cfg
+
+
+def _sim_config(cfg: dict) -> SimConfig:
+    run = cfg["run"]
+    return SimConfig(
+        source=_need(cfg, "source"),
+        speculator=SpeculatorParams(**_need(cfg, "speculator")),
+        reserves0=_need(cfg, "reserves0"),
+        n0=cfg["n0"], m0=cfg["m0"], mode=cfg["mode"], adaptive=AdaptiveSpec(**cfg["adaptive"]),
+        max_steps=run["max_steps"], master_seed=run["seed"], record_traces=run["record_traces"],
+        **cfg["fees"],
     )
-    speculator = SpeculatorParams(delta=s["delta"], lambda_buy=s["lambda_buy"], lambda_sell=s["lambda_sell"])
-    a = _section(top["adaptive"] or {}, "adaptive", {"c": (_as_float, 3.5), "window": (_as_int, 168)})
-    if top["reserves0"] is None:
-        raise ConfigError("missing key 'reserves0' in config")
-    cfg = SimConfig(
-        source=source,
-        speculator=speculator,
-        reserves0=top["reserves0"],
-        n0=top["n0"],
-        m0=top["m0"],
-        eps_alpha=common["fees"]["eps_alpha"],
-        eps_beta=common["fees"]["eps_beta"],
-        mode=top["mode"],
-        adaptive=AdaptiveSpec(c=a["c"], window=a["window"]),
-        max_steps=common["run"]["max_steps"],
-        master_seed=common["run"]["seed"],
-        record_traces=common["run"]["record_traces"],
-    )
-    return cfg, common["run"]["trials"], common
+
+
+def _price_series(cfg: dict, command: str) -> PriceSeries:
+    source = _need(cfg, "source")
+    if not isinstance(source, PriceSeries):
+        raise ConfigError(f"{command} needs a concrete price series (csv, literal, or converging_spread)")
+    return source
 
 
 # ---------------------------------------------------------------------------
@@ -328,66 +301,22 @@ def _emit(report_rows, args, console_rows=None) -> None:
 # subcommands
 
 
-def _matrix_from_config(raw_matrix):
-    s = _section(
-        raw_matrix,
-        "matrix",
-        {
-            "lambda_buy": (_as_float, 0.0),
-            "lambda_sell": (_as_float, 0.0),
-            "i": (_as_float, _REQUIRED),
-            "j": (_as_float, _REQUIRED),
-            "y_ratio": (_as_float, _REQUIRED),
-            "sell_mean": (_as_float, 1.0),
-        },
-    )
-    return round_matrix_from_params(
-        lambda_buy=s["lambda_buy"],
-        lambda_sell=s["lambda_sell"],
-        i=s["i"],
-        j=s["j"],
-        y_ratio=s["y_ratio"],
-        sell_mean=s["sell_mean"],
-    )
-
-
-def cmd_analyze(raw: dict, args) -> None:
-    common = _parse_common(raw, args)
-    top = common["top"]
-    if top["reserves0"] is None:
-        raise ConfigError("missing key 'reserves0' in config")
-    reserves0, n0, m0 = top["reserves0"], top["n0"], top["m0"]
-    fees = common["fees"]
-    if any(fees.values()):
+def cmd_analyze(cfg: dict, args) -> None:
+    reserves0, n0, m0 = _need(cfg, "reserves0"), cfg["n0"], cfg["m0"]
+    if any(cfg["fees"].values()):
         raise ConfigError(
             "analyze: the closed form is fee-free and cannot model non-zero 'fees'; "
             "use simulate for a fee schedule"
         )
-    # Finite, non-negative holdings, checked as simulate checks them.
-    check_schedule(reserves0, fees["eps_alpha"], fees["eps_beta"])
-    Portfolio(m=m0, n=n0)
     report: dict = {}
 
-    if top["matrix"] is not None:
-        mat = _matrix_from_config(top["matrix"])
+    if cfg["matrix"] is not None:
+        mat = round_matrix_from_params(**cfg["matrix"])
     else:
-        if top["source"] is None:
-            raise ConfigError("missing key 'source' in config")
-        source = _parse_source(top["source"])
+        source = _need(cfg, "source")
         if not isinstance(source, NormalSpec):
             raise ConfigError("analytic mode requires a distribution source (kind 'normal')")
-        if top["speculator"] is None:
-            raise ConfigError("missing key 'speculator' in config")
-        s = _section(
-            top["speculator"],
-            "speculator",
-            {
-                "delta": (_as_float, _REQUIRED),
-                "lambda_buy": (_as_float, 0.0),
-                "lambda_sell": (_as_float, 0.0),
-            },
-        )
-        params = SpeculatorParams(delta=s["delta"], lambda_buy=s["lambda_buy"], lambda_sell=s["lambda_sell"])
+        params = SpeculatorParams(**_need(cfg, "speculator"))
         interval = waiting_interval(source, params)
         mat = build_round_matrix(source, interval, params)
         report.update(
@@ -450,16 +379,17 @@ def _summary_rows(summary: MonteCarloSummary, extra: dict) -> dict:
     return row
 
 
-def cmd_simulate(raw: dict, args) -> None:
-    cfg, trials, common = _build_sim_config(raw, args)
-    n0_grid = common["top"]["n0_grid"] or [cfg.n0]
-    if cfg.record_traces and args.out and args.format != "json":
+def cmd_simulate(cfg: dict, args) -> None:
+    config = _sim_config(cfg)
+    trials = cfg["run"]["trials"]
+    n0_grid = cfg["n0_grid"] or [config.n0]
+    if config.record_traces and args.out and args.format != "json":
         raise ConfigError("record_traces output requires --format json")
 
     rows: list[dict] = []
     console: list[dict] = []
     for n0 in n0_grid:
-        sub = replace(cfg, n0=n0)
+        sub = replace(config, n0=n0)
         summary = monte_carlo(sub, trials, keep_results=bool(args.out))
         console.append(_summary_rows(summary, {"n0": n0}))
         for idx, res in enumerate(summary.results or ()):
@@ -476,7 +406,7 @@ def cmd_simulate(raw: dict, args) -> None:
                 "steps": res.steps,
                 "clamp_count": res.clamp_count,
             }
-            if cfg.record_traces and res.traces is not None and args.format == "json":
+            if config.record_traces and res.traces is not None and args.format == "json":
                 row["traces"] = {
                     "p": list(res.traces.p),
                     "delta": list(res.traces.delta),
@@ -488,20 +418,9 @@ def cmd_simulate(raw: dict, args) -> None:
     _emit(rows, args, console_rows=console)
 
 
-def cmd_theory(raw: dict, args) -> None:
-    common = _parse_common(raw, args)
-    top = common["top"]
-    if top["source"] is None:
-        raise ConfigError("missing key 'source' in config")
-    source = _parse_source(top["source"])
-    if isinstance(source, (NormalSpec, WalkSpec)):
-        raise ConfigError("theory needs a concrete price series (csv, literal, or converging_spread)")
-    t = _section(
-        top["theory"] or {},
-        "theory",
-        {"tail_fraction": (_as_float, 0.5), "boundary_tol": (_as_float, 1e-12)},
-    )
-    fees = common["fees"]
+def cmd_theory(cfg: dict, args) -> None:
+    source = _price_series(cfg, "theory")
+    t, fees = cfg["theory"], cfg["fees"]
     spread = tail_spread(source, t["tail_fraction"])
     value = L_criterion(fees["eps_alpha"], fees["eps_beta"], spread)
     label = stability_label(fees["eps_alpha"], fees["eps_beta"], spread, boundary_tol=t["boundary_tol"])
@@ -519,27 +438,12 @@ def cmd_theory(raw: dict, args) -> None:
     _emit(report, args)
 
 
-def cmd_sweep(raw: dict, args) -> None:
-    cfg, trials, common = _build_sim_config(raw, args)
-    sw_raw = common["top"]["sweep"]
-    if sw_raw is None:
-        raise ConfigError("missing key 'sweep' in config")
-    sw = _section(
-        sw_raw,
-        "sweep",
-        {
-            "axis": (_as_str, _REQUIRED),
-            "values": (_as_float_list, _REQUIRED),
-            "trials": (_as_int, None),
-        },
-    )
-    if sw["axis"] not in SWEEP_AXES:
-        raise ConfigError(f"unknown sweep axis {sw['axis']!r} (allowed: {', '.join(SWEEP_AXES)})")
-    if args.trials is not None:
-        trials = args.trials
-    elif sw["trials"] is not None:
-        trials = sw["trials"]
-    points = sweep(cfg, sw["axis"], sw["values"], trials)
+def cmd_sweep(cfg: dict, args) -> None:
+    config = _sim_config(cfg)
+    sw = _need(cfg, "sweep")
+    # --trials beats sweep.trials, which beats run.trials.
+    trials = sw["trials"] if args.trials is None and sw["trials"] is not None else cfg["run"]["trials"]
+    points = sweep(config, sw["axis"], sw["values"], trials)
     rows = []
     for pt in points:
         row = _summary_rows(pt.summary, {"axis": pt.axis, "value": pt.value})
@@ -549,14 +453,8 @@ def cmd_sweep(raw: dict, args) -> None:
     _emit(rows, args)
 
 
-def cmd_ingest_stats(raw: dict, args) -> None:
-    common = _parse_common(raw, args)
-    top = common["top"]
-    if top["source"] is None:
-        raise ConfigError("missing key 'source' in config")
-    source = _parse_source(top["source"])
-    if not isinstance(source, PriceSeries):
-        raise ConfigError("ingest-stats needs a concrete price series (csv or literal)")
+def cmd_ingest_stats(cfg: dict, args) -> None:
+    source = _price_series(cfg, "ingest-stats")
     walk = step_stats(source)
     report = {
         "rows": len(source),
@@ -599,7 +497,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        args.fn(_load_config(args.config), args)
+        args.fn(_parse_config(_load_config(args.config), args), args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

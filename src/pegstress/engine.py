@@ -406,7 +406,7 @@ def _with_axis(config: SimConfig, axis: str, value: float) -> SimConfig:
         return replace(config, eps_alpha=value, eps_beta=value)
     if axis == "reserves0":
         return replace(config, reserves0=value)
-    raise ValueError(f"unknown sweep axis {axis!r} (have {', '.join(SWEEP_AXES)})")
+    raise ValueError(f"unknown sweep axis {axis!r} (allowed: {', '.join(SWEEP_AXES)})")
 
 
 def sweep(config: SimConfig, axis: str, values, trials: int) -> tuple[SweepPoint, ...]:

@@ -404,9 +404,12 @@ def y_ratio_normal(dist: NormalSpec, y1: float, y2: float) -> float:
 def divergence_check(mat: RoundMatrix, x0: Portfolio | tuple[float, float]) -> bool:
     """True iff expected backing holdings grow without bound.
 
-    That happens exactly when none of Y, L1^i, L2^j equals 1 and the start
-    portfolio is nontrivial; otherwise the trajectory stays inside the band
-    c1 +/- |c2|.
+    The characteristic polynomial of the round matrix, evaluated at 1, is
+    (1 - L1^i)(1 - L2^j)(1 - Y), and its determinant L1^i L2^j is at most 1,
+    so the dominant eigenvalue a1 exceeds 1 exactly when Y > 1 and neither
+    L1^i nor L2^j equals 1.  Holdings then grow like a1^k from any nontrivial
+    start portfolio; otherwise (Y < 1 included, where a1 < 1 and the
+    backing decays) the trajectory stays inside the band c1 +/- |c2|.
     """
     if isinstance(x0, Portfolio):
         x0 = (x0.m, x0.n)
@@ -415,4 +418,4 @@ def divergence_check(mat: RoundMatrix, x0: Portfolio | tuple[float, float]) -> b
         raise ValueError("x0 must be componentwise nonnegative")
     if m0 == 0.0 and n0 == 0.0:
         return False
-    return mat.y_ratio != 1.0 and mat.lam1_i != 1.0 and mat.lam2_j != 1.0
+    return mat.y_ratio > 1.0 and mat.lam1_i != 1.0 and mat.lam2_j != 1.0

@@ -114,14 +114,40 @@ class TestAnalyze:
 
     @pytest.mark.parametrize(
         "holdings, key",
-        [({"reserves0": float("inf")}, "reserves"), ({"reserves0": float("nan")}, "reserves"), ({"n0": float("nan")}, "n ")],
+        [
+            ({"reserves0": float("inf")}, "reserves0"),
+            ({"reserves0": float("nan")}, "reserves0"),
+            ({"n0": float("nan")}, "n0"),
+            ({"m0": float("inf")}, "m0"),
+            ({"n0_grid": [1.0, float("nan")]}, "n0_grid"),
+        ],
     )
     def test_non_finite_holdings_rejected(self, tmp_path, capsys, holdings, key):
         # json writes these as Infinity / NaN, which json.load reads back.
         cfg = write_config(tmp_path, "bad.json", dict(EX1_CONFIG, **holdings))
         assert main(["analyze", "--config", cfg]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and key in err and "finite" in err
+        assert err == f"error: bad value for {key!r} in config: must be finite and >= 0\n"
+
+    def test_decaying_matrix_does_not_diverge(self, tmp_path, capsys):
+        # Y < 1 puts the dominant eigenvalue below 1: the backing decays.
+        matrix = {"lambda_buy": 0.3, "lambda_sell": 0.3, "i": 5.0, "j": 3.0, "y_ratio": 0.5}
+        cfg = write_config(tmp_path, "decay.json", {"matrix": matrix, "reserves0": 100.0, "n0": 1.0})
+        assert main(["analyze", "--config", cfg]) == 0
+        report = parse_console(capsys.readouterr().out)
+        assert float(report["a1"]) < 1.0
+        assert report["diverges"] == "false"
+        assert report["outcome"] == "never depletes"
+
+    def test_delta_defaults_as_in_simulate(self, tmp_path, capsys):
+        source = {"kind": "normal", "mu": 100.0, "sigma2": 2500.0}
+        outs = []
+        for speculator in ({}, {"delta": 0.5}):
+            cfg = write_config(tmp_path, "d.json", dict(EX1_CONFIG, source=source, speculator=speculator))
+            assert main(["analyze", "--config", cfg]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert parse_console(outs[0])["delta"] == "0.5"
 
     def test_slowly_diverging_matrix_depletes(self, tmp_path, capsys):
         # Dominant eigenvalue 1 + 3.3e-8: the crossing lies near 1e8 rounds.
@@ -430,7 +456,13 @@ class TestIngestStats:
             tmp_path, "bad.json", {"source": {"kind": "walk", "mu_step": 0.0, "sigma_step": 1.0, "p0": 1.0}}
         )
         assert main(["ingest-stats", "--config", cfg]) == 1
-        assert "concrete price series" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "concrete price series" in err and "converging_spread" in err
+
+    def test_converging_spread_accepted(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "conv.json", {"source": {"kind": "converging_spread", "pairs": 5}})
+        assert main(["ingest-stats", "--config", cfg]) == 0
+        assert parse_console(capsys.readouterr().out)["rows"] == "10"
 
 
 class TestErrorPlumbing:
@@ -469,3 +501,71 @@ class TestErrorPlumbing:
         cfg = write_config(tmp_path, "bad.json", payload)
         assert main(["analyze", "--config", cfg]) == 1
         assert "reserves0" in capsys.readouterr().err
+
+
+LITERAL = {"kind": "literal", "prices": [95.0, 105.0]}
+SOURCES = {
+    "normal": EX1_CONFIG["source"],
+    "walk": {"kind": "walk", "mu_step": 0.0, "sigma_step": 1.0, "p0": 100.0},
+    "csv": {"kind": "csv", "path": "prices.csv"},
+    "literal": LITERAL,
+    "converging_spread": {"kind": "converging_spread", "pairs": 3},
+}
+SWEEP = {"axis": "delta", "values": [0.1]}
+MATRIX = {"lambda_buy": 0.5, "lambda_sell": 0.5, "i": 2.0, "j": 2.0, "y_ratio": 1.2}
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize(
+        "command, section",
+        [
+            ("simulate", "fees"),
+            ("simulate", "run"),
+            ("simulate", "adaptive"),
+            ("simulate", "speculator"),
+            ("sweep", "sweep"),
+            ("theory", "theory"),
+            ("analyze", "matrix"),
+        ],
+    )
+    def test_unknown_key_names_section(self, tmp_path, capsys, command, section):
+        payload = dict(EX1_CONFIG, sweep=SWEEP, matrix=MATRIX)
+        payload[section] = dict(payload.get(section, {}), bogus=1)
+        if command == "theory":
+            payload["source"] = LITERAL
+        cfg = write_config(tmp_path, "bad.json", payload)
+        assert main([command, "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith(f"error: unknown key 'bogus' in {section} (allowed: ")
+
+    @pytest.mark.parametrize("kind", sorted(SOURCES))
+    def test_unknown_source_key_names_kind(self, tmp_path, capsys, kind):
+        cfg = write_config(tmp_path, "bad.json", dict(EX1_CONFIG, source=dict(SOURCES[kind], bogus=1)))
+        assert main(["simulate", "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith(f"error: unknown key 'bogus' in source({kind}) (allowed: ")
+
+    @pytest.mark.parametrize(
+        "command, section",
+        [
+            ("simulate", "fees"),
+            ("simulate", "run"),
+            ("simulate", "adaptive"),
+            ("simulate", "speculator"),
+            ("simulate", "source"),
+            ("simulate", "sweep"),
+            ("sweep", "sweep"),
+            ("theory", "theory"),
+            ("analyze", "matrix"),
+        ],
+    )
+    def test_null_section_is_absent(self, tmp_path, capsys, command, section):
+        base = dict(EX1_CONFIG, fees={}, run={"trials": 2}, adaptive={}, theory={}, matrix=None, sweep=SWEEP)
+        if command == "theory":
+            base["source"] = LITERAL
+        results = []
+        for payload in (dict(base, **{section: None}), {k: v for k, v in base.items() if k != section}):
+            cfg = write_config(tmp_path, "cfg.json", payload)
+            code = main([command, "--config", cfg])
+            results.append((code, capsys.readouterr()))
+        assert results[0] == results[1]
+        if section in ("source", "speculator") or command == "sweep":
+            assert results[0][1].err == f"error: missing key {section!r} in config\n"
