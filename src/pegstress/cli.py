@@ -3,7 +3,8 @@
 Subcommands: analyze | simulate | theory | sweep | ingest-stats.  Inputs come
 from a JSON config file (--config); --seed/--trials/--max-steps override the
 corresponding config values.  Reports go to stdout as "key = value" lines;
---out writes the machine-readable version (csv or json per --format).
+--out writes the machine-readable version (csv or json per --format), one
+record at a time, to a temporary file that replaces --out only on success.
 Identical command line and seed produce byte-identical output files: floats
 are serialised with their shortest round-trip representation and nothing
 time- or path-dependent is emitted.
@@ -15,16 +16,18 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
-from .engine import AdaptiveSpec, MonteCarloSummary, SimConfig, monte_carlo, sweep
+from .engine import AdaptiveSpec, MonteCarloSummary, SimConfig, SimResult, monte_carlo, sweep
 from .prices import NormalSpec, PriceSeries, WalkSpec, load_csv, step_stats
 from .rounds import (
     build_round_matrix, discriminant, divergence_check, eigen, expected_depletion_rounds,
     round_matrix_from_params, rounds_to_timesteps,
 )
-from .speculator import SpeculatorParams, waiting_interval
+from .speculator import NoTradeInterval, SpeculatorParams, waiting_interval
 from .theory import L_criterion, converging_spread_series, min_fee, stability_label, tail_spread
 
 __all__ = ["main", "ConfigError"]
@@ -271,30 +274,55 @@ def _print_report(report: dict) -> None:
         print(f"{k} = {_fmt(v)}")
 
 
-def _write_rows(path: str, rows: list[dict], fmt: str) -> None:
-    if fmt == "json":
-        with open(path, "w") as fh:
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
+@contextmanager
+def _out_records(args):
+    """Yield write(row), which appends one record to --out; None without --out.
+
+    csv: the first row's keys as header, then a line per row; json: the bytes
+    of json.dump(rows, indent=2) + newline.  The records go to a temporary file
+    beside --out that replaces it only if the block ends without an error.
+    """
+    if not args.out:
+        yield None
         return
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = list(rows[0].keys()) if rows else []
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(row[k]) for k in header])
+    tmp = f"{args.out}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, "x", newline="")
+    rows = csv.writer(fh, lineterminator="\n")
+    header: list[str] = []
+    count = 0
+
+    def write(row: dict) -> None:
+        nonlocal count
+        if args.format == "json":
+            # json.dumps([row], indent=2) is "[" + "\n  {...}" + "\n]": the middle
+            # is the row exactly as json.dump lays out an item of the list.
+            fh.write(("," if count else "[") + json.dumps([row], indent=2)[1:-2])
+        else:
+            if not count:
+                header.extend(row)
+                rows.writerow(header)
+            rows.writerow([_fmt(row[k]) for k in header])
+        count += 1
+
+    try:
+        with fh:
+            yield write
+            if args.format == "json":
+                fh.write("\n]\n" if count else "[]\n")
+        os.replace(tmp, args.out)
+    except BaseException:
+        os.remove(tmp)
+        raise
+    print(f"wrote {args.out} ({count} records)", file=sys.stderr)
 
 
-def _emit(report_rows, args, console_rows=None) -> None:
-    """Print to console; write --out in --format if requested."""
-    rows = report_rows if isinstance(report_rows, list) else [report_rows]
-    if console_rows is None:
-        console_rows = rows
-    for row in console_rows:
-        _print_report(row)
-    if args.out:
-        _write_rows(args.out, rows, args.format)
-        print(f"wrote {args.out} ({len(rows)} records)", file=sys.stderr)
+def _emit(rows, args) -> None:
+    """Print each report to the console and write it to --out if requested."""
+    with _out_records(args) as write:
+        for row in rows if isinstance(rows, list) else [rows]:
+            _print_report(row)
+            if write:
+                write(row)
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +345,25 @@ def cmd_analyze(cfg: dict, args) -> None:
         if not isinstance(source, NormalSpec):
             raise ConfigError("analytic mode requires a distribution source (kind 'normal')")
         params = SpeculatorParams(**_need(cfg, "speculator"))
-        interval = waiting_interval(source, params)
-        mat = build_round_matrix(source, interval, params)
         report.update(
             mu=source.mu,
             sigma2=source.sigma2,
             delta=params.delta,
             lambda_buy=params.lambda_buy,
             lambda_sell=params.lambda_sell,
+        )
+        try:
+            interval = waiting_interval(source, params)
+        except NoTradeInterval as exc:
+            # No band is worth trading: the trader holds, as the engine's
+            # inert trader does, and the reserves never move.
+            report.update(
+                outcome="never depletes", reason=str(exc), depletion_rounds=None, depletion_timesteps=None
+            )
+            _emit(report, args)
+            return
+        mat = build_round_matrix(source, interval, params)
+        report.update(
             s1=interval.s1,
             y1=interval.y1,
             y2=interval.y2,
@@ -379,43 +418,29 @@ def _summary_rows(summary: MonteCarloSummary, extra: dict) -> dict:
     return row
 
 
+def _trial_row(n0: float, idx: int, res: SimResult) -> dict:
+    row = {
+        "n0": n0, "trial": idx, "seed": res.seed, "depleted": res.depleted,
+        "depletion_step": res.depletion_step, "rounds": res.rounds, "r_min": res.r_min,
+        "final_m": res.final_m, "final_n": res.final_n, "steps": res.steps, "clamp_count": res.clamp_count,
+    }
+    if res.traces is not None:  # record_traces, which --out takes only as json
+        row["traces"] = vars(res.traces)  # p, delta, reserves, n, m; read, never changed
+    return row
+
+
 def cmd_simulate(cfg: dict, args) -> None:
     config = _sim_config(cfg)
     trials = cfg["run"]["trials"]
-    n0_grid = cfg["n0_grid"] or [config.n0]
     if config.record_traces and args.out and args.format != "json":
         raise ConfigError("record_traces output requires --format json")
-
-    rows: list[dict] = []
-    console: list[dict] = []
-    for n0 in n0_grid:
-        sub = replace(config, n0=n0)
-        summary = monte_carlo(sub, trials, keep_results=bool(args.out))
-        console.append(_summary_rows(summary, {"n0": n0}))
-        for idx, res in enumerate(summary.results or ()):
-            row = {
-                "n0": n0,
-                "trial": idx,
-                "seed": res.seed,
-                "depleted": res.depleted,
-                "depletion_step": res.depletion_step,
-                "rounds": res.rounds,
-                "r_min": res.r_min,
-                "final_m": res.final_m,
-                "final_n": res.final_n,
-                "steps": res.steps,
-                "clamp_count": res.clamp_count,
-            }
-            if config.record_traces and res.traces is not None and args.format == "json":
-                row["traces"] = {
-                    "p": list(res.traces.p),
-                    "delta": list(res.traces.delta),
-                    "reserves": list(res.traces.reserves),
-                    "n": list(res.traces.n),
-                    "m": list(res.traces.m),
-                }
-            rows.append(row)
-    _emit(rows, args, console_rows=console)
+    with _out_records(args) as write:
+        for n0 in cfg["n0_grid"] or [config.n0]:
+            # Each trial's row is written as the trial finishes; without
+            # --out there is no sink, and no per-trial record is made.
+            sink = None if write is None else lambda idx, res: write(_trial_row(n0, idx, res))
+            summary = monte_carlo(replace(config, n0=n0), trials, sink=sink)
+            _print_report(_summary_rows(summary, {"n0": n0}))
 
 
 def cmd_theory(cfg: dict, args) -> None:

@@ -15,11 +15,15 @@ With zero fees this is exactly the all-in rule (1 - lambda_buy) * p_t * n.
 
 Monte Carlo trials are independent: trial seeds derive from
 (master_seed, trial index), so aggregation order cannot change any result.
+monte_carlo folds each trial into running sums and keeps no per-trial
+record; a caller that wants the records (the CLI's --out) passes a sink,
+which sees each SimResult once, in trial order, as its trial finishes.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from itertools import repeat
 
@@ -186,7 +190,6 @@ class MonteCarloSummary:
     r_min_mean: float
     r_min_min: float
     r_min_max: float
-    results: tuple[SimResult, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -330,11 +333,13 @@ def run(
     )
 
 
-def monte_carlo(config: SimConfig, trials: int, keep_results: bool = False) -> MonteCarloSummary:
+def monte_carlo(config: SimConfig, trials: int, sink: Callable | None = None) -> MonteCarloSummary:
     """Run independent trials and aggregate streams (order-independent).
 
     Trial seeds are derive_seed(master_seed, index); the waiting interval for
-    analytic mode is computed once and shared read-only.
+    analytic mode is computed once and shared read-only.  sink, if given, is
+    called as sink(index, result) after each trial, in trial order; nothing
+    else keeps the result.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -351,7 +356,6 @@ def monte_carlo(config: SimConfig, trials: int, keep_results: bool = False) -> M
     r_min_sum = 0.0
     r_min_min = math.inf
     r_min_max = -math.inf
-    kept: list[SimResult] = []
     for idx in range(trials):
         res = run(config, seed=derive_seed(config.master_seed, idx), interval=interval)
         if res.depleted:
@@ -362,8 +366,8 @@ def monte_carlo(config: SimConfig, trials: int, keep_results: bool = False) -> M
         r_min_sum += res.r_min
         r_min_min = min(r_min_min, res.r_min)
         r_min_max = max(r_min_max, res.r_min)
-        if keep_results:
-            kept.append(res)
+        if sink is not None:
+            sink(idx, res)
 
     mean = sum_steps / depleted if depleted else None
     std = None
@@ -380,7 +384,6 @@ def monte_carlo(config: SimConfig, trials: int, keep_results: bool = False) -> M
         r_min_mean=r_min_sum / trials,
         r_min_min=r_min_min,
         r_min_max=r_min_max,
-        results=tuple(kept) if keep_results else None,
     )
 
 

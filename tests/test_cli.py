@@ -5,6 +5,7 @@ parse both and cross-check them, including the byte-identical reproducibility
 guarantee for repeated invocations.
 """
 
+import argparse
 import csv
 import json
 
@@ -12,7 +13,7 @@ import pytest
 
 from pegstress import cli
 from pegstress.cli import main
-from pegstress.engine import monte_carlo
+from pegstress.engine import monte_carlo, run
 
 
 def write_config(tmp_path, name, payload):
@@ -165,6 +166,28 @@ class TestAnalyze:
         assert 1e7 < k < 1e9
         assert float(report["depletion_timesteps"]) == i + k * (i + j)
 
+    @pytest.mark.parametrize(
+        "change, reason",
+        [
+            ({"speculator": {}}, "outside the price support"),  # delta 0.5
+            ({"source": {"kind": "normal", "mu": 100.0, "sigma2": 0.0}}, "nondegenerate"),
+        ],
+        ids=["deep_discount", "point_mass"],
+    )
+    def test_inert_trader_never_depletes(self, tmp_path, capsys, change, reason):
+        # No band is worth trading, so the trader never acts: an answer, the
+        # one simulate gives, not an error.
+        cfg = write_config(tmp_path, "inert.json", dict(EX1_CONFIG, **change))
+        assert main(["analyze", "--config", cfg]) == 0
+        report = parse_console(capsys.readouterr().out)
+        assert report["outcome"] == "never depletes"
+        assert reason in report["reason"]
+        assert report["depletion_rounds"] == ""
+        assert main(["simulate", "--config", cfg, "--trials", "20", "--max-steps", "2000"]) == 0
+        sim = parse_console(capsys.readouterr().out)
+        assert float(sim["fraction_depleted"]) == 0.0
+        assert float(sim["r_min_min"]) == EX1_CONFIG["reserves0"]
+
     def test_file_matches_console(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "ex1.json", EX1_CONFIG)
         out = tmp_path / "report.csv"
@@ -269,16 +292,58 @@ class TestSimulate:
         cfg = write_config(tmp_path, "mc.json", payload)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "mc.csv")]) == 0
         with_out = capsys.readouterr().out
-        kept = []
+        sinks = []
 
-        def spy(config, trials, keep_results=False):
-            kept.append(keep_results)
-            return monte_carlo(config, trials, keep_results)
+        def spy(config, trials, sink=None):
+            sinks.append(sink)
+            return monte_carlo(config, trials, sink=sink)
 
         monkeypatch.setattr(cli, "monte_carlo", spy)
         assert main(["simulate", "--config", cfg]) == 0
         assert capsys.readouterr().out == with_out
-        assert kept == [False, False]  # no per-trial records held without --out
+        # monte_carlo keeps no per-trial record, and without --out nothing
+        # is handed one.
+        assert sinks == [None, None]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failed_run_leaves_earlier_out_untouched(self, tmp_path, capsys, monkeypatch, fmt):
+        payload = dict(EX1_CONFIG, run={"trials": 20, "max_steps": 2000})
+        cfg = write_config(tmp_path, "mc.json", payload)
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        out = outdir / f"runs.{fmt}"
+        out.write_bytes(b"earlier run\n")
+
+        def failing(config, trials, sink=None):
+            for idx in range(3):
+                sink(idx, run(config, seed=idx))
+            raise ValueError("trial 3 failed")
+
+        monkeypatch.setattr(cli, "monte_carlo", failing)
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--format", fmt]) == 1
+        assert "trial 3 failed" in capsys.readouterr().err
+        assert out.read_bytes() == b"earlier run\n"
+        assert [p.name for p in outdir.iterdir()] == [out.name]  # no temporary file left
+
+        monkeypatch.undo()
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--format", fmt]) == 0
+        assert [p.name for p in outdir.iterdir()] == [out.name]
+        assert out.read_bytes() != b"earlier run\n"
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[{"a": 1.5}], [{}, {"a": [], "b": {}}, {"c": {"d": [None, True, 1e-300, "x\ny"]}}]],
+        ids=["one_row", "nested"],
+    )
+    def test_streamed_json_is_json_dump(self, tmp_path, capsys, rows):
+        # Rows are written one at a time, in the bytes one json.dump of the
+        # whole list would give.
+        out = tmp_path / "rows.json"
+        with cli._out_records(argparse.Namespace(out=str(out), format="json")) as write:
+            for row in rows:
+                write(row)
+        assert out.read_text() == json.dumps(rows, indent=2) + "\n"
+        assert capsys.readouterr().err == f"wrote {out} ({len(rows)} records)\n"
 
     def test_seed_flag_changes_trials(self, tmp_path):
         cfg = write_config(tmp_path, "ex1.json", EX1_CONFIG)

@@ -3,8 +3,9 @@
 The pinned digests are --out CSVs recorded before the kernel skipped steps:
 the reference and adaptive_walk ones on an engine that visited every step and
 built a new MechanismState per trade, the other adaptive ones on an engine
-that still visited every adaptive step.  Any change to the kernel must keep
-them byte for byte.
+that still visited every adaptive step.  The json digests were recorded while
+--out still held every record and wrote the file with one json.dump.  Any
+change to the kernel or the writer must keep them byte for byte.
 """
 
 import dataclasses
@@ -75,6 +76,32 @@ def test_simulate_out_is_pinned(tmp_path, capsys, payload, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "payload, flags, digest",
+    [
+        (
+            dict(ADAPTIVE_WALK, n0_grid=[0.5, 1.0, 4.0]),
+            ["--trials", "200"],
+            "5d7c2a4fc9af92bbe57fd554d3e0f4739999a224db2b599fda5102e1545134b1",
+        ),
+        (
+            dict(REFERENCE, run={"record_traces": True}),
+            ["--trials", "5", "--max-steps", "300"],
+            "92ea5bc1b823111657a78630422f2e8889388ceb7ff4b683dc3871bfaa0820ee",
+        ),
+    ],
+    ids=["adaptive_walk_n0_grid", "reference_traced"],
+)
+def test_simulate_json_out_is_pinned(tmp_path, capsys, payload, flags, digest):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    out = tmp_path / "runs.json"
+    argv = ["simulate", "--config", str(cfg), "--seed", "7", "--out", str(out), "--format", "json", *flags]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # properties of the step loop
 
@@ -109,8 +136,9 @@ def sim_configs(draw):
 @settings(max_examples=25, deadline=None)
 @given(cfg=sim_configs(), trials=st.integers(1, 3))
 def test_trial_record_ignores_batch_size(cfg, trials):
-    small = monte_carlo(cfg, trials, keep_results=True).results
-    big = monte_carlo(cfg, 4 * trials, keep_results=True).results
+    small, big = [], []
+    monte_carlo(cfg, trials, sink=lambda idx, res: small.append(res))
+    monte_carlo(cfg, 4 * trials, sink=lambda idx, res: big.append(res))
     assert big[:trials] == small
     for k, res in enumerate(small):
         assert res == run(cfg, seed=derive_seed(cfg.master_seed, k))
