@@ -1,7 +1,7 @@
 """Stress-testing toolkit for price-window stablecoin mechanisms.
 
 The package models a mint/redeem mechanism whose exchange rates track an
-external price feed inside a fee window, a utility-maximising trader that
+external price feed inside a fee window, a value-maximising trader that
 buys low and sells high against it, and the resulting drain on collateral
 reserves.  Closed-form expected depletion times come from a 2x2 per-round
 transition matrix; Monte Carlo simulation covers everything the closed form
@@ -9,135 +9,35 @@ abstracts away (path dependence, finite horizons, adaptive traders).
 
 Modules:
     prices      price models (truncated normal, random walk, historical csv)
-    mechanism   mint/redeem state machine with embedded fees
-    speculator  optimal waiting interval and trade sizing
+    mechanism   settle, the one mint/redeem rule, with fees embedded in the rates
+    speculator  stablecoin value s1 and the optimal waiting interval
     rounds      round matrix, eigen decomposition, depletion times
     theory      stability criteria and omniscient-trader oracles
-    engine      seeded simulation runs, Monte Carlo, parameter sweeps
+    engine      seeded simulation runs (trade sizing, adaptive band), Monte
+                Carlo, parameter sweeps
     cli         command-line front end (pegstress ...)
+
+The package namespace holds the names the README's library examples use;
+everything else is imported from its module.
 """
 
-from .engine import (
-    AdaptiveSpec,
-    MonteCarloSummary,
-    SimConfig,
-    SimResult,
-    SweepPoint,
-    Traces,
-    monte_carlo,
-    run,
-    sweep,
-)
-from .mechanism import MechanismState, apply_trade, mint_cost, redeem_payout
-from .prices import (
-    NormalSpec,
-    PriceSeries,
-    WalkSpec,
-    cond_mean_above,
-    cond_mean_below,
-    derive_seed,
-    load_csv,
-    random_walk,
-    sample_iid,
-    step_stats,
-    trunc_cdf,
-)
-from .rounds import (
-    EigenSystem,
-    RoundMatrix,
-    build_round_matrix,
-    discriminant,
-    divergence_check,
-    eigen,
-    expected_depletion_rounds,
-    expected_portfolio,
-    round_matrix_from_params,
-    rounds_to_timesteps,
-    y_ratio_normal,
-)
-from .speculator import (
-    NoTradeInterval,
-    Portfolio,
-    SpeculatorParams,
-    WaitingInterval,
-    adaptive_interval,
-    decide,
-    stablecoin_value_s1,
-    utility,
-    waiting_interval,
-)
-from .theory import (
-    OmniscientRun,
-    TailSpread,
-    L_criterion,
-    converging_spread_series,
-    greedy_threshold_profit,
-    min_fee,
-    optimal_profit_bruteforce,
-    realized_profit_trace,
-    run_omniscient,
-    sensitivity_check,
-    stability_label,
-    tail_spread,
-)
+from .engine import SimConfig, SimResult, monte_carlo
+from .prices import NormalSpec
+from .rounds import build_round_matrix, eigen, expected_depletion_rounds, rounds_to_timesteps
+from .speculator import NoTradeInterval, SpeculatorParams, waiting_interval
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptiveSpec",
-    "EigenSystem",
-    "L_criterion",
-    "MechanismState",
-    "MonteCarloSummary",
     "NoTradeInterval",
     "NormalSpec",
-    "OmniscientRun",
-    "Portfolio",
-    "PriceSeries",
-    "RoundMatrix",
     "SimConfig",
     "SimResult",
     "SpeculatorParams",
-    "SweepPoint",
-    "TailSpread",
-    "Traces",
-    "WaitingInterval",
-    "WalkSpec",
-    "adaptive_interval",
-    "apply_trade",
     "build_round_matrix",
-    "cond_mean_above",
-    "cond_mean_below",
-    "converging_spread_series",
-    "decide",
-    "derive_seed",
-    "discriminant",
-    "divergence_check",
     "eigen",
     "expected_depletion_rounds",
-    "expected_portfolio",
-    "greedy_threshold_profit",
-    "load_csv",
-    "min_fee",
-    "mint_cost",
     "monte_carlo",
-    "optimal_profit_bruteforce",
-    "random_walk",
-    "realized_profit_trace",
-    "redeem_payout",
-    "round_matrix_from_params",
     "rounds_to_timesteps",
-    "run",
-    "run_omniscient",
-    "sample_iid",
-    "sensitivity_check",
-    "stability_label",
-    "stablecoin_value_s1",
-    "step_stats",
-    "sweep",
-    "tail_spread",
-    "trunc_cdf",
-    "utility",
     "waiting_interval",
-    "y_ratio_normal",
 ]

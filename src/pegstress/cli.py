@@ -117,6 +117,13 @@ def _as_holding(v) -> float:
     return x
 
 
+def _as_reserves(v) -> float:
+    x = _as_holding(v)
+    if x == 0.0:
+        raise ValueError("must be > 0")
+    return x
+
+
 def _list_of(conv):
     def parse(v) -> list[float]:
         if not isinstance(v, list) or not v:
@@ -205,7 +212,7 @@ _CONFIG = {
     "mode": (_as_str, "auto"),
     "adaptive": ({"c": (_as_float, 3.5), "window": (_as_int, 168)}, {}),
     "fees": ({"eps_alpha": (_as_float, 0.0), "eps_beta": (_as_float, 0.0)}, {}),
-    "reserves0": (_as_holding, None),
+    "reserves0": (_as_reserves, None),
     "n0": (_as_holding, 1.0),
     "m0": (_as_holding, 0.0),
     "n0_grid": (_list_of(_as_holding), None),
@@ -301,7 +308,10 @@ def _out_records(args):
             if not count:
                 header.extend(row)
                 rows.writerow(header)
-            rows.writerow([_fmt(row[k]) for k in header])
+            # csv.writer already writes None as "" and floats by repr; only
+            # bools need _fmt's text.
+            values = map(row.__getitem__, header)
+            rows.writerow(["true" if v is True else "false" if v is False else v for v in values])
         count += 1
 
     try:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .mechanism import apply_trade, check_schedule, settle  # noqa: F401  (perfbench/tracing.py wraps engine.apply_trade)
 from .prices import NormalSpec, PriceSeries, WalkSpec, derive_seed, price_blocks
-from .speculator import NoTradeInterval, Portfolio, SpeculatorParams, WaitingInterval, waiting_interval
+from .speculator import NoTradeInterval, SpeculatorParams, waiting_interval
 
 __all__ = [
     "AdaptiveSpec",
@@ -140,7 +140,9 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not (self.reserves0 > 0.0):
             raise ValueError("reserves0 must be > 0")
-        Portfolio(m=self.m0, n=self.n0)  # initial holdings: finite and >= 0
+        for name, held in (("m0", self.m0), ("n0", self.n0)):
+            if not (math.isfinite(held) and held >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         if self.mode not in ("auto", "analytic", "adaptive"):
@@ -200,12 +202,14 @@ class SweepPoint:
 
 
 def _analytic_band(config: SimConfig) -> tuple[float, float]:
-    """Trade triggers (y1, y2) for analytic mode.
+    """Trade triggers (y1, y2) for analytic mode, which needs a normal source.
 
     When no finite trigger exists (zero variance, or a discount so deep the
     trader would never act on one side) the trader is inert: the band is the
     whole real line and the simulation simply plays prices forward.
     """
+    if not isinstance(config.source, NormalSpec):
+        raise ValueError("analytic mode requires a distribution source")
     try:
         wi = waiting_interval(config.source, config.speculator)
     except NoTradeInterval:
@@ -213,30 +217,18 @@ def _analytic_band(config: SimConfig) -> tuple[float, float]:
     return wi.y1, wi.y2
 
 
-def run(
-    config: SimConfig,
-    seed: int | None = None,
-    interval: WaitingInterval | tuple[float, float] | None = None,
-) -> SimResult:
+def run(config: SimConfig, seed: int | None = None, interval: tuple[float, float] | None = None) -> SimResult:
     """Run one simulation.
 
-    seed defaults to config.master_seed.  For analytic mode the waiting
-    interval is computed from the source distribution unless one is passed in
-    (monte_carlo passes it so the optimisation runs once, not per trial); a
-    (y1, y2) tuple is accepted in place of a full WaitingInterval.
+    seed defaults to config.master_seed.  For analytic mode the band
+    (y1, y2) is computed from the source distribution unless one is passed
+    in (monte_carlo passes it so the optimisation runs once, not per trial).
     """
     adaptive = config.resolved_mode() == "adaptive"
     if adaptive:
         window = RollingBand(config.adaptive)
     else:
-        if not isinstance(config.source, NormalSpec):
-            raise ValueError("analytic mode requires a distribution source")
-        if interval is None:
-            lo, hi = _analytic_band(config)
-        elif isinstance(interval, WaitingInterval):
-            lo, hi = interval.y1, interval.y2
-        else:
-            lo, hi = interval
+        lo, hi = _analytic_band(config) if interval is None else interval
 
     seed = config.master_seed if seed is None else seed
     source = config.source
@@ -343,11 +335,7 @@ def monte_carlo(config: SimConfig, trials: int, sink: Callable | None = None) ->
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    interval = None
-    if config.resolved_mode() == "analytic":
-        if not isinstance(config.source, NormalSpec):
-            raise ValueError("analytic mode requires a distribution source")
-        interval = _analytic_band(config)
+    interval = _analytic_band(config) if config.resolved_mode() == "analytic" else None
 
     depleted = 0
     sum_steps = 0.0

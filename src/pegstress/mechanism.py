@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-__all__ = ["MechanismState", "check_schedule", "mint_cost", "redeem_payout", "settle", "apply_trade"]
+__all__ = ["MechanismState", "check_schedule", "settle", "apply_trade"]
 
 
 def check_schedule(reserves: float, eps_alpha: float, eps_beta: float) -> None:
@@ -55,7 +55,7 @@ def settle(reserves: float, delta: float, p_t: float, eps_alpha: float, eps_beta
     (the redeem payout, capped at the reserves).  Reserve change and flow
     cancel exactly.  Plain floats in and out, so a simulation can settle
     every trade without building a MechanismState.  This is the one copy of
-    the trade rule; the quotes and apply_trade below go through it.
+    the trade rule; apply_trade below goes through it.
     """
     if not (p_t > 0.0):
         raise ValueError("price must be positive")
@@ -68,22 +68,6 @@ def settle(reserves: float, delta: float, p_t: float, eps_alpha: float, eps_beta
     if not (0.0 <= reserves < math.inf):
         raise ValueError("reserves must be finite and >= 0")
     return reserves, flow
-
-
-def mint_cost(state: MechanismState, p_t: float) -> float:
-    """Backing coins charged per stablecoin minted at price p_t (settle's rule)."""
-    return -settle(state.reserves, 1.0, p_t, state.eps_alpha, state.eps_beta)[1]
-
-
-def redeem_payout(state: MechanismState, qty: float, p_t: float) -> float:
-    """Backing coins paid for redeeming qty stablecoins at price p_t.
-
-    settle's rule: capped at the reserves, so a redemption that would
-    overdraw them instead empties them (and breaks the window).
-    """
-    if qty < 0.0:
-        raise ValueError("redeem quantity must be >= 0")
-    return settle(state.reserves, -qty, p_t, state.eps_alpha, state.eps_beta)[1]
 
 
 def apply_trade(state: MechanismState, delta: float, p_t: float, t: int = 0) -> tuple[MechanismState, float]:

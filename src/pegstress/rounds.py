@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 
 from .prices import NormalSpec, cdf, cond_mean_above, cond_mean_below, pdf, trunc_cdf
-from .speculator import Portfolio, SpeculatorParams, WaitingInterval
+from .speculator import SpeculatorParams, WaitingInterval
 
 __all__ = [
     "RoundMatrix",
@@ -147,14 +147,12 @@ def discriminant(mat: RoundMatrix) -> float:
     return math.sqrt((mat.A - mat.D) ** 2 + 4.0 * mat.B * mat.C)
 
 
-def eigen(mat: RoundMatrix, x0: Portfolio | tuple[float, float]) -> EigenSystem:
-    """Eigenvalues and the eigen split of x0 (c1 + c2 = x0 exactly).
+def eigen(mat: RoundMatrix, x0: tuple[float, float]) -> EigenSystem:
+    """Eigenvalues and the eigen split c1 + c2 = x0 (exactly) of the start x0 = (m, n).
 
     Requires distinct eigenvalues (R > 0); R = 0 happens only when both
     haircut powers equal 1, i.e. the matrix is the identity.
     """
-    if isinstance(x0, Portfolio):
-        x0 = (x0.m, x0.n)
     r = discriminant(mat)
     if r <= _R_TOL:
         raise ValueError("eigen decomposition undefined: repeated eigenvalue (R = 0)")
@@ -401,7 +399,7 @@ def y_ratio_normal(dist: NormalSpec, y1: float, y2: float) -> float:
     return numerator / denominator
 
 
-def divergence_check(mat: RoundMatrix, x0: Portfolio | tuple[float, float]) -> bool:
+def divergence_check(mat: RoundMatrix, x0: tuple[float, float]) -> bool:
     """True iff expected backing holdings grow without bound.
 
     The characteristic polynomial of the round matrix, evaluated at 1, is
@@ -411,8 +409,6 @@ def divergence_check(mat: RoundMatrix, x0: Portfolio | tuple[float, float]) -> b
     start portfolio; otherwise (Y < 1 included, where a1 < 1 and the
     backing decays) the trajectory stays inside the band c1 +/- |c2|.
     """
-    if isinstance(x0, Portfolio):
-        x0 = (x0.m, x0.n)
     m0, n0 = x0
     if m0 < 0.0 or n0 < 0.0:
         raise ValueError("x0 must be componentwise nonnegative")

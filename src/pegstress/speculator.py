@@ -1,8 +1,8 @@
-"""Utility-maximising trader model.
+"""Value-maximising trader model.
 
-The trader holds a portfolio (m stablecoins, n backing coins) with linear
-utility u = m * s1 + n, where s1 is the present value of one stablecoin in
-backing coins.  s1 solves a fixed point over sell thresholds x:
+The trader holds m stablecoins and n backing coins and values them linearly
+at m * s1 + n backing coins, where s1 is the present value of one
+stablecoin.  s1 solves a fixed point over sell thresholds x:
 
     s1 = max_x (1 - delta)^(1 / F(x)) / E[p | p <= x]
 
@@ -21,7 +21,7 @@ and x2 maximises (1-delta)^(1/(1-F(x))) * (E[p | p >= x] * s1 - 1) on
 [1/s1, hi].  Both objectives are nonnegative at 1/s1, which pins
 y1 <= 1/s1 <= y2.  Trade sizes are all-in up to the cash-out haircuts
 lambda_buy, lambda_sell; the thresholds themselves do not depend on the
-portfolio or the haircuts (utility is linear, so scale drops out).
+holdings or the haircuts (value is linear, so scale drops out).
 
 Maximisation is a deterministic coarse grid (1024 points by default) followed
 by golden-section refinement; ties break toward smaller x.
@@ -36,14 +36,10 @@ from .prices import NormalSpec, TruncatedNormal
 
 __all__ = [
     "NoTradeInterval",
-    "Portfolio",
     "SpeculatorParams",
     "WaitingInterval",
     "stablecoin_value_s1",
     "waiting_interval",
-    "decide",
-    "utility",
-    "adaptive_interval",
 ]
 
 GRID_POINTS = 1024
@@ -59,20 +55,6 @@ class NoTradeInterval(ValueError):
     price support and one side of the interval escapes to infinity.  Callers
     that simulate may treat this as an inert trader rather than an error.
     """
-
-
-@dataclass(frozen=True)
-class Portfolio:
-    """Holdings: m stablecoins, n backing coins (both nonnegative)."""
-
-    m: float
-    n: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.m) and self.m >= 0.0):
-            raise ValueError("m must be finite and >= 0")
-        if not (math.isfinite(self.n) and self.n >= 0.0):
-            raise ValueError("n must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -248,38 +230,3 @@ def waiting_interval(dist: NormalSpec, params: SpeculatorParams) -> WaitingInter
     d2 = _discount_pow(omd, 1.0 - tn.prob_below(*at2))
     y2 = d2 * tn.mean_above(*at2) + (1.0 - d2) / s1
     return WaitingInterval(y1=y1, y2=y2, x1=x1, x2=x2, s1=s1)
-
-
-def decide(p_t: float, portfolio: Portfolio, params: SpeculatorParams, interval: WaitingInterval) -> float:
-    """Stablecoin quantity traded at price p_t (buy > 0, sell < 0, wait = 0).
-
-    Boundary prices wait: the waiting interval is closed.
-    """
-    if p_t > interval.y2:
-        return (1.0 - params.lambda_buy) * p_t * portfolio.n
-    if p_t < interval.y1:
-        return -(1.0 - params.lambda_sell) * portfolio.m
-    return 0.0
-
-
-def utility(portfolio: Portfolio, s1: float) -> float:
-    """Linear utility m * s1 + n."""
-    return portfolio.m * s1 + portfolio.n
-
-
-def adaptive_interval(window, c: float) -> tuple[float, float]:
-    """Empirical no-trade interval [mean - c*std, mean + c*std].
-
-    std is the population standard deviation of the window.  A window with
-    fewer than 2 samples carries no scale information, so the interval is
-    (-inf, +inf): the trader waits.
-    """
-    if c < 0.0:
-        raise ValueError("c must be >= 0")
-    values = list(window)
-    if len(values) < 2:
-        return (-math.inf, math.inf)
-    mean = sum(values) / len(values)
-    var = sum((v - mean) ** 2 for v in values) / len(values)
-    std = math.sqrt(var)
-    return (mean - c * std, mean + c * std)

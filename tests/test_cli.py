@@ -130,6 +130,16 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err == f"error: bad value for {key!r} in config: must be finite and >= 0\n"
 
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "sweep", "theory", "ingest-stats"])
+    def test_zero_reserves_rejected(self, tmp_path, capsys, command):
+        # Checked once, as the config is read: analyze used to answer
+        # depletion_rounds = 0 with depletion_timesteps = i.
+        cfg = write_config(tmp_path, "zero.json", dict(EX1_CONFIG, reserves0=0.0))
+        assert main([command, "--config", cfg]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: bad value for 'reserves0' in config: must be > 0\n"
+
     def test_decaying_matrix_does_not_diverge(self, tmp_path, capsys):
         # Y < 1 puts the dominant eigenvalue below 1: the backing decays.
         matrix = {"lambda_buy": 0.3, "lambda_sell": 0.3, "i": 5.0, "j": 3.0, "y_ratio": 0.5}

@@ -152,7 +152,8 @@ class TestSingleRun:
         ],
     )
     def test_config_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        (key,) = kwargs  # each error names its key
+        with pytest.raises(ValueError, match=f"^{key} must"):
             dataclasses.replace(EX1, **kwargs)
 
 

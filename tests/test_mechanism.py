@@ -1,10 +1,10 @@
-"""Mint/redeem state machine tests: quoting, reserve accounting, depletion."""
+"""Mint/redeem rule tests: quoting, reserve accounting, depletion."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pegstress.mechanism import MechanismState, apply_trade, mint_cost, redeem_payout
+from pegstress.mechanism import MechanismState, apply_trade, settle
 
 
 def make_state(reserves=10.0, eps_alpha=0.0, eps_beta=0.0):
@@ -12,31 +12,29 @@ def make_state(reserves=10.0, eps_alpha=0.0, eps_beta=0.0):
 
 
 class TestQuotes:
+    # settle's flow to the trader is minus the mint cost on a buy, the
+    # redeem payout on a sell.
     def test_mint_no_fee(self):
-        assert mint_cost(make_state(), 100.0) == pytest.approx(0.01)
+        assert -settle(10.0, 1.0, 100.0, 0.0, 0.0)[1] == pytest.approx(0.01)
 
     def test_mint_with_fee(self):
-        assert mint_cost(make_state(eps_alpha=0.02), 100.0) == pytest.approx(0.0102)
+        assert -settle(10.0, 1.0, 100.0, 0.02, 0.0)[1] == pytest.approx(0.0102)
 
     def test_mint_rejects_nonpositive_price(self):
         with pytest.raises(ValueError):
-            mint_cost(make_state(), 0.0)
+            settle(10.0, 1.0, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
-            mint_cost(make_state(), -1.0)
+            settle(10.0, 1.0, -1.0, 0.0, 0.0)
 
     def test_redeem_full_window(self):
-        assert redeem_payout(make_state(reserves=10.0), 1.0, 100.0) == pytest.approx(0.01)
+        assert settle(10.0, -1.0, 100.0, 0.0, 0.0)[1] == pytest.approx(0.01)
 
     def test_redeem_capped_by_reserves(self):
         # Entire reserves paid out when the quote exceeds them.
-        assert redeem_payout(make_state(reserves=0.005), 1.0, 100.0) == pytest.approx(0.005)
+        assert settle(0.005, -1.0, 100.0, 0.0, 0.0) == (0.0, 0.005)
 
     def test_redeem_with_fee(self):
-        assert redeem_payout(make_state(reserves=10.0, eps_beta=0.1), 2.0, 100.0) == pytest.approx(0.018)
-
-    def test_redeem_rejects_negative_qty(self):
-        with pytest.raises(ValueError):
-            redeem_payout(make_state(), -1.0, 100.0)
+        assert settle(10.0, -2.0, 100.0, 0.0, 0.1)[1] == pytest.approx(0.018)
 
 
 class TestApplyTrade:

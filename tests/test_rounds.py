@@ -26,7 +26,7 @@ from pegstress.rounds import (
     rounds_to_timesteps,
     y_ratio_normal,
 )
-from pegstress.speculator import Portfolio, SpeculatorParams, WaitingInterval, waiting_interval
+from pegstress.speculator import SpeculatorParams, WaitingInterval, waiting_interval
 
 EX1_DIST = NormalSpec(100.0, 100.0)
 EX1_PARAMS = SpeculatorParams(delta=0.1)
@@ -259,11 +259,6 @@ class TestEigen:
             assert sys_.a2 >= -1e-12
             if sys_.a2 < -1.0:
                 assert mat.D > mat.A
-
-    def test_accepts_portfolio_argument(self):
-        sys_tuple = eigen(EX1_MATRIX, (2.0, 3.0))
-        sys_port = eigen(EX1_MATRIX, Portfolio(m=2.0, n=3.0))
-        assert sys_tuple == sys_port
 
 
 class TestExpectedPortfolio:

@@ -12,16 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pegstress.engine import AdaptiveSpec, RollingBand, SimConfig, run
 from pegstress.prices import NormalSpec, cond_mean_above, cond_mean_below, trunc_cdf
 from pegstress.speculator import (
     NoTradeInterval,
-    Portfolio,
     SpeculatorParams,
     WaitingInterval,
-    adaptive_interval,
-    decide,
     stablecoin_value_s1,
-    utility,
     waiting_interval,
 )
 
@@ -175,31 +172,49 @@ class TestWaitingInterval:
             stablecoin_value_s1(dist, 0.1)
 
 
-class TestDecide:
-    INTERVAL = WaitingInterval(y1=94.0, y2=113.0, x1=94.5, x2=111.0, s1=0.009)
+# The trader's trade rule lives in the engine's step loop: these run one
+# step of it at a constant price against the band BAND.
+BAND = (94.0, 113.0)
 
+
+def trade_at(price, m, n, params, eps_alpha=0.0):
+    """The engine's trade at price from holdings (m stablecoins, n backing)."""
+    cfg = SimConfig(
+        source=NormalSpec(mu=price, sigma2=0.0),
+        speculator=params,
+        reserves0=1e9,
+        n0=n,
+        m0=m,
+        eps_alpha=eps_alpha,
+        max_steps=1,
+        record_traces=True,
+    )
+    res = run(cfg, interval=BAND)
+    return res.traces.delta[0], res
+
+
+class TestDecide:
     def test_waits_inside(self):
-        assert decide(100.0, Portfolio(m=5.0, n=5.0), EX1_PARAMS, self.INTERVAL) == 0.0
+        assert trade_at(100.0, 5.0, 5.0, EX1_PARAMS)[0] == 0.0
 
     def test_buys_above(self):
-        got = decide(120.0, Portfolio(m=0.0, n=5.0), SpeculatorParams(delta=0.1), self.INTERVAL)
-        assert got == pytest.approx(600.0)
+        assert trade_at(120.0, 0.0, 5.0, SpeculatorParams(delta=0.1))[0] == pytest.approx(600.0)
+        # The mint fee comes out of the budget: (1 - lambda_buy) * p * n / (1 + eps_alpha).
+        params = SpeculatorParams(delta=0.1, lambda_buy=0.25)
+        assert trade_at(120.0, 0.0, 5.0, params, eps_alpha=0.02)[0] == 0.75 * 120.0 * 5.0 / 1.02
 
     def test_sells_below(self):
         params = SpeculatorParams(delta=0.1, lambda_sell=0.5)
-        got = decide(80.0, Portfolio(m=10.0, n=0.0), params, self.INTERVAL)
-        assert got == pytest.approx(-5.0)
+        assert trade_at(80.0, 10.0, 0.0, params)[0] == pytest.approx(-5.0)
 
     def test_boundaries_wait(self):
-        p = Portfolio(m=10.0, n=10.0)
-        assert decide(94.0, p, EX1_PARAMS, self.INTERVAL) == 0.0
-        assert decide(113.0, p, EX1_PARAMS, self.INTERVAL) == 0.0
+        assert trade_at(94.0, 10.0, 10.0, EX1_PARAMS)[0] == 0.0
+        assert trade_at(113.0, 10.0, 10.0, EX1_PARAMS)[0] == 0.0
 
     def test_full_haircut_is_inert(self):
         params = SpeculatorParams(delta=0.1, lambda_buy=1.0, lambda_sell=1.0)
-        p = Portfolio(m=10.0, n=10.0)
         for price in (50.0, 100.0, 150.0):
-            assert decide(price, p, params, self.INTERVAL) == 0.0
+            assert trade_at(price, 10.0, 10.0, params)[0] == 0.0
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -211,51 +226,42 @@ class TestDecide:
     )
     def test_trade_stays_feasible(self, price, m, n, lam_b, lam_s):
         params = SpeculatorParams(delta=0.1, lambda_buy=lam_b, lambda_sell=lam_s)
-        delta = decide(price, Portfolio(m=m, n=n), params, self.INTERVAL)
+        delta, res = trade_at(price, m, n, params)
         assert -(1.0 - lam_s) * m - 1e-12 <= delta <= (1.0 - lam_b) * price * n + 1e-9
         # Post-trade holdings stay componentwise nonnegative.
-        if delta >= 0.0:
-            assert n - delta / price * 0.0 >= 0.0  # buys spend backing, checked in engine
-        else:
-            assert m + delta >= -1e-12
-
-
-class TestUtility:
-    def test_backing_only(self):
-        assert utility(Portfolio(m=0.0, n=3.0), 0.5) == 3.0
-
-    def test_stablecoins_only(self):
-        assert utility(Portfolio(m=2.0, n=0.0), 0.01) == pytest.approx(0.02)
-
-    def test_linear(self):
-        a, b = Portfolio(m=1.0, n=2.0), Portfolio(m=3.0, n=0.5)
-        s1 = 0.013
-        combined = utility(Portfolio(m=a.m + b.m, n=a.n + b.n), s1)
-        assert combined == pytest.approx(utility(a, s1) + utility(b, s1))
+        assert res.final_m >= 0.0 and res.final_n >= 0.0
 
 
 class TestAdaptiveInterval:
+    # engine.RollingBand, the adaptive trader's band: mean -/+ c * std
+    # (population std) of the prices before each step.
+    @staticmethod
+    def band_after(window_prices, c):
+        prices = np.array([*window_prices, 0.0])  # the band of the step after them
+        lo, hi = RollingBand(AdaptiveSpec(c=c, window=len(window_prices) + 1)).band(prices)
+        return lo[-1], hi[-1]
+
     def test_constant_window(self):
-        y1, y2 = adaptive_interval([42.0] * 10, c=3.5)
+        y1, y2 = self.band_after([42.0] * 10, c=3.5)
         assert y1 == y2 == 42.0
 
     def test_two_point_window(self):
-        y1, y2 = adaptive_interval([90.0, 110.0], c=1.0)
+        y1, y2 = self.band_after([90.0, 110.0], c=1.0)
         assert (y1, y2) == (pytest.approx(90.0), pytest.approx(110.0))
 
     def test_c_zero_degenerates_to_mean(self):
-        y1, y2 = adaptive_interval([90.0, 110.0], c=0.0)
+        y1, y2 = self.band_after([90.0, 110.0], c=0.0)
         assert y1 == y2 == pytest.approx(100.0)
 
     def test_short_window_waits(self):
-        y1, y2 = adaptive_interval([100.0], c=3.5)
+        y1, y2 = self.band_after([100.0], c=3.5)
         assert y1 == -math.inf and y2 == math.inf
 
 
 class TestParamValidation:
     def test_portfolio_nonnegative(self):
-        with pytest.raises(ValueError):
-            Portfolio(m=-1.0, n=0.0)
+        with pytest.raises(ValueError, match="m0 must be finite and >= 0"):
+            SimConfig(source=EX1_DIST, speculator=EX1_PARAMS, reserves0=1.0, n0=0.0, m0=-1.0)
 
     def test_delta_open_above(self):
         with pytest.raises(ValueError):
