@@ -3,11 +3,14 @@
 Prices come in blocks of 512 from the source's block generator.  A step
 asks the trader for a trade, settles it on plain floats (mechanism.settle),
 and the run stops when the reserves hit zero or the horizon runs out.  A
-price inside the trader's band changes nothing, so the loop visits only the
-steps outside it, found with one numpy pass per block.  In analytic mode the
+price inside the trader's band changes nothing, nor does one on a side that
+holds nothing (above it with no backing, below it with no stablecoins).  So
+an untraced run visits only the out-of-band steps, found with one numpy pass
+per block, on a side that holds something: from a step on an empty side it
+jumps (list.index) to the next step on the other side.  In analytic mode the
 band (y1, y2) is fixed for the whole trial; in adaptive mode RollingBand
-gives each step of a block its own band from the prices before it.  Only a
-traced run, which records every step, visits all of them.
+gives each step of a block its own band from the prices before it.  A traced
+run, which records every step, visits all of them.
 
 Buys are budgeted in backing coins: the trader deploys (1 - lambda_buy) of
 its backing, so the minted quantity is that budget divided by the mint cost.
@@ -25,7 +28,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from itertools import repeat
 
 import numpy as np
 
@@ -50,6 +52,14 @@ __all__ = [
 SWEEP_AXES = ("sigma2", "delta", "lambda", "sigma_step", "n0", "eps", "reserves0")
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """A count is an integer (a type operator.index takes, not bool) >= least."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
 @dataclass(frozen=True)
 class AdaptiveSpec:
     """Rolling-window interval parameters: [mean - c*std, mean + c*std]."""
@@ -60,8 +70,7 @@ class AdaptiveSpec:
     def __post_init__(self) -> None:
         if self.c < 0.0:
             raise ValueError("c must be >= 0")
-        if self.window < 2:
-            raise ValueError("window must be >= 2")
+        _check_count("window", self.window, 2)
 
 
 class RollingBand:
@@ -143,8 +152,7 @@ class SimConfig:
         for name, held in (("m0", self.m0), ("n0", self.n0)):
             if not (math.isfinite(held) and held >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+        _check_count("max_steps", self.max_steps, 1)
         if self.mode not in ("auto", "analytic", "adaptive"):
             raise ValueError("mode must be auto, analytic, or adaptive")
         check_schedule(self.reserves0, self.eps_alpha, self.eps_beta)
@@ -223,6 +231,8 @@ def run(config: SimConfig, seed: int | None = None, interval: tuple[float, float
     seed defaults to config.master_seed.  For analytic mode the band
     (y1, y2) is computed from the source distribution unless one is passed
     in (monte_carlo passes it so the optimisation runs once, not per trial).
+    Untraced, it visits the out-of-band steps on a side that holds something
+    (above y2 while n > 0, below y1 while m > 0); traced, every step.
     """
     adaptive = config.resolved_mode() == "adaptive"
     if adaptive:
@@ -243,33 +253,45 @@ def run(config: SimConfig, seed: int | None = None, interval: tuple[float, float
     rounds = 0
     last_dir = -1  # so the first buy opens round 1
 
-    tr_p: list[float] = []
-    tr_delta: list[float] = []
-    tr_res: list[float] = []
-    tr_n: list[float] = []
-    tr_m: list[float] = []
+    trace: list[tuple[float, ...]] = []  # (p, delta, reserves, n, m) per step
     record = config.record_traces
 
     steps = 0
     clamp_count = source.clamp_count if isinstance(source, PriceSeries) else 0
     depletion_step: int | None = None
+    # A price between the edges of an inverted band (y1 > y2) buys if it can,
+    # else sells, so such a run never jumps.  RollingBand's never is (c >= 0).
+    inverted = not adaptive and lo > hi
+    jump = not (record or inverted)
     for prices, clamped in price_blocks(source, seed):
         block = prices[: config.max_steps - steps]
         if adaptive:
             lo, hi = window.band(block)
-        if record:
-            idx = np.arange(len(block))
-        else:
-            # A price inside the band leaves the state unchanged.
-            idx = np.flatnonzero((block > hi) | (block < lo))
-        bands = zip(lo[idx].tolist(), hi[idx].tolist()) if adaptive else repeat((lo, hi))
-        visit = (idx + (steps + 1)).tolist()
-        for t, p, (y1, y2) in zip(visit, block[idx].tolist(), bands):
+        above = block > hi
+        outside = above | (block < lo)
+        # sides: True above y2, False below y1, None inside the band, where
+        # the state cannot change (only traced runs visit those steps).
+        idx = np.arange(len(block)) if record else np.flatnonzero(outside)
+        sides = (np.where(outside, above, None) if record else above[idx]).tolist()
+        visit = block[idx].tolist()
+        k = 0
+        count = len(sides)
+        while k < count:
+            s = sides[k]
+            p = visit[k]
             delta = 0.0
-            if p > y2 and n > 0.0:
+            if s and n > 0.0:
                 delta = keep_buy * p * n / one_plus_ea
-            elif p < y1 and m > 0.0:
+            elif m > 0.0 and (s is False or inverted and p < lo):
                 delta = -(keep_sell * m)
+            elif jump:
+                # This side holds nothing until a trade on the other side:
+                # jump to the next step on that side.
+                try:
+                    k = sides.index(not s, k)
+                except ValueError:
+                    break
+                continue
 
             if delta != 0.0:
                 reserves, flow = settle(reserves, delta, p, eps_alpha, eps_beta)
@@ -279,7 +301,7 @@ def run(config: SimConfig, seed: int | None = None, interval: tuple[float, float
                     # Settlement can overshoot the budget by an ulp; anything
                     # bigger is a logic error, not rounding.
                     if m < -1e-9 or n < -1e-9 * max(1.0, abs(flow)):
-                        raise RuntimeError(f"negative holdings at step {t}: m={m}, n={n}")
+                        raise RuntimeError(f"negative holdings at step {steps + 1 + idx[k]}: m={m}, n={n}")
                     m = max(m, 0.0)
                     n = max(n, 0.0)
                 if delta < 0.0 and last_dir > 0:
@@ -289,16 +311,13 @@ def run(config: SimConfig, seed: int | None = None, interval: tuple[float, float
                     r_min = reserves
 
             if record:
-                tr_p.append(p)
-                tr_delta.append(delta)
-                tr_res.append(reserves)
-                tr_n.append(n)
-                tr_m.append(m)
+                trace.append((p, delta, reserves, n, m))
 
             # Reserves start positive and only a redemption can empty them.
             if reserves == 0.0:
-                depletion_step = t
+                depletion_step = steps + 1 + int(idx[k])
                 break
+            k += 1
         used = len(block) if depletion_step is None else depletion_step - steps
         if clamped is not None:
             clamp_count += int(clamped[:used].sum())
@@ -306,11 +325,7 @@ def run(config: SimConfig, seed: int | None = None, interval: tuple[float, float
         if depletion_step is not None or steps == config.max_steps:
             break
 
-    traces = None
-    if record:
-        traces = Traces(
-            p=tuple(tr_p), delta=tuple(tr_delta), reserves=tuple(tr_res), n=tuple(tr_n), m=tuple(tr_m)
-        )
+    traces = Traces(*map(tuple, zip(*trace))) if record else None
     return SimResult(
         depleted=depletion_step is not None,
         depletion_step=depletion_step,

@@ -7,6 +7,7 @@ point values, and treat runs that outlive the horizon as censored at it.
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from pegstress.engine import (
@@ -149,12 +150,26 @@ class TestSingleRun:
             dict(m0=-0.5),
             dict(max_steps=0),
             dict(mode="oracle"),
+            # A count that is not an integer fails here, not in the kernel.
+            dict(max_steps=10.0),
+            dict(max_steps=True),
+            dict(max_steps="5"),
+            dict(window=2.5),
+            dict(window=True),
+            dict(window=1),
         ],
     )
     def test_config_validation(self, kwargs):
         (key,) = kwargs  # each error names its key
         with pytest.raises(ValueError, match=f"^{key} must"):
-            dataclasses.replace(EX1, **kwargs)
+            if key == "window":
+                AdaptiveSpec(**kwargs)
+            else:
+                dataclasses.replace(EX1, **kwargs)
+
+    def test_config_takes_numpy_integers(self):
+        cfg = dataclasses.replace(EX1, max_steps=np.int64(3), adaptive=AdaptiveSpec(window=np.int32(2)))
+        assert run(cfg).steps == 3
 
 
 class TestMonteCarlo:

@@ -1,27 +1,34 @@
 """Engine kernel: pinned per-trial outputs and properties of the step loop.
 
-The pinned digests are --out CSVs recorded before the kernel skipped steps:
+The pinned digests are --out files recorded before the kernel skipped steps:
 the reference and adaptive_walk ones on an engine that visited every step and
 built a new MechanismState per trade, the other adaptive ones on an engine
-that still visited every adaptive step.  The json digests were recorded while
---out still held every record and wrote the file with one json.dump.  Any
-change to the kernel or the writer must keep them byte for byte.
+that still visited every adaptive step, and the sigma_step sweep and the
+m0/lambda_sell 1 run on one that visited every out-of-band step.  The json
+digests were recorded while --out still held every record and wrote the
+file with one json.dump.  Any change to the kernel or the writer must keep
+them byte for byte.
+
+An untraced run visits only the out-of-band steps on a side that holds
+something; a traced run visits every step.  run_every_step, a copy of the
+loop that visited every out-of-band step, is run's oracle.
 """
 
 import dataclasses
 import hashlib
 import json
 import math
+from itertools import repeat
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pegstress.cli import main
-from pegstress.engine import AdaptiveSpec, RollingBand, SimConfig, monte_carlo, run
+from pegstress.engine import AdaptiveSpec, RollingBand, SimConfig, SimResult, _analytic_band, monte_carlo, run
 from pegstress.mechanism import MechanismState, apply_trade, check_schedule, settle
-from pegstress.prices import BLOCK, NormalSpec, PriceSeries, WalkSpec, derive_seed, random_walk
+from pegstress.prices import BLOCK, NormalSpec, PriceSeries, WalkSpec, derive_seed, price_blocks, random_walk
 from pegstress.speculator import SpeculatorParams
 from pegstress.theory import run_omniscient
 
@@ -54,6 +61,16 @@ ADAPTIVE_LITERAL = dict(
     reserves0=1000.0,
     n0_grid=[0.5, 1.0, 4.0],
 )
+# The history benchmark's sweep shape: an adaptive walk, c 1, window 168,
+# three blocks per trial.
+WALK_SWEEP = dict(
+    ADAPTIVE_WALK,
+    adaptive={"c": 1.0, "window": 168},
+    run={"max_steps": 1500},
+    sweep={"axis": "sigma_step", "values": [0.5, 1.0, 2.0, 4.0], "trials": 16},
+)
+# Both sides hold from the start, and the sell side never trades.
+HOLDS_BOTH = dict(REFERENCE, m0=1.0, speculator={"delta": 0.1, "lambda_sell": 1.0}, run={"max_steps": 3000})
 
 
 @pytest.mark.parametrize(
@@ -64,8 +81,9 @@ ADAPTIVE_LITERAL = dict(
         (ADAPTIVE_WINDOW_600, "6e64d01492419acc198747eb2fe8f4121f0a2e26171697406ee2fb1db916da8d"),
         (ADAPTIVE_WINDOW_2_C_0, "d939e9684c6d70f45c8f4ee5683d2ec192bda3e2b75a52ad8ad9932f2c680deb"),
         (ADAPTIVE_LITERAL, "f6d48be0857740d6ba6b107bda36deaf4482449824919ddc6c47cdefd26cfdd0"),
+        (HOLDS_BOTH, "bab5480374989f7211af65aa280d293074d46042f9d2c473ebb6da704bb60da1"),
     ],
-    ids=["reference", "adaptive_walk", "adaptive_window_600", "adaptive_window_2_c_0", "adaptive_literal"],
+    ids=["reference", "adaptive_walk", "adaptive_window_600", "adaptive_window_2_c_0", "adaptive_literal", "holds_both"],
 )
 def test_simulate_out_is_pinned(tmp_path, capsys, payload, digest):
     cfg = tmp_path / "cfg.json"
@@ -102,25 +120,51 @@ def test_simulate_json_out_is_pinned(tmp_path, capsys, payload, flags, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("csv", "aa1b73988d8f15f5ca42cd2b129d101aa143b26dd34cc6ff2b1e92e9569d4db3"),
+        ("json", "c21b57df82b1a527a10375a6626c7a6316980e21fd7dc1d76d15dc9b25ea0b98"),
+    ],
+)
+def test_walk_sweep_out_is_pinned(tmp_path, capsys, fmt, digest):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(WALK_SWEEP))
+    out = tmp_path / f"sweep.{fmt}"
+    assert main(["sweep", "--config", str(cfg), "--seed", "7", "--out", str(out), "--format", fmt]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # properties of the step loop
 
 
 @st.composite
 def sim_configs(draw):
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["normal", "walk", "series"]))
+    if kind == "normal":
         source = NormalSpec(100.0, draw(st.sampled_from([25.0, 100.0, 400.0])))
         mode = draw(st.sampled_from(["analytic", "adaptive"]))
-    else:
+    elif kind == "walk":
         source = WalkSpec(0.0, draw(st.sampled_from([0.5, 2.0])), 100.0)
         mode = "adaptive"
-    lam = draw(st.sampled_from([0.0, 0.3]))
+    else:
+        # A literal series, which may end before max_steps.
+        walk = random_walk(WalkSpec(0.0, 2.0, 100.0), draw(st.sampled_from([1, 600, 1300])), draw(st.integers(0, 2**32)))
+        source = PriceSeries(walk.prices, "literal")
+        mode = "adaptive"
+    # lambda 1.0: a side that holds but never trades.
+    lam = st.sampled_from([0.0, 0.3, 1.0])
     eps = draw(st.sampled_from([0.0, 0.02]))
     return SimConfig(
         source=source,
-        speculator=SpeculatorParams(delta=draw(st.sampled_from([0.05, 0.1, 0.3])), lambda_buy=lam, lambda_sell=lam),
+        speculator=SpeculatorParams(
+            delta=draw(st.sampled_from([0.05, 0.1, 0.3])), lambda_buy=draw(lam), lambda_sell=draw(lam)
+        ),
         reserves0=draw(st.sampled_from([5.0, 30.0, 100.0])),
         n0=draw(st.sampled_from([0.5, 1.0, 4.0])),
+        m0=draw(st.sampled_from([0.0, 0.0, 1.0, 20.0])),
         eps_alpha=eps,
         eps_beta=eps,
         mode=mode,
@@ -131,6 +175,74 @@ def sim_configs(draw):
         max_steps=draw(st.integers(1, 1500)),
         master_seed=draw(st.integers(0, 2**32)),
     )
+
+
+def run_every_step(config, seed, interval=None):
+    """run's loop as it was before it jumped: it visits every out-of-band
+    step, whatever the trader holds.  Untraced record only."""
+    adaptive = config.resolved_mode() == "adaptive"
+    if adaptive:
+        window = RollingBand(config.adaptive)
+    else:
+        lo, hi = _analytic_band(config) if interval is None else interval
+    spec, ea, eb = config.speculator, config.eps_alpha, config.eps_beta
+    reserves = r_min = config.reserves0
+    m, n = config.m0, config.n0
+    rounds, last_dir, steps, depletion_step = 0, -1, 0, None
+    clamp_count = config.source.clamp_count if isinstance(config.source, PriceSeries) else 0
+    for prices, clamped in price_blocks(config.source, seed):
+        block = prices[: config.max_steps - steps]
+        if adaptive:
+            lo, hi = window.band(block)
+        idx = np.flatnonzero((block > hi) | (block < lo))
+        bands = zip(lo[idx].tolist(), hi[idx].tolist()) if adaptive else repeat((lo, hi))
+        for t, p, (y1, y2) in zip((idx + (steps + 1)).tolist(), block[idx].tolist(), bands):
+            delta = 0.0
+            if p > y2 and n > 0.0:
+                delta = (1.0 - spec.lambda_buy) * p * n / (1.0 + ea)
+            elif p < y1 and m > 0.0:
+                delta = -((1.0 - spec.lambda_sell) * m)
+            if delta != 0.0:
+                reserves, flow = settle(reserves, delta, p, ea, eb)
+                m, n = max(m + delta, 0.0), max(n + flow, 0.0)
+                if delta < 0.0 and last_dir > 0:
+                    rounds += 1
+                last_dir = 1 if delta > 0.0 else -1
+                r_min = min(r_min, reserves)
+            if reserves == 0.0:
+                depletion_step = t
+                break
+        used = len(block) if depletion_step is None else depletion_step - steps
+        if clamped is not None:
+            clamp_count += int(clamped[:used].sum())
+        steps += used
+        if depletion_step is not None or steps == config.max_steps:
+            break
+    return SimResult(
+        depleted=depletion_step is not None, depletion_step=depletion_step, rounds=rounds, r_min=r_min,
+        final_m=m, final_n=n, steps=steps, clamp_count=clamp_count, seed=seed,
+    )
+
+
+REFERENCE_CONFIG = SimConfig(
+    source=NormalSpec(100.0, 100.0), speculator=SpeculatorParams(delta=0.1), reserves0=100.0, n0=1.0
+)
+# Explicit bands for analytic mode; (101, 99) and (105, 95) are inverted, so
+# a price between them is on both sides.
+_bands = st.tuples(st.sampled_from([90.0, 95.0, 99.0, 101.0, 105.0]), st.sampled_from([95.0, 99.0, 101.0, 110.0]))
+
+
+@settings(deadline=None)
+@given(cfg=sim_configs(), seed=st.integers(0, 2**32), interval=st.none() | _bands)
+@example(cfg=REFERENCE_CONFIG, seed=0, interval=(101.0, 99.0))
+@example(cfg=dataclasses.replace(REFERENCE_CONFIG, m0=1.0), seed=0, interval=(105.0, 95.0))
+def test_run_matches_the_every_step_oracle(cfg, seed, interval):
+    # The run jumps over the steps on a side that holds nothing; the oracle
+    # visits each one.  Both must land on the same record, bit for bit.
+    if interval is not None:
+        cfg = dataclasses.replace(cfg, mode="analytic")  # an explicit band holds for every source
+    # repr tells -0.0 from 0.0, which == does not.
+    assert repr(run(cfg, seed=seed, interval=interval)) == repr(run_every_step(cfg, seed, interval))
 
 
 @settings(max_examples=25, deadline=None)
@@ -147,8 +259,9 @@ def test_trial_record_ignores_batch_size(cfg, trials):
 @settings(max_examples=40, deadline=None)
 @given(cfg=sim_configs(), seed=st.integers(0, 2**32))
 def test_traced_run_gives_the_same_record(cfg, seed):
-    # A traced run visits every step; an untraced run skips the steps inside
-    # the band.  Both must land on the same record.
+    # A traced run visits every step and never jumps; an untraced run visits
+    # only the out-of-band steps on a side that holds something.  Both must
+    # land on the same record.
     traced = run(dataclasses.replace(cfg, record_traces=True), seed=seed)
     assert len(traced.traces.p) == traced.steps
     assert dataclasses.replace(traced, traces=None) == run(cfg, seed=seed)
