@@ -68,8 +68,8 @@ class AdaptiveSpec:
     window: int = 168
 
     def __post_init__(self) -> None:
-        if self.c < 0.0:
-            raise ValueError("c must be >= 0")
+        if not (math.isfinite(self.c) and self.c >= 0.0):
+            raise ValueError("c must be finite and >= 0")
         _check_count("window", self.window, 2)
 
 

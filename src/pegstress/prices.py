@@ -33,14 +33,10 @@ __all__ = [
     "pdf",
     "cdf",
     "TruncatedNormal",
-    "trunc_cdf",
-    "cond_mean_below",
-    "cond_mean_above",
     "iid_blocks",
     "walk_blocks",
     "series_blocks",
     "price_blocks",
-    "sample_iid",
     "random_walk",
     "load_csv",
     "step_stats",
@@ -170,11 +166,11 @@ class TruncatedNormal:
     """A non-degenerate NormalSpec on its support, with its constants computed once.
 
     The support edges' CDF and density and the mass between them are what the
-    truncated CDF and the conditional means need at every x.  A caller that
-    evaluates many points (the speculator's optimisations) builds one of these
-    per spec, takes each point's CDF once with ``at`` and hands it to
-    ``prob_below``, ``mean_below`` and ``mean_above``.  ``trunc_cdf``,
-    ``cond_mean_below`` and ``cond_mean_above`` are the one-point forms.
+    truncated CDF and the conditional means need at every x.  A caller (the
+    speculator's optimisations, the round matrix) builds one of these per
+    spec, takes each point's CDF once with ``at`` and hands it to
+    ``prob_below``, ``mean_below`` and ``mean_above``.  This is the one
+    evaluator of the truncated normal; a point mass has none.
     """
 
     __slots__ = ("mu", "sigma2", "sigma", "lo", "hi", "cdf_lo", "cdf_hi", "mass", "pdf_lo", "pdf_hi", "_pdf_scale")
@@ -233,48 +229,19 @@ class TruncatedNormal:
         return self.mu - self.sigma2 * (pdf_b - pdf_a) / df
 
 
-def trunc_cdf(spec: NormalSpec, x: float) -> float:
-    """CDF renormalised to the truncated support; 0 below it, 1 above it."""
-    if spec.is_point_mass:
-        return 0.0 if x < spec.mu else 1.0
-    tn = TruncatedNormal(spec)
-    return tn.prob_below(*tn.at(x))
+def iid_blocks(spec: NormalSpec, seed: int) -> Iterator[tuple[np.ndarray, None]]:
+    """Endless i.i.d. draws clipped to the truncated support, in blocks of BLOCK.
 
-
-def cond_mean_below(spec: NormalSpec, x: float) -> float:
-    """E[p | p <= x] over the truncated support."""
-    if spec.is_point_mass:
-        if x < spec.mu:
-            raise ValueError("empty conditioning event (zero probability)")
-        return spec.mu
-    tn = TruncatedNormal(spec)
-    return tn.mean_below(*tn.at(x))
-
-
-def cond_mean_above(spec: NormalSpec, x: float) -> float:
-    """E[p | p >= x] over the truncated support."""
-    if spec.is_point_mass:
-        if x > spec.mu:
-            raise ValueError("empty conditioning event (zero probability)")
-        return spec.mu
-    tn = TruncatedNormal(spec)
-    return tn.mean_above(*tn.at(x))
-
-
-def iid_blocks(spec: NormalSpec, seed: int, size: int = BLOCK) -> Iterator[tuple[np.ndarray, None]]:
-    """Endless i.i.d. draws clipped to the truncated support, in blocks of ``size``.
-
-    Draws come from numpy's PCG64 generator seeded directly with ``seed``;
-    its normal stream does not depend on the block size.  Yields
-    (prices, None): clipping is not counted as clamping.
+    Draws come from numpy's PCG64 generator seeded directly with ``seed``.
+    Yields (prices, None): clipping is not counted as clamping.
     """
     if spec.is_point_mass:
-        block = np.full(size, float(spec.mu))
+        block = np.full(BLOCK, float(spec.mu))
         while True:
             yield block, None
     rng = np.random.default_rng(seed)
     while True:
-        block = rng.normal(spec.mu, spec.sigma, size=size)
+        block = rng.normal(spec.mu, spec.sigma, size=BLOCK)
         np.clip(block, spec.support_lo, spec.support_hi, out=block)
         yield block, None
 
@@ -329,18 +296,6 @@ def price_blocks(
     if isinstance(source, PriceSeries):
         return series_blocks(source)
     raise TypeError(f"unsupported price source: {type(source).__name__}")
-
-
-def sample_iid(spec: NormalSpec, n: int, seed: int) -> PriceSeries:
-    """Draw n i.i.d. prices, clipped to the truncated support.
-
-    Identical (spec, n, seed) always yields the identical series, the same
-    prices a simulation trial with that seed sees.
-    """
-    if n <= 0:
-        raise ValueError("n must be >= 1")
-    values, _ = next(iid_blocks(spec, seed, size=n))
-    return PriceSeries(prices=tuple(values.tolist()), source="iid", seed=seed)
 
 
 def random_walk(spec: WalkSpec, n: int, seed: int) -> PriceSeries:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .prices import NormalSpec, cdf, cond_mean_above, cond_mean_below, pdf, trunc_cdf
+from .prices import NormalSpec, TruncatedNormal, cdf, pdf
 from .speculator import SpeculatorParams, WaitingInterval
 
 __all__ = [
@@ -97,12 +97,12 @@ def round_matrix_from_params(
 
     sell_mean is E[p | p <= y1]; the buy-side mean is then y_ratio * sell_mean.
     """
-    if i <= 0.0 or j <= 0.0:
-        raise ValueError("phase lengths i, j must be positive")
-    if sell_mean <= 0.0:
-        raise ValueError("sell_mean must be positive")
-    if y_ratio <= 0.0:
-        raise ValueError("y_ratio must be positive")
+    if not (0.0 < i < math.inf and 0.0 < j < math.inf):
+        raise ValueError("phase lengths i, j must be finite and positive")
+    if not 0.0 < sell_mean < math.inf:
+        raise ValueError("sell_mean must be finite and positive")
+    if not 0.0 < y_ratio < math.inf:
+        raise ValueError("y_ratio must be finite and positive")
     if not (0.0 <= lambda_buy <= 1.0 and 0.0 <= lambda_sell <= 1.0):
         raise ValueError("haircuts must lie in [0, 1]")
     lam1_i = lambda_buy**i
@@ -122,16 +122,22 @@ def round_matrix_from_params(
 
 
 def build_round_matrix(dist: NormalSpec, interval: WaitingInterval, params: SpeculatorParams) -> RoundMatrix:
-    """Round matrix for an i.i.d. price model and a trader's waiting interval."""
-    tail_buy = 1.0 - trunc_cdf(dist, interval.y2)
-    tail_sell = trunc_cdf(dist, interval.y1)
+    """Round matrix for an i.i.d. price model and a trader's waiting interval.
+
+    A point-mass dist has no density, so TruncatedNormal rejects it.
+    """
+    tn = TruncatedNormal(dist)
+    y1, c1 = tn.at(interval.y1)
+    y2, c2 = tn.at(interval.y2)
+    tail_buy = 1.0 - tn.prob_below(y2, c2)
+    tail_sell = tn.prob_below(y1, c1)
     if tail_buy <= 0.0 or tail_sell <= 0.0:
         raise ValueError(
             "trade-triggering prices have zero probability: the trader never "
             "trades on one side, so no round structure exists"
         )
-    sell_mean = cond_mean_below(dist, interval.y1)
-    buy_mean = cond_mean_above(dist, interval.y2)
+    sell_mean = tn.mean_below(y1, c1)
+    buy_mean = tn.mean_above(y2, c2)
     return round_matrix_from_params(
         lambda_buy=params.lambda_buy,
         lambda_sell=params.lambda_sell,

@@ -19,13 +19,16 @@ p / (1 + eps_alpha) stablecoins, redeeming turns one stablecoin into
 (p_buy / p_sell) * (1 - eps_beta) / (1 + eps_alpha).  The exhaustive oracle
 enumerates every alternating schedule on short series; the linear-time ledger
 (best all-out / best all-in wealth so far) provably attains the same maxima
-and is used everywhere else.  Both build their products from the identical
-per-action factor expressions so their outputs agree bit for bit.
+and is used everywhere else: its trace is greedy_threshold_profit, and
+run_omniscient rebuilds one optimal schedule from the steps where it improved.
+Both oracles build their products from the identical per-action factor
+expressions so their outputs agree bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .mechanism import apply_trade, check_schedule, settle  # noqa: F401  (perfbench/tracing.py wraps theory.apply_trade)
@@ -98,6 +101,8 @@ def stability_label(
     never flips on rounding noise.  Pass a larger tolerance when the spread
     itself is a rough finite-sample estimate.
     """
+    if not (math.isfinite(boundary_tol) and boundary_tol >= 0.0):
+        raise ValueError("boundary_tol must be finite and >= 0")
     value = L_criterion(eps_alpha, eps_beta, spread)
     scale = (1 + eps_alpha) * spread.inv_liminf_est + (1 - eps_beta) * spread.inv_limsup_est
     if abs(value) <= boundary_tol * max(scale, 1e-300):
@@ -183,28 +188,38 @@ def optimal_profit_bruteforce(
     return tuple(trace)
 
 
+def _ledger(prices, eps_alpha: float, eps_beta: float, n0: float) -> tuple[list[float], list[int], list[int]]:
+    """The linear-time profit ledger: one forward pass over the prices.
+
+    Tracks the best achievable all-out wealth multiple and the best all-in
+    stablecoin multiple; each price may extend either by one action.  Returns
+    the profit trace scaled by n0, the ascending steps where a sell raised the
+    all-out best and those where a buy raised the all-in best.
+    """
+    best_out, best_in = 1.0, 0.0
+    trace, sells, buys = [], [], []
+    for t, p in enumerate(prices):
+        new_in = best_out * _buy_factor(p, eps_alpha)
+        new_out = best_in * _sell_factor(p, eps_beta)
+        if new_in > best_in:
+            best_in = new_in
+            buys.append(t)
+        if new_out > best_out:
+            best_out = new_out
+            sells.append(t)
+        trace.append(n0 * (best_out - 1.0))
+    return trace, sells, buys
+
+
 def greedy_threshold_profit(
     series: PriceSeries, eps_alpha: float, eps_beta: float, n0: float = 1.0
 ) -> tuple[float, ...]:
     """Optimal-trader profit trace in linear time.
 
-    Tracks the best achievable all-out wealth multiple and the best all-in
-    stablecoin multiple; each price may extend either by one action.  This
-    dynamic program ranges over exactly the alternating schedules the
-    exhaustive oracle enumerates, so the traces agree exactly.
+    The ledger's dynamic program ranges over exactly the alternating
+    schedules the exhaustive oracle enumerates, so the traces agree exactly.
     """
-    best_out = 1.0
-    best_in = 0.0
-    trace = []
-    for p in series.prices:
-        new_in = best_out * _buy_factor(p, eps_alpha)
-        new_out = best_in * _sell_factor(p, eps_beta)
-        if new_in > best_in:
-            best_in = new_in
-        if new_out > best_out:
-            best_out = new_out
-        trace.append(n0 * (best_out - 1.0))
-    return tuple(trace)
+    return tuple(_ledger(series.prices, eps_alpha, eps_beta, n0)[0])
 
 
 def sensitivity_check(r_trace, s_trace, n0: float) -> float:
@@ -267,51 +282,35 @@ def run_omniscient(
     """
     check_schedule(reserves0, eps_alpha, eps_beta)
     prices = series.prices
-    t_len = len(prices)
-    # Forward pass of the profit ledger, remembering which action won.
-    best_out, best_in = 1.0, 0.0
-    out_from_sell = [False] * t_len
-    in_from_buy = [False] * t_len
-    for t, p in enumerate(prices):
-        new_in = best_out * _buy_factor(p, eps_alpha)
-        new_out = best_in * _sell_factor(p, eps_beta)
-        if new_in > best_in:
-            best_in = new_in
-            in_from_buy[t] = True
-        if new_out > best_out:
-            best_out = new_out
-            out_from_sell[t] = True
-    # Backward reconstruction of one optimal schedule (all-out at the end).
-    actions = [0] * t_len  # +1 buy, -1 sell
-    state_out = True
-    for t in range(t_len - 1, -1, -1):
-        if state_out:
-            if out_from_sell[t]:
-                actions[t] = -1
-                state_out = False
-        else:
-            if in_from_buy[t]:
-                actions[t] = +1
-                state_out = True
-    # Settlement against the actual mechanism.
+    _, sells, buys = _ledger(prices, eps_alpha, eps_beta, n0)
+    # One optimal schedule, rebuilt backwards (all-out at the end): the last
+    # sell that raised the all-out best, the last buy before it, and so on.
+    schedule = []
+    bound = len(prices)
+    while (k := bisect_left(sells, bound)) and (b := bisect_left(buys, sells[k - 1])):
+        bound = buys[b - 1]
+        schedule.append((bound, sells[k - 1]))
+    # Settlement against the actual mechanism.  Reserves move only at these
+    # trades and a buy only adds to them, so r_min is read once per round trip.
     reserves = r_min = reserves0
     backing = n0
     coins = 0.0
-    for t, (p, act) in enumerate(zip(prices, actions), start=1):
-        if act == +1 and backing > 0.0:
+    for buy, sell in reversed(schedule):
+        if backing > 0.0:
+            p = prices[buy]
             delta = backing * _buy_factor(p, eps_alpha)
             reserves, flow = settle(reserves, delta, p, eps_alpha, eps_beta)
             backing = max(backing + flow, 0.0)
             coins += delta
-        elif act == -1 and coins > 0.0:
-            reserves, flow = settle(reserves, -coins, p, eps_alpha, eps_beta)
+        if coins > 0.0:
+            reserves, flow = settle(reserves, -coins, prices[sell], eps_alpha, eps_beta)
             backing += flow
             coins = 0.0
             if reserves == 0.0:
                 return OmniscientRun(
-                    depleted=True, depletion_step=t, r_min=0.0, final_backing=backing, steps=t
+                    depleted=True, depletion_step=sell + 1, r_min=0.0, final_backing=backing, steps=sell + 1
                 )
         r_min = min(r_min, reserves)
     return OmniscientRun(
-        depleted=False, depletion_step=None, r_min=r_min, final_backing=backing, steps=t_len
+        depleted=False, depletion_step=None, r_min=r_min, final_backing=backing, steps=len(prices)
     )

@@ -24,12 +24,11 @@ from pegstress.prices import (
     PriceSeries,
     WalkSpec,
     cdf,
-    cond_mean_above,
-    cond_mean_below,
     pdf,
     random_walk,
 )
 from pegstress.rounds import (
+    build_round_matrix,
     discriminant,
     divergence_check,
     eigen,
@@ -37,7 +36,7 @@ from pegstress.rounds import (
     round_matrix_from_params,
     y_ratio_normal,
 )
-from pegstress.speculator import NoTradeInterval, SpeculatorParams, waiting_interval
+from pegstress.speculator import NoTradeInterval, SpeculatorParams, WaitingInterval, waiting_interval
 from pegstress.theory import (
     TailSpread,
     greedy_threshold_profit,
@@ -215,7 +214,8 @@ def test_05_partial_expectation_against_quadrature():
             assert abs(closed - oracle) <= 1e-8 * max(abs(oracle), 1e-300)
 
         # The tail-mean ratio built from the same expansion, against the
-        # conditional means computed independently.  sigma stays below mu/8
+        # round matrix's Y, whose conditional means are computed on the
+        # truncated support independently.  sigma stays below mu/8
         # so the positivity floor never clips the 6-sigma support; the ratio
         # uses the untruncated expansion and only matches in that regime.
         rng = np.random.default_rng(4)
@@ -225,7 +225,8 @@ def test_05_partial_expectation_against_quadrature():
             spec = NormalSpec(mu=mu, sigma2=sigma * sigma)
             y1 = mu - rng.uniform(0.2, 2.0) * sigma
             y2 = mu + rng.uniform(0.2, 2.0) * sigma
-            want = cond_mean_above(spec, y2) / cond_mean_below(spec, y1)
+            band = WaitingInterval(y1=y1, y2=y2, x1=y1, x2=y2, s1=1.0 / mu)
+            want = build_round_matrix(spec, band, SpeculatorParams(delta=0.1)).y_ratio
             assert y_ratio_normal(spec, y1, y2) == pytest.approx(want, rel=1e-6)
 
 

@@ -140,6 +140,18 @@ class TestAnalyze:
         assert out == ""
         assert err == "error: bad value for 'reserves0' in config: must be > 0\n"
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("key", ["i", "j", "y_ratio", "sell_mean"])
+    def test_non_finite_matrix_rejected(self, tmp_path, capsys, key, value):
+        # An infinite i used to answer depletes at timestep inf; a NaN
+        # failed later, blaming an overflowed eigen system.
+        matrix = {"lambda_buy": 0.3, "lambda_sell": 0.3, "i": 5.0, "j": 3.0, "y_ratio": 1.4, key: value}
+        cfg = write_config(tmp_path, "bad.json", {"matrix": matrix, "reserves0": 100.0, "n0": 1.0})
+        assert main(["analyze", "--config", cfg]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.endswith(" must be finite and positive\n")
+
     def test_decaying_matrix_does_not_diverge(self, tmp_path, capsys):
         # Y < 1 puts the dominant eigenvalue below 1: the backing decays.
         matrix = {"lambda_buy": 0.3, "lambda_sell": 0.3, "i": 5.0, "j": 3.0, "y_ratio": 0.5}
@@ -418,6 +430,21 @@ class TestTheory:
         assert abs(float(report["L"])) < 0.05
         assert float(report["min_fee"]) == pytest.approx(1 / 3, abs=0.01)
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0])
+    def test_bad_boundary_tol_rejected(self, tmp_path, capsys, tol):
+        # The README's two-point series at 5% fees: the default tolerance
+        # labels it boundary; a NaN or negative one used to say stable.
+        payload = {
+            "source": {"kind": "literal", "prices": [95.0, 105.0], "repeat": 10},
+            "fees": {"eps_alpha": 0.05, "eps_beta": 0.05},
+        }
+        cfg = write_config(tmp_path, "alt.json", payload)
+        assert main(["theory", "--config", cfg]) == 0
+        assert parse_console(capsys.readouterr().out)["classification"] == "boundary"
+        cfg = write_config(tmp_path, "tol.json", dict(payload, theory={"boundary_tol": tol}))
+        assert main(["theory", "--config", cfg]) == 1
+        assert capsys.readouterr() == ("", "error: boundary_tol must be finite and >= 0\n")
+
     def test_distribution_source_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "bad.json", {"source": {"kind": "normal", "mu": 1.0, "sigma2": 1.0}})
         assert main(["theory", "--config", cfg]) == 1
@@ -554,6 +581,15 @@ class TestErrorPlumbing:
         cfg = write_config(tmp_path, "bad.json", dict(EX1_CONFIG, **{key: float("nan")}))
         assert main(["simulate", "--config", cfg, "--trials", "2"]) == 1
         assert "must be finite and >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), -1.0])
+    def test_simulate_rejects_bad_adaptive_c(self, tmp_path, capsys, c):
+        # A NaN c gave NaN bands: the walk's trader never traded, and the
+        # run exited 0 with nothing depleted.
+        payload = dict(EX1_CONFIG, source=SOURCES["walk"], adaptive={"c": c})
+        cfg = write_config(tmp_path, "bad.json", payload)
+        assert main(["simulate", "--config", cfg, "--trials", "3", "--max-steps", "5000"]) == 1
+        assert capsys.readouterr() == ("", "error: c must be finite and >= 0\n")
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["analyze", "--config", str(tmp_path / "nope.json")]) == 1

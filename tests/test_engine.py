@@ -157,12 +157,16 @@ class TestSingleRun:
             dict(window=2.5),
             dict(window=True),
             dict(window=1),
+            # A NaN c gave NaN bands, and a trader that never traded.
+            dict(c=-1.0),
+            dict(c=float("nan")),
+            dict(c=float("inf")),
         ],
     )
     def test_config_validation(self, kwargs):
         (key,) = kwargs  # each error names its key
         with pytest.raises(ValueError, match=f"^{key} must"):
-            if key == "window":
+            if key in ("c", "window"):
                 AdaptiveSpec(**kwargs)
             else:
                 dataclasses.replace(EX1, **kwargs)

@@ -14,19 +14,18 @@ from scipy import integrate
 
 from pegstress import prices
 from pegstress.prices import (
+    BLOCK,
     NormalSpec,
     PriceSeries,
+    TruncatedNormal,
     WalkSpec,
     cdf,
-    cond_mean_above,
-    cond_mean_below,
     derive_seed,
+    iid_blocks,
     load_csv,
     pdf,
     random_walk,
-    sample_iid,
     step_stats,
-    trunc_cdf,
 )
 
 STD = NormalSpec(mu=0.0, sigma2=1.0, support_lo=-40.0, support_hi=40.0)
@@ -37,6 +36,12 @@ def quad_moment(spec, a, b):
     """Oracle: integral of x*f(x) over [a, b] by adaptive quadrature."""
     val, _ = integrate.quad(lambda x: x * pdf(spec, x), a, b, epsabs=1e-12, epsrel=1e-12, limit=400)
     return val
+
+
+def iid_prices(spec, n, seed):
+    """The first n prices of iid_blocks, as a simulation trial sees them."""
+    blocks = iid_blocks(spec, seed)
+    return np.concatenate([next(blocks)[0] for _ in range(math.ceil(n / BLOCK))])[:n]
 
 
 def quad_mass(spec, a, b):
@@ -73,35 +78,47 @@ class TestDensity:
 
     def test_trunc_cdf_clamps_and_renormalises(self):
         spec = NormalSpec(mu=100.0, sigma2=100.0, support_lo=90.0, support_hi=110.0)
-        assert trunc_cdf(spec, 80.0) == 0.0
-        assert trunc_cdf(spec, 120.0) == 1.0
-        assert trunc_cdf(spec, 100.0) == pytest.approx(0.5, abs=1e-12)
+        tn = TruncatedNormal(spec)
+        assert tn.prob_below(*tn.at(80.0)) == 0.0
+        assert tn.prob_below(*tn.at(120.0)) == 1.0
+        assert tn.prob_below(*tn.at(100.0)) == pytest.approx(0.5, abs=1e-12)
         # Renormalisation pushes mass inward relative to the raw cdf.
-        assert trunc_cdf(spec, 105.0) > cdf(spec, 105.0)
+        assert tn.prob_below(*tn.at(105.0)) > cdf(spec, 105.0)
 
 
 class TestConditionalMeans:
+    # TruncatedNormal's mean_below / mean_above at a point's (x, CDF) from at.
+    @staticmethod
+    def below(spec, x):
+        tn = TruncatedNormal(spec)
+        return tn.mean_below(*tn.at(x))
+
+    @staticmethod
+    def above(spec, x):
+        tn = TruncatedNormal(spec)
+        return tn.mean_above(*tn.at(x))
+
     def test_half_normal_below(self):
         # E[x | x <= 0] for the standard normal is -sqrt(2/pi).
-        assert cond_mean_below(STD, 0.0) == pytest.approx(-0.7978845608, abs=1e-4)
+        assert self.below(STD, 0.0) == pytest.approx(-0.7978845608, abs=1e-4)
 
     def test_half_normal_above(self):
-        assert cond_mean_above(STD, 0.0) == pytest.approx(0.7978845608, abs=1e-4)
+        assert self.above(STD, 0.0) == pytest.approx(0.7978845608, abs=1e-4)
 
     def test_whole_support_gives_mean(self):
-        assert cond_mean_below(EX1, EX1.support_hi) == pytest.approx(100.0, abs=1e-6)
-        assert cond_mean_above(EX1, EX1.support_lo) == pytest.approx(100.0, abs=1e-6)
+        assert self.below(EX1, EX1.support_hi) == pytest.approx(100.0, abs=1e-6)
+        assert self.above(EX1, EX1.support_lo) == pytest.approx(100.0, abs=1e-6)
 
     def test_empty_event_errors(self):
         with pytest.raises(ValueError, match="empty conditioning event"):
-            cond_mean_below(EX1, EX1.support_lo)
+            self.below(EX1, EX1.support_lo)
         with pytest.raises(ValueError, match="empty conditioning event"):
-            cond_mean_above(EX1, EX1.support_hi)
+            self.above(EX1, EX1.support_hi)
 
     def test_symmetry_about_mean(self):
         for d in (3.0, 10.0, 25.0):
-            above = cond_mean_above(EX1, 100.0 + d)
-            below = cond_mean_below(EX1, 100.0 - d)
+            above = self.above(EX1, 100.0 + d)
+            below = self.below(EX1, 100.0 - d)
             assert above + below == pytest.approx(200.0, abs=1e-9)
 
     def test_sandwich_property(self):
@@ -112,8 +129,8 @@ class TestConditionalMeans:
             spec = NormalSpec(mu=mu, sigma2=sigma2, support_lo=mu - 8 * math.sqrt(sigma2),
                               support_hi=mu + 8 * math.sqrt(sigma2))
             x = rng.uniform(mu - 2 * math.sqrt(sigma2), mu + 2 * math.sqrt(sigma2))
-            below = cond_mean_below(spec, x)
-            above = cond_mean_above(spec, x)
+            below = self.below(spec, x)
+            above = self.above(spec, x)
             assert below <= x <= above
             assert below <= above
 
@@ -138,30 +155,29 @@ class TestConditionalMeans:
         for x in (92.0, 100.0, 113.0):
             mass = quad_mass(spec, spec.support_lo, x)
             oracle = quad_moment(spec, spec.support_lo, x) / mass
-            assert cond_mean_below(spec, x) == pytest.approx(oracle, rel=1e-9)
+            assert self.below(spec, x) == pytest.approx(oracle, rel=1e-9)
 
 
 class TestSampling:
     def test_point_mass_is_constant(self):
-        series = sample_iid(NormalSpec(mu=7.0, sigma2=0.0), 5, seed=123)
-        assert series.prices == (7.0,) * 5
+        assert iid_prices(NormalSpec(mu=7.0, sigma2=0.0), 5, seed=123).tolist() == [7.0] * 5
 
     def test_sample_mean_near_mu(self):
-        series = sample_iid(EX1, 100_000, seed=7)
-        assert abs(sum(series.prices) / len(series.prices) - 100.0) < 0.2
+        prices = iid_prices(EX1, 100_000, seed=7)
+        assert abs(prices.mean() - 100.0) < 0.2
 
     def test_samples_respect_support(self):
         spec = NormalSpec(mu=100.0, sigma2=100.0, support_lo=95.0, support_hi=105.0)
-        series = sample_iid(spec, 2_000, seed=3)
-        assert min(series.prices) >= 95.0
-        assert max(series.prices) <= 105.0
+        prices = iid_prices(spec, 2_000, seed=3)
+        assert prices.min() >= 95.0
+        assert prices.max() <= 105.0
 
     def test_deterministic_per_seed(self):
-        a = sample_iid(EX1, 50, seed=11)
-        b = sample_iid(EX1, 50, seed=11)
-        c = sample_iid(EX1, 50, seed=12)
-        assert a.prices == b.prices
-        assert a.prices != c.prices
+        a = iid_prices(EX1, 50, seed=11)
+        b = iid_prices(EX1, 50, seed=11)
+        c = iid_prices(EX1, 50, seed=12)
+        assert a.tolist() == b.tolist()
+        assert a.tolist() != c.tolist()
 
     def test_walk_pure_drift(self):
         series = random_walk(WalkSpec(mu_step=1.0, sigma_step=0.0, p0=10.0), 4, seed=0)

@@ -1,9 +1,13 @@
-"""The README's "Library use" examples run against the package namespace."""
+"""The README's "Library use" examples run against the package namespace,
+and every name a submodule's __all__ lists exists."""
 
 import contextlib
+import importlib
 import io
 import pathlib
 import re
+
+import pytest
 
 import pegstress
 
@@ -33,3 +37,10 @@ def test_namespace_is_the_documented_surface():
     documented = {name.strip() for name in imported.split(",") if name.strip()}
     assert set(pegstress.__all__) == documented | {"NoTradeInterval", "SimResult"}
     assert all(hasattr(pegstress, name) for name in pegstress.__all__)
+
+
+@pytest.mark.parametrize("module", ["cli", "engine", "mechanism", "prices", "rounds", "speculator", "theory"])
+def test_module_all_names_resolve(module):
+    # A name deleted from a module but left in its __all__ fails here.
+    mod = importlib.import_module(f"pegstress.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from pegstress.prices import NormalSpec, cond_mean_above, cond_mean_below
+from pegstress.prices import NormalSpec
 from pegstress.rounds import (
     EigenSystem,
     build_round_matrix,
@@ -141,6 +141,13 @@ class TestRoundMatrixConstruction:
         with pytest.raises(ValueError, match="zero probability"):
             build_round_matrix(EX1_DIST, dead, EX1_PARAMS)
 
+    def test_point_mass_rejected(self):
+        # A point mass has no density to condition on.  analyze never gets
+        # here: waiting_interval raises NoTradeInterval for it first.
+        band = WaitingInterval(y1=95.0, y2=105.0, x1=95.0, x2=105.0, s1=0.01)
+        with pytest.raises(ValueError, match="degenerate distribution: no density for a point mass"):
+            build_round_matrix(NormalSpec(100.0, 0.0), band, EX1_PARAMS)
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -155,6 +162,13 @@ class TestRoundMatrixConstruction:
     def test_parameter_validation(self, kwargs):
         with pytest.raises(ValueError):
             round_matrix_from_params(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("key", ["i", "j", "y_ratio", "sell_mean"])
+    def test_non_finite_parameters_rejected(self, key, value):
+        kwargs = dict(lambda_buy=0.5, lambda_sell=0.5, i=2.0, j=2.0, y_ratio=1.2, sell_mean=95.0)
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            round_matrix_from_params(**dict(kwargs, **{key: value}))
 
 
 class TestDiscriminant:
@@ -450,8 +464,10 @@ class TestYRatioNormal:
         assert y_ratio_normal(dist, 94.0, 113.0) == pytest.approx(oracle, rel=1e-6)
 
     def test_matches_conditional_mean_ratio(self):
+        # The round matrix's Y, built from the truncated conditional means.
         dist = NormalSpec(100.0, 100.0)
-        ratio = cond_mean_above(dist, 113.0) / cond_mean_below(dist, 94.0)
+        band = WaitingInterval(y1=94.0, y2=113.0, x1=94.0, x2=113.0, s1=0.009)
+        ratio = build_round_matrix(dist, band, EX1_PARAMS).y_ratio
         assert y_ratio_normal(dist, 94.0, 113.0) == pytest.approx(ratio, rel=1e-6)
 
     def test_strictly_increasing_in_variance(self):

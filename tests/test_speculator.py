@@ -4,6 +4,7 @@ The s1 optimisation and the waiting interval drive every downstream number,
 so they get dense-grid oracles here in addition to the spot values.
 """
 
+import functools
 import hashlib
 import math
 
@@ -13,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pegstress.engine import AdaptiveSpec, RollingBand, SimConfig, run
-from pegstress.prices import NormalSpec, cond_mean_above, cond_mean_below, trunc_cdf
+from pegstress.prices import NormalSpec, TruncatedNormal
+from pegstress.rounds import build_round_matrix
 from pegstress.speculator import (
     NoTradeInterval,
     SpeculatorParams,
@@ -26,17 +28,40 @@ EX1_DIST = NormalSpec(mu=100.0, sigma2=100.0)
 EX1_PARAMS = SpeculatorParams(delta=0.1)
 
 
+@functools.cache
+def acceptance_intervals():
+    """(dist, params, interval) for acceptance test 04's 1000 seeded draws,
+    then its variance-collapse grid, in that order."""
+    out = []
+    rng = np.random.default_rng(2)
+    while len(out) < 1_000:
+        mu = rng.uniform(20.0, 200.0)
+        sigma2 = rng.uniform(0.05, 0.3) * mu * mu / 4.0
+        delta = rng.uniform(0.01, 0.3)
+        dist, params = NormalSpec(mu=mu, sigma2=sigma2), SpeculatorParams(delta=delta)
+        try:
+            out.append((dist, params, waiting_interval(dist, params)))
+        except NoTradeInterval:
+            continue
+    for sigma2 in (100.0, 25.0, 4.0, 1.0, 1e-2, 1e-4, 1e-6, 1e-8):
+        dist, params = NormalSpec(mu=100.0, sigma2=sigma2), SpeculatorParams(delta=1e-8)
+        out.append((dist, params, waiting_interval(dist, params)))
+    return out
+
+
 def brute_force_s1(dist, delta, points):
     """Dense-grid oracle for the s1 maximisation."""
     lo, hi = dist.support_lo, dist.support_hi
     xs = np.linspace(lo + (hi - lo) * 1e-9, hi, points)
+    tn = TruncatedNormal(dist)
     best = -math.inf
     for x in xs:
-        prob = trunc_cdf(dist, float(x))
+        x, c = tn.at(float(x))
+        prob = tn.prob_below(x, c)
         if prob <= 0.0:
             continue
         try:
-            mean = cond_mean_below(dist, float(x))
+            mean = tn.mean_below(x, c)
         except ValueError:
             continue  # conditioning mass below float resolution
         val = (1.0 - delta) ** (1.0 / prob) / mean
@@ -83,11 +108,9 @@ class TestWaitingInterval:
 
     def test_example_tail_masses(self):
         # 1/(1 - F(y2)) and 1/F(y1) are the published per-round trade counts.
-        wi = waiting_interval(EX1_DIST, EX1_PARAMS)
-        i = 1.0 / (1.0 - trunc_cdf(EX1_DIST, wi.y2))
-        j = 1.0 / trunc_cdf(EX1_DIST, wi.y1)
-        assert i == pytest.approx(10.057, rel=5e-3)
-        assert j == pytest.approx(3.6954, rel=5e-3)
+        mat = build_round_matrix(EX1_DIST, waiting_interval(EX1_DIST, EX1_PARAMS), EX1_PARAMS)
+        assert mat.i == pytest.approx(10.057, rel=5e-3)
+        assert mat.j == pytest.approx(3.6954, rel=5e-3)
 
     def test_collapses_toward_point_mass(self):
         dist = NormalSpec(mu=100.0, sigma2=1e-8)
@@ -145,22 +168,18 @@ class TestWaitingInterval:
         # normal constants were shared (TruncatedNormal), so any change to
         # the float operations behind the interval shows here.
         digest = hashlib.sha256()
-        rng = np.random.default_rng(2)
-        produced = 0
-        while produced < 1_000:
-            mu = rng.uniform(20.0, 200.0)
-            sigma2 = rng.uniform(0.05, 0.3) * mu * mu / 4.0
-            delta = rng.uniform(0.01, 0.3)
-            try:
-                wi = waiting_interval(NormalSpec(mu=mu, sigma2=sigma2), SpeculatorParams(delta=delta))
-            except NoTradeInterval:
-                continue
-            produced += 1
-            digest.update(repr((wi.s1, wi.y1, wi.y2, wi.x1, wi.x2)).encode())
-        for sigma2 in (100.0, 25.0, 4.0, 1.0, 1e-2, 1e-4, 1e-6, 1e-8):
-            wi = waiting_interval(NormalSpec(mu=100.0, sigma2=sigma2), SpeculatorParams(delta=1e-8))
+        for _, _, wi in acceptance_intervals():
             digest.update(repr((wi.s1, wi.y1, wi.y2, wi.x1, wi.x2)).encode())
         assert digest.hexdigest() == "8312fa28c7ab90cc30ba4332b22f1ad319eefa93f4429990c991aae554405c9e"
+
+    def test_pinned_round_matrices_of_the_acceptance_draws(self):
+        # repr of build_round_matrix on each of those intervals, in the same
+        # order.  Recorded while the matrix was built from four one-point
+        # normal evaluations, each with its own TruncatedNormal.
+        digest = hashlib.sha256()
+        for dist, params, wi in acceptance_intervals():
+            digest.update(repr(build_round_matrix(dist, wi, params)).encode())
+        assert digest.hexdigest() == "f2b6b94f07d4de5754d2e6f7f2b693dba6604d5c2d52db3e3ea3a5d700b1527d"
 
     def test_nonpositive_sell_mean_is_a_value_error(self):
         # Below x = 0 the conditional mean of a support reaching -4 is <= 0;

@@ -3,19 +3,28 @@
 The exhaustive schedule search is the ground truth here: the linear-time
 ledger must match it exactly, and every closed-form threshold (L, the
 symmetric fee) is checked against what the oracles actually extract.
+run_omniscient_every_step, a copy of run_omniscient from before it settled
+only its schedule's steps, is run_omniscient's oracle.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pegstress.engine import SimConfig, run
-from pegstress.prices import NormalSpec, PriceSeries, sample_iid
+from pegstress.mechanism import check_schedule, settle
+from pegstress.prices import NormalSpec, PriceSeries, WalkSpec, iid_blocks, random_walk
 from pegstress.speculator import SpeculatorParams
 from pegstress.theory import (
     L_criterion,
+    OmniscientRun,
+    _buy_factor,
+    _sell_factor,
     TailSpread,
     converging_spread_series,
     greedy_threshold_profit,
@@ -109,6 +118,15 @@ class TestLCriterion:
         spread = tail_spread(converging_spread_series(1.0, 2.0, pairs=200))
         assert stability_label(1.0 / 3.0, 1.0 / 3.0, spread) == "at-risk"
         assert stability_label(1.0 / 3.0, 1.0 / 3.0, spread, boundary_tol=0.02) == "boundary"
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    def test_bad_tolerance_rejected(self, tol):
+        # At 5% fees the two-point series sits on the boundary; a NaN or
+        # negative tolerance used to label it stable.
+        spread = tail_spread(alternating(95.0, 105.0, 10))
+        assert stability_label(0.05, 0.05, spread) == "boundary"
+        with pytest.raises(ValueError, match="^boundary_tol must be finite and >= 0$"):
+            stability_label(0.05, 0.05, spread, boundary_tol=tol)
 
 
 class TestMinFee:
@@ -260,7 +278,7 @@ class TestSensitivityCheck:
         for seed in range(50):
             res = run(base, seed=seed)
             prices = PriceSeries(prices=res.traces.p, source="iid", seed=seed)
-            assert prices.prices == sample_iid(dist, 200, seed).prices
+            assert prices.prices == tuple(next(iid_blocks(dist, seed))[0][:200].tolist())
             r = realized_profit_trace(res.traces.p, res.traces.n, res.traces.m, 0.0, 1.0)
             s = greedy_threshold_profit(prices, 0.0, 0.0, n0=1.0)
             k = sensitivity_check(r, s, n0=1.0)
@@ -314,3 +332,99 @@ class TestOmniscientRun:
         assert out.depleted is True
         assert out.steps < 1000
         assert out.steps == out.depletion_step
+
+    def test_pinned_outputs_on_seeded_walks(self):
+        # repr of both oracles on three 5000-price walks at 1% fees; two keep
+        # their reserves, one drains them at step 4560.  Recorded while
+        # run_omniscient kept its own copy of the ledger pass and settled
+        # step by step.
+        digest = hashlib.sha256()
+        for seed in (1, 2, 3):
+            sr = random_walk(WalkSpec(0.0, 0.5, 100.0), 5_000, seed)
+            digest.update(repr(greedy_threshold_profit(sr, 0.01, 0.01)).encode())
+            digest.update(repr(run_omniscient(sr, 0.01, 0.01, reserves0=100.0)).encode())
+        assert digest.hexdigest() == "6cb9d7861caa020756595b9aff1b07f6c1714bc64bbe4ce2f1587374235e207a"
+
+
+def run_omniscient_every_step(series, eps_alpha, eps_beta, reserves0, n0=1.0):
+    """run_omniscient as it was before it settled only its schedule: a flag
+    per step for each ledger improvement, a backward pass that marks an
+    action per step, then settlement visiting every step."""
+    check_schedule(reserves0, eps_alpha, eps_beta)
+    prices = series.prices
+    t_len = len(prices)
+    best_out, best_in = 1.0, 0.0
+    out_from_sell = [False] * t_len
+    in_from_buy = [False] * t_len
+    for t, p in enumerate(prices):
+        new_in = best_out * _buy_factor(p, eps_alpha)
+        new_out = best_in * _sell_factor(p, eps_beta)
+        if new_in > best_in:
+            best_in = new_in
+            in_from_buy[t] = True
+        if new_out > best_out:
+            best_out = new_out
+            out_from_sell[t] = True
+    actions = [0] * t_len  # +1 buy, -1 sell
+    state_out = True
+    for t in range(t_len - 1, -1, -1):
+        if state_out:
+            if out_from_sell[t]:
+                actions[t] = -1
+                state_out = False
+        elif in_from_buy[t]:
+            actions[t] = +1
+            state_out = True
+    reserves = r_min = reserves0
+    backing = n0
+    coins = 0.0
+    for t, (p, act) in enumerate(zip(prices, actions), start=1):
+        if act == +1 and backing > 0.0:
+            delta = backing * _buy_factor(p, eps_alpha)
+            reserves, flow = settle(reserves, delta, p, eps_alpha, eps_beta)
+            backing = max(backing + flow, 0.0)
+            coins += delta
+        elif act == -1 and coins > 0.0:
+            reserves, flow = settle(reserves, -coins, p, eps_alpha, eps_beta)
+            backing += flow
+            coins = 0.0
+            if reserves == 0.0:
+                return OmniscientRun(depleted=True, depletion_step=t, r_min=0.0, final_backing=backing, steps=t)
+        r_min = min(r_min, reserves)
+    return OmniscientRun(depleted=False, depletion_step=None, r_min=r_min, final_backing=backing, steps=t_len)
+
+
+@st.composite
+def oracle_series(draw):
+    kind = draw(st.sampled_from(["uniform", "walk", "levels", "equal"]))
+    length = draw(st.integers(1, 300))
+    if kind == "uniform":
+        return series(*draw(st.lists(st.floats(0.5, 2.0), min_size=length, max_size=length)))
+    if kind == "walk":
+        return random_walk(WalkSpec(0.0, draw(st.sampled_from([0.5, 2.0])), 100.0), length, draw(st.integers(0, 2**32)))
+    if kind == "levels":
+        return series(*draw(st.lists(st.sampled_from([95.0, 100.0, 105.0]), min_size=length, max_size=length)))
+    return series(*[draw(st.floats(0.5, 200.0))] * length)
+
+
+def outcome(oracle, *args):
+    # repr tells -0.0 from 0.0, which == does not; an error must match too.
+    try:
+        return repr(oracle(*args))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(deadline=None)
+@given(
+    sr=oracle_series(),
+    eps_alpha=st.sampled_from([0.0, 0.01, 0.05]),
+    eps_beta=st.sampled_from([0.0, 0.01, 0.05]),
+    reserves0=st.sampled_from([0.0, 1e-3, 1.0, 100.0, 1e9]),
+    n0=st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+)
+def test_run_omniscient_matches_the_every_step_oracle(sr, eps_alpha, eps_beta, reserves0, n0):
+    # run_omniscient settles only the steps of its schedule; the oracle
+    # visits each step.  Both must land on the same record, bit for bit.
+    args = (sr, eps_alpha, eps_beta, reserves0, n0)
+    assert outcome(run_omniscient, *args) == outcome(run_omniscient_every_step, *args)
