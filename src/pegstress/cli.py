@@ -21,7 +21,8 @@ import sys
 from contextlib import contextmanager
 from dataclasses import replace
 
-from .engine import AdaptiveSpec, MonteCarloSummary, SimConfig, SimResult, monte_carlo, sweep
+from .engine import MODES, SWEEP_AXES, AdaptiveSpec, MonteCarloSummary, SimConfig, SimResult, monte_carlo, sweep
+from .mechanism import check_fees
 from .prices import NormalSpec, PriceSeries, WalkSpec, load_csv, step_stats
 from .rounds import (
     build_round_matrix, discriminant, divergence_check, eigen, expected_depletion_rounds,
@@ -235,11 +236,39 @@ _CONFIG = {
 
 
 def _parse_config(raw: dict, args) -> dict:
-    """The whole config, typed, with the command-line overrides applied."""
+    """The whole config, typed, with the command-line overrides applied.
+
+    Every section given is checked here, also when the subcommand does not
+    use it; adaptive, speculator and matrix come back as their model objects.
+    """
     cfg = _section(raw, "config", _CONFIG)
+    run, t, sw = cfg["run"], cfg["theory"], cfg["sweep"]
     for key in ("seed", "trials", "max_steps"):
         if getattr(args, key) is not None:
-            cfg["run"][key] = getattr(args, key)
+            run[key] = getattr(args, key)
+    try:
+        cfg["adaptive"] = AdaptiveSpec(**cfg["adaptive"])
+        if cfg["speculator"] is not None:
+            cfg["speculator"] = SpeculatorParams(**cfg["speculator"])
+        if cfg["matrix"] is not None:
+            cfg["matrix"] = round_matrix_from_params(**cfg["matrix"])
+        check_fees(**cfg["fees"])
+    except ValueError as exc:  # the model's own message, as for a source
+        raise ConfigError(str(exc)) from None
+    if cfg["mode"] not in MODES:
+        raise ConfigError("mode must be auto, analytic, or adaptive")
+    for key in ("max_steps", "trials"):
+        if run[key] < 1:
+            raise ConfigError(f"{key} must be >= 1")
+    if not 0.0 < t["tail_fraction"] <= 1.0:
+        raise ConfigError("tail_fraction must lie in (0, 1]")
+    if not (math.isfinite(t["boundary_tol"]) and t["boundary_tol"] >= 0.0):
+        raise ConfigError("boundary_tol must be finite and >= 0")
+    if sw is not None:
+        if sw["axis"] not in SWEEP_AXES:
+            raise ConfigError(f"unknown sweep axis {sw['axis']!r} (allowed: {', '.join(SWEEP_AXES)})")
+        if sw["trials"] is not None and sw["trials"] < 1:
+            raise ConfigError("trials must be >= 1")
     return cfg
 
 
@@ -247,9 +276,9 @@ def _sim_config(cfg: dict) -> SimConfig:
     run = cfg["run"]
     return SimConfig(
         source=_need(cfg, "source"),
-        speculator=SpeculatorParams(**_need(cfg, "speculator")),
+        speculator=_need(cfg, "speculator"),
         reserves0=_need(cfg, "reserves0"),
-        n0=cfg["n0"], m0=cfg["m0"], mode=cfg["mode"], adaptive=AdaptiveSpec(**cfg["adaptive"]),
+        n0=cfg["n0"], m0=cfg["m0"], mode=cfg["mode"], adaptive=cfg["adaptive"],
         max_steps=run["max_steps"], master_seed=run["seed"], record_traces=run["record_traces"],
         **cfg["fees"],
     )
@@ -348,13 +377,12 @@ def cmd_analyze(cfg: dict, args) -> None:
         )
     report: dict = {}
 
-    if cfg["matrix"] is not None:
-        mat = round_matrix_from_params(**cfg["matrix"])
-    else:
+    mat = cfg["matrix"]
+    if mat is None:
         source = _need(cfg, "source")
         if not isinstance(source, NormalSpec):
             raise ConfigError("analytic mode requires a distribution source (kind 'normal')")
-        params = SpeculatorParams(**_need(cfg, "speculator"))
+        params = _need(cfg, "speculator")
         report.update(
             mu=source.mu,
             sigma2=source.sigma2,

@@ -21,6 +21,11 @@ Monte Carlo trials are independent: trial seeds derive from
 monte_carlo folds each trial into running sums and keeps no per-trial
 record; a caller that wants the records (the CLI's --out) passes a sink,
 which sees each SimResult once, in trial order, as its trial finishes.
+
+numpy is imported inside the functions that scan price blocks (RollingBand,
+_running_sums, run), not at module level: importing this module, and with
+it the package, needs only the standard library, so the closed form
+(cli analyze) never loads numpy.  A run loads it with its first block.
 """
 
 from __future__ import annotations
@@ -28,12 +33,14 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .mechanism import apply_trade, check_schedule, settle  # noqa: F401  (perfbench/tracing.py wraps engine.apply_trade)
 from .prices import NormalSpec, PriceSeries, WalkSpec, derive_seed, price_blocks
 from .speculator import NoTradeInterval, SpeculatorParams, waiting_interval
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "AdaptiveSpec",
@@ -47,9 +54,11 @@ __all__ = [
     "monte_carlo",
     "sweep",
     "SWEEP_AXES",
+    "MODES",
 ]
 
 SWEEP_AXES = ("sigma2", "delta", "lambda", "sigma_step", "n0", "eps", "reserves0")
+MODES = ("auto", "analytic", "adaptive")
 
 
 def _check_count(name: str, value, least: int) -> None:
@@ -86,12 +95,14 @@ class RollingBand:
     """
 
     def __init__(self, spec: AdaptiveSpec) -> None:
+        import numpy as np
         self.c = spec.c
         self.window = spec.window
         self.recent = np.zeros(spec.window)  # last `window` prices; zeros before the path
         self.seen = 0
 
     def band(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        import numpy as np
         size = len(block)
         path = np.concatenate((self.recent, block))
         pivot = float(block[0]) if size else 0.0
@@ -122,6 +133,7 @@ def _running_sums(start: float, add: np.ndarray, sub: np.ndarray) -> np.ndarray:
     """start, + add[0], - sub[0], + add[1], ...: every partial sum, added left
     to right (np.add.accumulate), so entry 2j is the sum before step j.
     Subtracting a 0.0 leaves a sum unchanged, exactly."""
+    import numpy as np
     inc = np.empty(2 * len(add) + 1)
     inc[0] = start
     inc[1::2] = add
@@ -153,7 +165,7 @@ class SimConfig:
             if not (math.isfinite(held) and held >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0")
         _check_count("max_steps", self.max_steps, 1)
-        if self.mode not in ("auto", "analytic", "adaptive"):
+        if self.mode not in MODES:
             raise ValueError("mode must be auto, analytic, or adaptive")
         check_schedule(self.reserves0, self.eps_alpha, self.eps_beta)
 
@@ -234,6 +246,7 @@ def run(config: SimConfig, seed: int | None = None, interval: tuple[float, float
     Untraced, it visits the out-of-band steps on a side that holds something
     (above y2 while n > 0, below y1 while m > 0); traced, every step.
     """
+    import numpy as np
     adaptive = config.resolved_mode() == "adaptive"
     if adaptive:
         window = RollingBand(config.adaptive)

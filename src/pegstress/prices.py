@@ -15,6 +15,11 @@ expansion
 which follows from f'(x) = -(x - mu) / sigma^2 * f(x).  Everything downstream
 (waiting intervals, round matrices) leans on that identity, so it is kept in
 one place and tested against quadrature.
+
+Only the block generators (iid_blocks, walk_blocks, series_blocks) and
+step_stats use numpy, and they import it when first called.  The specs, the
+normal calculus, load_csv and derive_seed need only the standard library,
+as do the closed form and the theory report built on them.
 """
 
 from __future__ import annotations
@@ -23,8 +28,10 @@ import csv
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "NormalSpec",
@@ -235,6 +242,7 @@ def iid_blocks(spec: NormalSpec, seed: int) -> Iterator[tuple[np.ndarray, None]]
     Draws come from numpy's PCG64 generator seeded directly with ``seed``.
     Yields (prices, None): clipping is not counted as clamping.
     """
+    import numpy as np
     if spec.is_point_mass:
         block = np.full(BLOCK, float(spec.mu))
         while True:
@@ -252,6 +260,7 @@ def walk_blocks(spec: WalkSpec, seed: int) -> Iterator[tuple[np.ndarray, np.ndar
     Yields (prices, clamped), where clamped flags the prices the floor
     caught.  Prices are the same floats as adding the steps one by one.
     """
+    import numpy as np
     rng = np.random.default_rng(seed)
     p = float(spec.p0)
     yield np.array([p]), np.zeros(1, dtype=bool)
@@ -280,6 +289,7 @@ def walk_blocks(spec: WalkSpec, seed: int) -> Iterator[tuple[np.ndarray, np.ndar
 
 def series_blocks(series: PriceSeries) -> Iterator[tuple[np.ndarray, None]]:
     """A fixed series in blocks of BLOCK prices; exhaustion ends the path."""
+    import numpy as np
     prices = series.prices
     for start in range(0, len(prices), BLOCK):
         yield np.array(prices[start : start + BLOCK]), None
@@ -363,6 +373,7 @@ def step_stats(series: PriceSeries) -> WalkSpec:
     """Fit a WalkSpec to a series: mean/population-std of first differences."""
     if len(series) < 2:
         raise ValueError("need at least 2 prices to compute step statistics")
+    import numpy as np
     diffs = np.diff(np.asarray(series.prices))
     return WalkSpec(
         mu_step=float(diffs.mean()),

@@ -7,7 +7,12 @@ guarantee for repeated invocations.
 
 import argparse
 import csv
+import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -680,3 +685,108 @@ class TestConfigSchema:
         assert results[0] == results[1]
         if section in ("source", "speculator") or command == "sweep":
             assert results[0][1].err == f"error: missing key {section!r} in config\n"
+
+    @pytest.mark.parametrize(
+        "command, change, message",
+        [
+            ("analyze", {"adaptive": {"c": float("nan"), "window": 1}}, "c must be finite and >= 0"),
+            ("theory", {"mode": "bogus"}, "mode must be auto, analytic, or adaptive"),
+            ("analyze", {"run": {"max_steps": 0}}, "max_steps must be >= 1"),
+            ("theory", {"speculator": {"delta": 1.5}}, "delta must lie in (0, 1)"),
+            ("ingest-stats", {"fees": {"eps_beta": 1.0}}, "eps_beta must lie in [0, 1)"),
+            ("analyze", {"theory": {"boundary_tol": -1.0}}, "boundary_tol must be finite and >= 0"),
+            ("simulate", {"theory": {"tail_fraction": 0.0}}, "tail_fraction must lie in (0, 1]"),
+            ("theory", {"matrix": dict(MATRIX, i=float("inf"))}, "phase lengths i, j must be finite and positive"),
+            ("analyze", {"sweep": {"axis": "bogus", "values": [1.0]}}, "unknown sweep axis 'bogus' (allowed: "),
+        ],
+        ids=["adaptive", "mode", "run", "speculator", "fees", "theory_tol", "theory_tail", "matrix", "sweep"],
+    )
+    def test_unused_section_is_checked(self, tmp_path, capsys, command, change, message):
+        # The subcommand does not use the section, yet a bad value in it is
+        # an error, as the config is read, not a silently ignored key.
+        payload = dict(EX1_CONFIG, **change)
+        if command in ("theory", "ingest-stats"):
+            payload["source"] = LITERAL
+        cfg = write_config(tmp_path, "bad.json", payload)
+        assert main([command, "--config", cfg, "--trials", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("flag, key", [("--trials", "trials"), ("--max-steps", "max_steps")])
+    def test_zero_count_override_rejected(self, tmp_path, capsys, flag, key):
+        cfg = write_config(tmp_path, "alt.json", {"source": LITERAL})
+        assert main(["theory", "--config", cfg, flag, "0"]) == 1
+        assert capsys.readouterr() == ("", f"error: {key} must be >= 1\n")
+
+
+# --out of the closed-form and series subcommands, recorded before numpy left
+# their import path; they must keep these bytes.
+@pytest.mark.parametrize(
+    "command, payload, digest",
+    [
+        ("analyze", EX1_CONFIG, "cdede932db94ca0d6e0032c98ecc5b0b0a1823012e0d7c7e0f0b2392104d6dda"),
+        (
+            "analyze",
+            {"matrix": {"lambda_buy": 0.3, "lambda_sell": 0.3, "i": 5.0, "j": 3.0, "y_ratio": 1.4},
+             "reserves0": 100.0, "n0": 1.0},
+            "80ed65b8506961d1aa0e76d0b8677c003ba5425680e079750113452b95864dca",
+        ),
+        ("analyze", dict(EX1_CONFIG, speculator={}), "a04ab1071d425e4f65d85d337fb557c0d5b573913e3a3e7ca408148d104a1cd6"),
+        (
+            "theory",
+            {"source": {"kind": "literal", "prices": [95.0, 105.0], "repeat": 10},
+             "fees": {"eps_alpha": 0.04, "eps_beta": 0.04}},
+            "d0c6372e7aa2fdf2c5dbd9c818623975914491e73c079b0c35ab19af17c272e7",
+        ),
+        (
+            "ingest-stats",
+            {"source": {"kind": "literal", "prices": [100.0, 103.5, 98.25, 101.0, 99.75, 104.125]}},
+            "47e3e116638e9b7724a170e52928e0b7ac7df5ac394707bba7115466a369c1bb",
+        ),
+    ],
+    ids=["analyze_reference", "analyze_matrix", "analyze_inert", "theory_two_point", "ingest_stats_literal"],
+)
+def test_report_out_is_pinned(tmp_path, capsys, command, payload, digest):
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    out = tmp_path / "report.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+COLD_START = """
+import json, sys
+loaded = {}
+import pegstress
+loaded["import pegstress"] = "numpy" in sys.modules
+from pegstress import cli
+loaded["import pegstress.cli"] = "numpy" in sys.modules
+for argv in (["analyze", "--config", "reference.json"], ["analyze", "--config", "matrix.json"],
+             ["theory", "--config", "theory.json"], ["simulate", "--config", "reference.json", "--trials", "2"]):
+    assert cli.main(argv) == 0, argv
+    loaded[" ".join(argv[:3])] = "numpy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_closed_form_runs_without_numpy(tmp_path):
+    # A fresh interpreter: analyze and theory run on the standard library
+    # alone; numpy loads with the first block of prices simulate draws.
+    write_config(tmp_path, "reference.json", EX1_CONFIG)
+    write_config(tmp_path, "matrix.json", {"matrix": MATRIX, "reserves0": 100.0, "n0": 1.0})
+    write_config(tmp_path, "theory.json", {"source": LITERAL, "fees": {"eps_alpha": 0.04, "eps_beta": 0.04}})
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_START], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == {
+        "import pegstress": False,
+        "import pegstress.cli": False,
+        "analyze --config reference.json": False,
+        "analyze --config matrix.json": False,
+        "theory --config theory.json": False,
+        "simulate --config reference.json": True,
+    }
