@@ -21,7 +21,9 @@ import sys
 from contextlib import contextmanager
 from dataclasses import replace
 
-from .engine import MODES, SWEEP_AXES, AdaptiveSpec, MonteCarloSummary, SimConfig, SimResult, monte_carlo, sweep
+from .engine import (
+    MODES, AdaptiveSpec, MonteCarloSummary, SimConfig, SimResult, monte_carlo, sweep, sweep_configs,
+)
 from .mechanism import check_fees
 from .prices import NormalSpec, PriceSeries, WalkSpec, load_csv, step_stats
 from .rounds import (
@@ -257,6 +259,8 @@ def _parse_config(raw: dict, args) -> dict:
         raise ConfigError(str(exc)) from None
     if cfg["mode"] not in MODES:
         raise ConfigError("mode must be auto, analytic, or adaptive")
+    if cfg["mode"] == "analytic" and not isinstance(cfg["source"], (NormalSpec, type(None))):
+        raise ConfigError("analytic mode requires a distribution source")
     for key in ("max_steps", "trials"):
         if run[key] < 1:
             raise ConfigError(f"{key} must be >= 1")
@@ -265,10 +269,19 @@ def _parse_config(raw: dict, args) -> dict:
     if not (math.isfinite(t["boundary_tol"]) and t["boundary_tol"] >= 0.0):
         raise ConfigError("boundary_tol must be finite and >= 0")
     if sw is not None:
-        if sw["axis"] not in SWEEP_AXES:
-            raise ConfigError(f"unknown sweep axis {sw['axis']!r} (allowed: {', '.join(SWEEP_AXES)})")
         if sw["trials"] is not None and sw["trials"] < 1:
             raise ConfigError("trials must be >= 1")
+        # Each value goes through the checks its axis gets in a sweep.  The
+        # sections a sweep needs and this config lacks get stand-ins: the
+        # speculator's default delta and unit reserves.
+        probe = SimConfig(
+            source=cfg["source"], speculator=cfg["speculator"] or SpeculatorParams(delta=0.5),
+            reserves0=cfg["reserves0"] or 1.0, n0=cfg["n0"], m0=cfg["m0"], **cfg["fees"],
+        )
+        try:
+            sweep_configs(probe, sw["axis"], sw["values"])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     return cfg
 
 

@@ -1,6 +1,8 @@
 """Simulation driver: one trader against one mechanism until depletion.
 
-Prices come in blocks of 512 from the source's block generator.  A step
+Prices come in blocks from the source's block generator: 512 i.i.d.
+prices at a time, or walk and series blocks that grow from 512 to 4096, all
+on a fixed grid of 512-price segments from the start of the path.  A step
 asks the trader for a trade, settles it on plain floats (mechanism.settle),
 and the run stops when the reserves hit zero or the horizon runs out.  A
 price inside the trader's band changes nothing, nor does one on a side that
@@ -9,8 +11,9 @@ an untraced run visits only the out-of-band steps, found with one numpy pass
 per block, on a side that holds something: from a step on an empty side it
 jumps (list.index) to the next step on the other side.  In analytic mode the
 band (y1, y2) is fixed for the whole trial; in adaptive mode RollingBand
-gives each step of a block its own band from the prices before it.  A traced
-run, which records every step, visits all of them.
+gives each step of a block its own band from the prices before it, in 2-D
+numpy passes over the block's segments (one pass up to a window of 1024).
+A traced run, which records every step, visits all of them.
 
 Buys are budgeted in backing coins: the trader deploys (1 - lambda_buy) of
 its backing, so the minted quantity is that budget divided by the mint cost.
@@ -36,7 +39,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .mechanism import apply_trade, check_schedule, settle  # noqa: F401  (perfbench/tracing.py wraps engine.apply_trade)
-from .prices import NormalSpec, PriceSeries, WalkSpec, derive_seed, price_blocks
+from .prices import BLOCK, NormalSpec, PriceSeries, WalkSpec, derive_seed, price_blocks
 from .speculator import NoTradeInterval, SpeculatorParams, waiting_interval
 
 if TYPE_CHECKING:
@@ -53,6 +56,7 @@ __all__ = [
     "run",
     "monte_carlo",
     "sweep",
+    "sweep_configs",
     "SWEEP_AXES",
     "MODES",
 ]
@@ -82,16 +86,28 @@ class AdaptiveSpec:
         _check_count("window", self.window, 2)
 
 
+# Floats in one pass's (segments, window + BLOCK) arrays.  A pass takes as
+# many segments as fit (all eight of a MAX_BLOCK block up to a window of
+# 1024), so its temporaries stay under 96 KiB.  Larger ones went back to the
+# system and were faulted in afresh on each call (glibc's malloc maps or
+# trims blocks past 128 KiB), which made the band at window 5000 about 1.5x
+# slower than the one-pass-per-512-prices band it replaces.
+_PASS_FLOATS = 12288
+
+
 class RollingBand:
     """Adaptive band mean -/+ c*std over the trailing window of prices.
 
     band(block) gives the band of each step of a block from the up to
     ``window`` prices seen before that step (population std; fewer than two
-    prices give (-inf, +inf), so the trader waits).  Blocks must come in
-    path order.  Each block's sums are of the prices less a pivot (the
-    block's first price), started afresh from the window, so rounding
-    scales with the block's spread, not with the price level or the length
-    of the path.
+    prices give (-inf, +inf), so the trader waits).  Blocks come in path
+    order and may have any length.  A block is cut into segments of BLOCK
+    prices from its first price, and its segments are computed a row each in
+    2-D numpy passes.  Each segment's sums are of the prices less a pivot
+    (the segment's first price), started afresh from the window, so rounding
+    scales with the segment's spread, not with the price level or the length
+    of the path.  The price generators' blocks are whole segments, so the
+    bands are the same floats however a path is split into blocks.
     """
 
     def __init__(self, spec: AdaptiveSpec) -> None:
@@ -103,42 +119,55 @@ class RollingBand:
 
     def band(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         import numpy as np
-        size = len(block)
-        path = np.concatenate((self.recent, block))
-        pivot = float(block[0]) if size else 0.0
-        dev = path - pivot
-        dev[: self.window - min(self.seen, self.window)] = 0.0  # no price there yet
-        held = dev[: self.window]
-        old = dev[:size]  # deviation leaving the window at each step (0.0 while filling)
-        new = dev[self.window :]
-        total = _running_sums(float(held.sum()), new, old)
-        sq = _running_sums(float((held * held).sum()), new * new, old * old)
+        step = max(1, _PASS_FLOATS // (self.window + BLOCK)) * BLOCK
+        if len(block) <= step:
+            return self._segments(block)
+        lo, hi = zip(*(self._segments(block[s : s + step]) for s in range(0, len(block), step)))
+        return np.concatenate(lo), np.concatenate(hi)
+
+    def _segments(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        import numpy as np
+        size, w = len(block), self.window
+        rows = -(-size // BLOCK) or 1  # an empty block still gets its (empty) band
+        # The window before the block, the block, and zeros to fill the last
+        # segment (its steps past the block are computed and dropped).
+        path = np.concatenate((self.recent, block, np.zeros(rows * BLOCK - size)))
+        pivot = path[w::BLOCK, None]
+        # Row r: the window before segment r, then the segment, less its pivot.
+        windows = np.ndarray((rows, w + BLOCK), buffer=path, strides=(BLOCK * path.itemsize, path.itemsize))
+        dev = windows - pivot
+        empty = w - min(self.seen, w)  # path[:empty] holds no price yet
+        for r in range(min(rows, -(-empty // BLOCK))):
+            dev[r, : empty - r * BLOCK] = 0.0
+        total, sq = (_running_sums(x, w) for x in (dev, dev * dev))
         # Steps with fewer than two prices before them get no band.
-        wait = max(0, min(2 - self.seen, size))
-        k = np.minimum(np.arange(self.seen, self.seen + size), self.window)
-        k[:wait] = 1  # keeps the division defined
-        mean = total[:-1:2] / k
-        std = np.sqrt(np.maximum(sq[:-1:2] / k - mean * mean, 0.0))
+        wait = max(0, 2 - self.seen)
+        k = np.minimum(np.arange(self.seen, self.seen + rows * BLOCK), w).reshape(rows, BLOCK)
+        k[0, :wait] = 1  # keeps the division defined
+        mean = total[:, :-1:2] / k
+        std = np.sqrt(np.maximum(sq[:, :-1:2] / k - mean * mean, 0.0))
         mean += pivot
-        lo = mean - self.c * std
-        hi = mean + self.c * std
+        lo = (mean - self.c * std).ravel()[:size]
+        hi = (mean + self.c * std).ravel()[:size]
         lo[:wait] = -math.inf
         hi[:wait] = math.inf
-        self.recent = path[size:]
+        self.recent = path[size : size + w]
         self.seen += size
         return lo, hi
 
 
-def _running_sums(start: float, add: np.ndarray, sub: np.ndarray) -> np.ndarray:
-    """start, + add[0], - sub[0], + add[1], ...: every partial sum, added left
-    to right (np.add.accumulate), so entry 2j is the sum before step j.
-    Subtracting a 0.0 leaves a sum unchanged, exactly."""
+def _running_sums(dev: np.ndarray, window: int) -> np.ndarray:
+    """Per row of dev (a window, then a segment): the window's sum, + new[0],
+    - old[0], + new[1], ...: every partial sum, added left to right
+    (np.add.accumulate), so entry 2j is the sum before step j.  old, the
+    value leaving the window, is 0.0 while it fills, and subtracting a 0.0
+    leaves a sum unchanged, exactly."""
     import numpy as np
-    inc = np.empty(2 * len(add) + 1)
-    inc[0] = start
-    inc[1::2] = add
-    inc[2::2] = -sub
-    return np.add.accumulate(inc)
+    inc = np.empty((len(dev), 2 * BLOCK + 1))
+    inc[:, 0] = dev[:, :window].sum(axis=1)
+    inc[:, 1::2] = dev[:, window:]
+    np.negative(dev[:, :BLOCK], out=inc[:, 2::2])
+    return np.add.accumulate(inc, axis=1, out=inc)
 
 
 @dataclass(frozen=True)
@@ -428,11 +457,16 @@ def _with_axis(config: SimConfig, axis: str, value: float) -> SimConfig:
     raise ValueError(f"unknown sweep axis {axis!r} (allowed: {', '.join(SWEEP_AXES)})")
 
 
+def sweep_configs(config: SimConfig, axis: str, values) -> list[SimConfig]:
+    """config at each axis value; a value its axis rejects raises here."""
+    return [_with_axis(config, axis, float(v)) for v in values]
+
+
 def sweep(config: SimConfig, axis: str, values, trials: int) -> tuple[SweepPoint, ...]:
     """Monte Carlo at each axis value; the master seed is shared across
-    points so neighbouring points see common random numbers."""
+    points so neighbouring points see common random numbers.  Every value is
+    checked before the first trial runs."""
     points = []
-    for v in values:
-        summary = monte_carlo(_with_axis(config, axis, float(v)), trials)
-        points.append(SweepPoint(axis=axis, value=float(v), summary=summary))
+    for v, point in zip(values, sweep_configs(config, axis, values)):
+        points.append(SweepPoint(axis=axis, value=float(v), summary=monte_carlo(point, trials)))
     return tuple(points)

@@ -61,8 +61,15 @@ _MIN_EVENT_PROB = 1e-13
 _POSITIVE_FLOOR = 1e-6
 
 # Prices per block drawn by the block generators; one simulation trial
-# holds one block at a time.
+# holds one block at a time.  iid_blocks draws BLOCK prices at a time (an
+# analytic trial at the reference config ends after ~224 steps).  The path
+# generators (walk_blocks, series_blocks) start at BLOCK and double up to
+# MAX_BLOCK, so a short run draws little and a long one pays numpy's
+# per-call cost once per MAX_BLOCK prices.  Each block they yield, but a
+# series' last, is a whole number of BLOCK-price segments, so the segments
+# lie on a fixed grid whatever the block sizes.
 BLOCK = 512
+MAX_BLOCK = 8 * BLOCK
 
 
 @dataclass(frozen=True)
@@ -254,18 +261,27 @@ def iid_blocks(spec: NormalSpec, seed: int) -> Iterator[tuple[np.ndarray, None]]
         yield block, None
 
 
+def _block_sizes() -> Iterator[int]:
+    """BLOCK, 2 * BLOCK, ... up to MAX_BLOCK, then MAX_BLOCK for ever."""
+    size = BLOCK
+    while True:
+        yield size
+        size = min(2 * size, MAX_BLOCK)
+
+
 def walk_blocks(spec: WalkSpec, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Endless clamped walk: p0 alone, then blocks of BLOCK prices.
+    """Endless clamped walk: p0 alone, then blocks growing from BLOCK to MAX_BLOCK.
 
     Yields (prices, clamped), where clamped flags the prices the floor
-    caught.  Prices are the same floats as adding the steps one by one.
+    caught.  Prices are the same floats as adding the steps one by one, and
+    the steps are the generator's stream whatever the block sizes.
     """
     import numpy as np
     rng = np.random.default_rng(seed)
     p = float(spec.p0)
     yield np.array([p]), np.zeros(1, dtype=bool)
-    while True:
-        steps = rng.normal(spec.mu_step, spec.sigma_step, size=BLOCK)
+    for size in _block_sizes():
+        steps = rng.normal(spec.mu_step, spec.sigma_step, size=size)
         # accumulate adds left to right: each price is previous + step.
         prices = np.add.accumulate(np.concatenate(([p], steps)))[1:]
         clamped = prices < spec.floor
@@ -288,11 +304,15 @@ def walk_blocks(spec: WalkSpec, seed: int) -> Iterator[tuple[np.ndarray, np.ndar
 
 
 def series_blocks(series: PriceSeries) -> Iterator[tuple[np.ndarray, None]]:
-    """A fixed series in blocks of BLOCK prices; exhaustion ends the path."""
+    """A fixed series in blocks growing from BLOCK to MAX_BLOCK; exhaustion ends the path."""
     import numpy as np
     prices = series.prices
-    for start in range(0, len(prices), BLOCK):
-        yield np.array(prices[start : start + BLOCK]), None
+    start = 0
+    for size in _block_sizes():
+        if start >= len(prices):
+            return
+        yield np.array(prices[start : start + size]), None
+        start += size
 
 
 def price_blocks(

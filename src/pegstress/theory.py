@@ -194,19 +194,21 @@ def _ledger(prices, eps_alpha: float, eps_beta: float, n0: float) -> tuple[list[
     Tracks the best achievable all-out wealth multiple and the best all-in
     stablecoin multiple; each price may extend either by one action.  Returns
     the profit trace scaled by n0, the ascending steps where a sell raised the
-    all-out best and those where a buy raised the all-in best.
+    all-out best and those where a buy raised the all-in best.  The step is
+    read off the trace's length when a best improves, which is rare, rather
+    than counted at every price.
     """
     best_out, best_in = 1.0, 0.0
     trace, sells, buys = [], [], []
-    for t, p in enumerate(prices):
+    for p in prices:
         new_in = best_out * _buy_factor(p, eps_alpha)
         new_out = best_in * _sell_factor(p, eps_beta)
         if new_in > best_in:
             best_in = new_in
-            buys.append(t)
+            buys.append(len(trace))
         if new_out > best_out:
             best_out = new_out
-            sells.append(t)
+            sells.append(len(trace))
         trace.append(n0 * (best_out - 1.0))
     return trace, sells, buys
 

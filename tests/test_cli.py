@@ -713,6 +713,35 @@ class TestConfigSchema:
         assert out == ""
         assert err.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "sweep", "theory", "ingest-stats"])
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"sweep": {"axis": "delta", "values": [2.0, -1.0]}}, "delta must lie in (0, 1)"),
+            ({"sweep": {"axis": "eps", "values": [0.01, 1.0]}}, "eps_beta must lie in [0, 1)"),
+            ({"sweep": {"axis": "sigma_step", "values": [1.0]}}, "sigma_step sweep requires a walk source"),
+            ({"source": LITERAL, "mode": "analytic"}, "analytic mode requires a distribution source"),
+            ({"source": SOURCES["walk"], "mode": "analytic"}, "analytic mode requires a distribution source"),
+        ],
+        ids=["sweep_delta", "sweep_eps", "sweep_axis_source", "mode_literal", "mode_walk"],
+    )
+    def test_contradiction_rejected_by_every_subcommand(self, tmp_path, capsys, command, change, message):
+        # A sweep value its axis rejects, or an analytic mode on a price
+        # path, fails every subcommand with the message simulate and sweep
+        # give, whether or not the subcommand sweeps or simulates.
+        cfg = write_config(tmp_path, "bad.json", dict(EX1_CONFIG, **change))
+        assert main([command, "--config", cfg, "--trials", "2"]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_sweep_values_checked_without_the_simulation_sections(self, tmp_path, capsys):
+        # theory needs no speculator or reserves; the sweep values are
+        # checked against stand-ins for them.
+        payload = {"source": LITERAL, "sweep": {"axis": "lambda", "values": [0.0, 0.5]}}
+        assert main(["theory", "--config", write_config(tmp_path, "ok.json", payload)]) == 0
+        payload["sweep"]["values"] = [1.5]
+        assert main(["theory", "--config", write_config(tmp_path, "bad.json", payload)]) == 1
+        assert capsys.readouterr().err == "error: lambda_buy must lie in [0, 1]\n"
+
     @pytest.mark.parametrize("flag, key", [("--trials", "trials"), ("--max-steps", "max_steps")])
     def test_zero_count_override_rejected(self, tmp_path, capsys, flag, key):
         cfg = write_config(tmp_path, "alt.json", {"source": LITERAL})

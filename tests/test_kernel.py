@@ -6,8 +6,10 @@ built a new MechanismState per trade, the other adaptive ones on an engine
 that still visited every adaptive step, and the sigma_step sweep and the
 m0/lambda_sell 1 run on one that visited every out-of-band step.  The json
 digests were recorded while --out still held every record and wrote the
-file with one json.dump.  Any change to the kernel or the writer must keep
-them byte for byte.
+file with one json.dump.  The long-walk and 50k-price csv digests were
+recorded while the walk and series generators still drew every block at 512
+prices; those runs reach the generators' widest blocks.  Any change to the
+kernel or the writer must keep them byte for byte.
 
 An untraced run visits only the out-of-band steps on a side that holds
 something; a traced run visits every step.  run_every_step, a copy of the
@@ -28,7 +30,7 @@ from hypothesis import strategies as st
 from pegstress.cli import main
 from pegstress.engine import AdaptiveSpec, RollingBand, SimConfig, SimResult, _analytic_band, monte_carlo, run
 from pegstress.mechanism import MechanismState, apply_trade, check_schedule, settle
-from pegstress.prices import BLOCK, NormalSpec, PriceSeries, WalkSpec, derive_seed, price_blocks, random_walk
+from pegstress.prices import BLOCK, MAX_BLOCK, NormalSpec, PriceSeries, WalkSpec, derive_seed, price_blocks, random_walk
 from pegstress.speculator import SpeculatorParams
 from pegstress.theory import run_omniscient
 
@@ -49,6 +51,8 @@ ADAPTIVE_WALK = {
 }
 # Window longer than a 512-price block, so the window spans block edges.
 ADAPTIVE_WINDOW_600 = dict(ADAPTIVE_WALK, adaptive={"c": 1.0, "window": 600})
+# Long enough to reach the widest walk blocks, and to deplete inside one.
+ADAPTIVE_WINDOW_600_LONG = dict(ADAPTIVE_WALK, adaptive={"c": 1.0, "window": 600}, run={"max_steps": 20000})
 # Smallest window and a zero-width band: nearly every step is a candidate.
 ADAPTIVE_WINDOW_2_C_0 = dict(ADAPTIVE_WALK, adaptive={"c": 0.0, "window": 2})
 # A fixed series with fees and haircuts; depletion lands on both sides of
@@ -79,11 +83,12 @@ HOLDS_BOTH = dict(REFERENCE, m0=1.0, speculator={"delta": 0.1, "lambda_sell": 1.
         (REFERENCE, "5d414d05a8927b08f5e43470556d28617896316f6351cf034032d98385f14e9d"),
         (ADAPTIVE_WALK, "960e8a700ecc729cd1c4e59d4b2896e8b9633bf3ecce9fe3e8f43e3942141adc"),
         (ADAPTIVE_WINDOW_600, "6e64d01492419acc198747eb2fe8f4121f0a2e26171697406ee2fb1db916da8d"),
+        (ADAPTIVE_WINDOW_600_LONG, "8d195298cb6f2aac1dad2f52d3457087d2ad14908300c6fdfe51beb93d0ce010"),
         (ADAPTIVE_WINDOW_2_C_0, "d939e9684c6d70f45c8f4ee5683d2ec192bda3e2b75a52ad8ad9932f2c680deb"),
         (ADAPTIVE_LITERAL, "f6d48be0857740d6ba6b107bda36deaf4482449824919ddc6c47cdefd26cfdd0"),
         (HOLDS_BOTH, "bab5480374989f7211af65aa280d293074d46042f9d2c473ebb6da704bb60da1"),
     ],
-    ids=["reference", "adaptive_walk", "adaptive_window_600", "adaptive_window_2_c_0", "adaptive_literal", "holds_both"],
+    ids=["reference", "adaptive_walk", "adaptive_window_600", "adaptive_window_600_long", "adaptive_window_2_c_0", "adaptive_literal", "holds_both"],
 )
 def test_simulate_out_is_pinned(tmp_path, capsys, payload, digest):
     cfg = tmp_path / "cfg.json"
@@ -116,6 +121,31 @@ def test_simulate_json_out_is_pinned(tmp_path, capsys, payload, flags, digest):
     out = tmp_path / "runs.json"
     argv = ["simulate", "--config", str(cfg), "--seed", "7", "--out", str(out), "--format", "json", *flags]
     assert main(argv) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("csv", "1754408b99fc1948f78f3c152c3b46a7d9e617d89721c844921e35c91c2f91cb"),
+        ("json", "34cb12905494e065a352ff4b80839f449d7ae54c2c7400f648febb7321c00e15"),
+    ],
+)
+def test_csv_simulate_out_is_pinned(tmp_path, capsys, fmt, digest):
+    # The history benchmark's simulate shape: a 50k-price csv series, one
+    # trial per n0; no run depletes, so each walks the whole series.
+    walk = random_walk(WalkSpec(0.0, 1.0, 2000.0), 50_000, 12345)
+    series = tmp_path / "series.csv"
+    series.write_text("timestamp,price\n" + "".join(f"{t},{p!r}\n" for t, p in enumerate(walk.prices)))
+    payload = {
+        "source": {"kind": "csv", "path": str(series)}, "speculator": {"delta": 0.1}, "mode": "adaptive",
+        "adaptive": {"c": 2.0, "window": 168}, "reserves0": 100.0, "n0_grid": [0.5, 1.0, 2.0, 4.0],
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    out = tmp_path / f"runs.{fmt}"
+    assert main(["simulate", "--config", str(cfg), "--seed", "7", "--out", str(out), "--format", fmt]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
@@ -312,6 +342,42 @@ def test_rolling_band_matches_adaptive_interval(seed, sigma, window, c):
         mean, std = (lo[t] + hi[t]) / 2, (hi[t] - lo[t]) / (2 * c)
         assert abs(mean - ref_mean) <= 1e-12 * ref_mean
         assert abs(std * std - ref_std * ref_std) <= 1e-12 * ref_mean * ref_mean
+
+
+@settings(deadline=None)
+@given(
+    kind=st.sampled_from(["walk", "series"]),
+    seed=st.integers(0, 2**32),
+    sigma=st.sampled_from([0.5, 2.0, 30.0]),
+    window=st.sampled_from([2, 3, 168, 511, 512, 513, 1200]),
+    c=st.sampled_from([0.0, 1.0, 3.5]),
+    length=st.integers(20_000, 22_000),
+)
+def test_band_layout_matches_512_blocks(kind, seed, sigma, window, c, length):
+    # The generators' blocks grow to MAX_BLOCK; RollingBand cuts each into
+    # BLOCK-price segments from its first price.  Those fall where 512-price
+    # blocks would start (after a walk's [p0] block), so the bands must be
+    # the same floats as band() called once per 512 prices.  The last block
+    # is cut short, as run cuts it at max_steps; at window 1200 a pass holds
+    # seven segments, so a widest block takes two passes.
+    walk = WalkSpec(0.0, sigma, 100.0)  # sigma 30 clamps at the floor
+    source = walk if kind == "walk" else random_walk(walk, length, seed)
+    blocks, taken = [], 0
+    for prices, _ in price_blocks(source, seed):
+        blocks.append(prices[: length - taken])
+        taken += len(blocks[-1])
+        if taken == length:
+            break
+    assert max(map(len, blocks)) == MAX_BLOCK > len(blocks[-1])
+    path = np.concatenate(blocks)
+    head = len(blocks[0]) % BLOCK  # a walk's [p0] block
+    grid = [path[:head]] * bool(head) + [path[s : s + BLOCK] for s in range(head, length, BLOCK)]
+    spec = AdaptiveSpec(c=c, window=window)
+    wide, narrow = RollingBand(spec), RollingBand(spec)
+    lo, hi = map(np.concatenate, zip(*map(wide.band, blocks)))
+    ref_lo, ref_hi = map(np.concatenate, zip(*map(narrow.band, grid)))
+    assert (lo[:2] == -math.inf).all() and (hi[:2] == math.inf).all()
+    assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
 
 
 _prices = st.floats(1e-3, 1e5)

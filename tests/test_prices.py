@@ -15,6 +15,7 @@ from scipy import integrate
 from pegstress import prices
 from pegstress.prices import (
     BLOCK,
+    MAX_BLOCK,
     NormalSpec,
     PriceSeries,
     TruncatedNormal,
@@ -25,7 +26,9 @@ from pegstress.prices import (
     load_csv,
     pdf,
     random_walk,
+    series_blocks,
     step_stats,
+    walk_blocks,
 )
 
 STD = NormalSpec(mu=0.0, sigma2=1.0, support_lo=-40.0, support_hi=40.0)
@@ -195,6 +198,60 @@ class TestSampling:
         b = random_walk(spec, 300, seed=9)
         assert a.prices == b.prices
         assert min(a.prices) > 0.0
+
+
+def first_blocks(blocks, n):
+    """The blocks of a generator up to n prices, the last one cut at n."""
+    out, taken = [], 0
+    for prices, clamped in blocks:
+        out.append((prices[: n - taken], None if clamped is None else clamped[: n - taken]))
+        taken += len(out[-1][0])
+        if taken == n:
+            return out
+
+
+class TestBlockLayout:
+    # The path generators' blocks grow from BLOCK to MAX_BLOCK; the prices
+    # and clamp flags must be those of the 512-price blocks they replaced.
+    N = 21_000  # past the fourth MAX_BLOCK block, with a short last one
+
+    @pytest.mark.parametrize(
+        "spec, clamps",
+        [(WalkSpec(0.0, 1.0, 100.0), 0), (WalkSpec(-0.05, 1.0, 5.0), 1041), (WalkSpec(0.3, 30.0, 10.0, floor=2.0), 40)],
+        ids=["plain", "clamping", "clamping_high_floor"],
+    )
+    def test_walk_blocks_equal_the_512_block_stream(self, spec, clamps, monkeypatch):
+        wide = first_blocks(walk_blocks(spec, 5), self.N)
+        assert [len(b) for b, _ in wide] == [1, 512, 1024, 2048, 4096, 4096, 4096, 4096, 1031]
+        path = np.concatenate([b for b, _ in wide])
+        clamped = np.concatenate([c for _, c in wide])
+        # Oracle: the same steps added one by one, restarting at the floor.
+        q, expected, flags = spec.p0, [spec.p0], [False]
+        for step in np.random.default_rng(5).normal(spec.mu_step, spec.sigma_step, self.N - 1).tolist():
+            q += step
+            flags.append(q < spec.floor)
+            q = max(q, spec.floor)
+            expected.append(q)
+        assert path.tolist() == expected and clamped.tolist() == flags
+        series = random_walk(spec, self.N, 5)
+        assert series.prices == tuple(expected) and series.clamp_count == sum(flags) == clamps
+        monkeypatch.setattr(prices, "MAX_BLOCK", BLOCK)
+        narrow = first_blocks(walk_blocks(spec, 5), self.N)
+        assert {len(b) for b, _ in narrow[1:-1]} == {BLOCK}
+        assert np.array_equal(np.concatenate([b for b, _ in narrow]), path)
+        assert np.array_equal(np.concatenate([c for _, c in narrow]), clamped)
+        assert random_walk(spec, self.N, 5) == series
+
+    def test_series_blocks_equal_the_512_block_stream(self, monkeypatch):
+        series = PriceSeries(tuple(100.0 + (k * 7919) % 1009 for k in range(self.N)), "literal")
+        wide = [b for b, _ in series_blocks(series)]
+        assert [len(b) for b in wide] == [512, 1024, 2048, 4096, 4096, 4096, 4096, 1032]
+        assert np.concatenate(wide).tolist() == list(series.prices)
+        monkeypatch.setattr(prices, "MAX_BLOCK", BLOCK)
+        narrow = [b for b, _ in series_blocks(series)]
+        assert [len(b) for b in narrow] == [BLOCK] * (self.N // BLOCK) + [self.N % BLOCK]
+        assert np.array_equal(np.concatenate(narrow), np.concatenate(wide))
+        assert MAX_BLOCK == 8 * BLOCK
 
 
 class TestCsv:
