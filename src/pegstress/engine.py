@@ -21,9 +21,12 @@ With zero fees this is exactly the all-in rule (1 - lambda_buy) * p_t * n.
 
 Monte Carlo trials are independent: trial seeds derive from
 (master_seed, trial index), so aggregation order cannot change any result.
-monte_carlo folds each trial into running sums and keeps no per-trial
-record; a caller that wants the records (the CLI's --out) passes a sink,
-which sees each SimResult once, in trial order, as its trial finishes.
+Every trial draws from one generator set to its seed's PCG64 state
+(prices.seeded_generators): what default_rng(seed) would draw, without a
+generator per trial.  monte_carlo folds each trial into running sums and
+keeps no per-trial record; a caller that wants the records (the CLI's --out)
+passes a sink, which sees each SimResult once, in trial order, as its trial
+finishes.
 
 numpy is imported inside the functions that scan price blocks (RollingBand,
 _running_sums, run), not at module level: importing this module, and with
@@ -39,7 +42,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .mechanism import apply_trade, check_schedule, settle  # noqa: F401  (perfbench/tracing.py wraps engine.apply_trade)
-from .prices import BLOCK, NormalSpec, PriceSeries, WalkSpec, derive_seed, price_blocks
+from .prices import BLOCK, NormalSpec, PriceSeries, WalkSpec, derive_seed, price_blocks, seeded_generators
 from .speculator import NoTradeInterval, SpeculatorParams, waiting_interval
 
 if TYPE_CHECKING:
@@ -266,12 +269,19 @@ def _analytic_band(config: SimConfig) -> tuple[float, float]:
     return wi.y1, wi.y2
 
 
-def run(config: SimConfig, seed: int | None = None, interval: tuple[float, float] | None = None) -> SimResult:
+def run(
+    config: SimConfig,
+    seed: int | None = None,
+    interval: tuple[float, float] | None = None,
+    rng: np.random.Generator | None = None,
+) -> SimResult:
     """Run one simulation.
 
     seed defaults to config.master_seed.  For analytic mode the band
     (y1, y2) is computed from the source distribution unless one is passed
     in (monte_carlo passes it so the optimisation runs once, not per trial).
+    rng, if given, is a generator already in seed's PCG64 state (monte_carlo
+    reseeds one for each trial); without it the run builds its own.
     Untraced, it visits the out-of-band steps on a side that holds something
     (above y2 while n > 0, below y1 while m > 0); traced, every step.
     """
@@ -305,7 +315,7 @@ def run(config: SimConfig, seed: int | None = None, interval: tuple[float, float
     # else sells, so such a run never jumps.  RollingBand's never is (c >= 0).
     inverted = not adaptive and lo > hi
     jump = not (record or inverted)
-    for prices, clamped in price_blocks(source, seed):
+    for prices, clamped in price_blocks(source, seed if rng is None else rng):
         block = prices[: config.max_steps - steps]
         if adaptive:
             lo, hi = window.band(block)
@@ -313,7 +323,7 @@ def run(config: SimConfig, seed: int | None = None, interval: tuple[float, float
         outside = above | (block < lo)
         # sides: True above y2, False below y1, None inside the band, where
         # the state cannot change (only traced runs visit those steps).
-        idx = np.arange(len(block)) if record else np.flatnonzero(outside)
+        idx = np.arange(len(block)) if record else outside.nonzero()[0]
         sides = (np.where(outside, above, None) if record else above[idx]).tolist()
         visit = block[idx].tolist()
         k = 0
@@ -385,10 +395,11 @@ def run(config: SimConfig, seed: int | None = None, interval: tuple[float, float
 def monte_carlo(config: SimConfig, trials: int, sink: Callable | None = None) -> MonteCarloSummary:
     """Run independent trials and aggregate streams (order-independent).
 
-    Trial seeds are derive_seed(master_seed, index); the waiting interval for
-    analytic mode is computed once and shared read-only.  sink, if given, is
-    called as sink(index, result) after each trial, in trial order; nothing
-    else keeps the result.
+    Trial seeds are derive_seed(master_seed, index), and each trial draws
+    from one generator set to its seed's PCG64 state (seeded_generators); the
+    waiting interval for analytic mode is computed once and shared
+    read-only.  sink, if given, is called as sink(index, result) after each
+    trial, in trial order; nothing else keeps the result.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -401,8 +412,9 @@ def monte_carlo(config: SimConfig, trials: int, sink: Callable | None = None) ->
     r_min_sum = 0.0
     r_min_min = math.inf
     r_min_max = -math.inf
-    for idx in range(trials):
-        res = run(config, seed=derive_seed(config.master_seed, idx), interval=interval)
+    seeds = (derive_seed(config.master_seed, idx) for idx in range(trials))
+    for idx, (seed, rng) in enumerate(seeded_generators(seeds)):
+        res = run(config, seed=seed, interval=interval, rng=rng)
         if res.depleted:
             depleted += 1
             sum_steps += res.depletion_step

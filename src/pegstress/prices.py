@@ -16,18 +16,20 @@ which follows from f'(x) = -(x - mu) / sigma^2 * f(x).  Everything downstream
 (waiting intervals, round matrices) leans on that identity, so it is kept in
 one place and tested against quadrature.
 
-Only the block generators (iid_blocks, walk_blocks, series_blocks) and
-step_stats use numpy, and they import it when first called.  The specs, the
-normal calculus, load_csv and derive_seed need only the standard library,
-as do the closed form and the theory report built on them.
+Only the block generators (iid_blocks, walk_blocks, series_blocks), their
+seeding (pcg64_states, seeded_generators) and step_stats use numpy, and they
+import it when first called.  The specs, the normal calculus, load_csv and
+derive_seed need only the standard library, as do the closed form and the
+theory report built on them.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -48,6 +50,8 @@ __all__ = [
     "load_csv",
     "step_stats",
     "derive_seed",
+    "pcg64_states",
+    "seeded_generators",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -243,10 +247,11 @@ class TruncatedNormal:
         return self.mu - self.sigma2 * (pdf_b - pdf_a) / df
 
 
-def iid_blocks(spec: NormalSpec, seed: int) -> Iterator[tuple[np.ndarray, None]]:
+def iid_blocks(spec: NormalSpec, seed: int | np.random.Generator) -> Iterator[tuple[np.ndarray, None]]:
     """Endless i.i.d. draws clipped to the truncated support, in blocks of BLOCK.
 
-    Draws come from numpy's PCG64 generator seeded directly with ``seed``.
+    Draws are default_rng(seed)'s stream (_generator), or come from a
+    Generator passed as seed (monte_carlo reseeds one per trial).
     Yields (prices, None): clipping is not counted as clamping.
     """
     import numpy as np
@@ -254,10 +259,12 @@ def iid_blocks(spec: NormalSpec, seed: int) -> Iterator[tuple[np.ndarray, None]]
         block = np.full(BLOCK, float(spec.mu))
         while True:
             yield block, None
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     while True:
         block = rng.normal(spec.mu, spec.sigma, size=BLOCK)
-        np.clip(block, spec.support_lo, spec.support_hi, out=block)
+        # clip's Python wrapper costs more than the two ufuncs; draws are never NaN.
+        np.maximum(block, spec.support_lo, out=block)
+        np.minimum(block, spec.support_hi, out=block)
         yield block, None
 
 
@@ -269,15 +276,16 @@ def _block_sizes() -> Iterator[int]:
         size = min(2 * size, MAX_BLOCK)
 
 
-def walk_blocks(spec: WalkSpec, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def walk_blocks(spec: WalkSpec, seed: int | np.random.Generator) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Endless clamped walk: p0 alone, then blocks growing from BLOCK to MAX_BLOCK.
 
     Yields (prices, clamped), where clamped flags the prices the floor
     caught.  Prices are the same floats as adding the steps one by one, and
-    the steps are the generator's stream whatever the block sizes.
+    the steps are the generator's stream (seeded as in iid_blocks) whatever
+    the block sizes.
     """
     import numpy as np
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     p = float(spec.p0)
     yield np.array([p]), np.zeros(1, dtype=bool)
     for size in _block_sizes():
@@ -316,7 +324,7 @@ def series_blocks(series: PriceSeries) -> Iterator[tuple[np.ndarray, None]]:
 
 
 def price_blocks(
-    source: NormalSpec | WalkSpec | PriceSeries, seed: int
+    source: NormalSpec | WalkSpec | PriceSeries, seed: int | np.random.Generator
 ) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
     """The block generator of the source's price model."""
     if isinstance(source, NormalSpec):
@@ -413,3 +421,71 @@ def derive_seed(master_seed: int, index: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
     return (z ^ (z >> 31)) & mask
+
+
+SEED_CHUNK = 512  # seeds per pcg64_states call in seeded_generators
+# The array pass costs ~150 numpy calls whatever the batch (~0.3 ms), so a
+# batch smaller than this takes numpy's own PCG64(seed) (~25 us a seed).
+_ARRAY_BATCH = 16
+# numpy's SeedSequence hash works in 32-bit words; PCG64 steps a 128-bit LCG.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def pcg64_states(seeds: list[int]) -> list[dict]:
+    """The (state, inc) pair np.random.PCG64(seed) starts in, per seed, as
+    PCG64's ``state["state"]`` dict.
+
+    A batch of _ARRAY_BATCH or more seeds in [0, 2**64) (derive_seed's
+    range) runs numpy's SeedSequence hash as uint32 array arithmetic, ~2 us
+    a seed at 512 seeds.  Any other batch takes numpy's states, or its error."""
+    import numpy as np
+    if len(seeds) < _ARRAY_BATCH or not all(type(s) is int and 0 <= s <= 2**64 - 1 for s in seeds):
+        return [np.random.PCG64(s).state["state"] for s in seeds]
+    seeds = np.array(seeds, dtype=np.uint64)
+    const = 0x43B0D7E5
+
+    def hash_step(value, mult):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ value >> 16
+
+    # The pool: a seed's two 32-bit words padded with zeros, hashed, then mixed.
+    zero = np.zeros(len(seeds), dtype=np.uint32)
+    entropy = ((seeds & _MASK32).astype(np.uint32), (seeds >> 32).astype(np.uint32), zero, zero)
+    pool = [hash_step(w, 0x931E8875) for w in entropy]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                value = 0xCA01F9DD * pool[dst] - 0x4973F715 * hash_step(pool[src], 0x931E8875)
+                pool[dst] = value ^ value >> 16
+    # generate_state(4, uint64): eight 32-bit words, low word first.
+    const = 0x8B51F9DD
+    out = [hash_step(pool[k % 4], 0x58F38DED).astype(np.uint64) for k in range(8)]
+    words = ((out[k] | out[k + 1] << 32).tolist() for k in range(0, 8, 2))
+    # PCG64's seeding: inc from the last two words, then two LCG steps from 0.
+    pairs = []
+    for a, b, c, d in zip(*words):
+        inc = (c << 65 | d << 1 | 1) & _MASK128
+        pairs.append({"state": ((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _MASK128, "inc": inc})
+    return pairs
+
+
+def seeded_generators(seeds: Iterable[int]) -> Iterator[tuple[int, np.random.Generator]]:
+    """(seed, generator) per seed: one Generator set to each seed's state in turn."""
+    import numpy as np
+    rng = np.random.Generator(np.random.PCG64())
+    seeds = iter(seeds)
+    while chunk := list(islice(seeds, SEED_CHUNK)):
+        for seed, pair in zip(chunk, pcg64_states(chunk)):
+            rng.bit_generator.state = {"bit_generator": "PCG64", "state": pair, "has_uint32": 0, "uinteger": 0}
+            yield seed, rng
+
+
+def _generator(seed: int | np.random.Generator) -> np.random.Generator:
+    """seed itself if it is a Generator, else a new one in PCG64(seed)'s state."""
+    import numpy as np
+    return seed if isinstance(seed, np.random.Generator) else next(seeded_generators([seed]))[1]

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .prices import NormalSpec, TruncatedNormal, cdf, pdf
+from .prices import NormalSpec, TruncatedNormal
 from .speculator import SpeculatorParams, WaitingInterval
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "expected_portfolio",
     "expected_depletion_rounds",
     "rounds_to_timesteps",
-    "y_ratio_normal",
     "divergence_check",
 ]
 
@@ -259,7 +258,8 @@ def _rising_runs(p: float, x: float, q: float, y: float, last: int) -> list[tupl
     m_star = (math.log(abs(v)) - math.log(abs(u))) / (math.log(x) - math.log(y))
     before, after = (v > 0.0, u > 0.0) if x > y else (u > 0.0, v > 0.0)
     if not m_star > 0.0:
-        return [(0, last)] if after else []
+        # A turn after m = -1 can leave g(0) above g(-1) although g falls from 0.
+        return [(0, last)] if after else [(0, 0)] if m_star > -1.0 else []
     if m_star >= last:
         return [(0, last)] if before else []
     margin = 2 + int(m_star * 1e-9)
@@ -378,31 +378,6 @@ def rounds_to_timesteps(k: float, i: float, j: float) -> float:
     if k < 0.0:
         raise ValueError("k must be >= 0")
     return i + k * (i + j)
-
-
-def y_ratio_normal(dist: NormalSpec, y1: float, y2: float) -> float:
-    """Y for a normal model in terms of pdf/cdf at the thresholds:
-
-        Y = (mu + sigma^2 f(y2) / (1 - F(y2))) / (mu - sigma^2 f(y1) / F(y1))
-
-    using the untruncated density and CDF, so it matches the conditional-mean
-    ratio only up to truncation effects (negligible for supports of several
-    sigma).
-    """
-    if dist.is_point_mass:
-        # Both correction terms carry a sigma^2 factor, so the ratio is mu/mu.
-        return 1.0
-    f1, f2 = cdf(dist, y1), cdf(dist, y2)
-    if f1 <= 0.0 or (1.0 - f2) <= 0.0:
-        raise ValueError("thresholds leave one tail empty")
-    numerator = dist.mu + dist.sigma2 * pdf(dist, y2) / (1.0 - f2)
-    denominator = dist.mu - dist.sigma2 * pdf(dist, y1) / f1
-    if denominator <= 0.0:
-        raise ValueError(
-            "sell-side conditional mean is nonpositive; raise support_lo (or "
-            "y1) so prices below the threshold stay positive"
-        )
-    return numerator / denominator
 
 
 def divergence_check(mat: RoundMatrix, x0: tuple[float, float]) -> bool:

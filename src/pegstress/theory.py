@@ -16,13 +16,13 @@ The profit oracles quantify what an omniscient trader could extract.  A
 schedule is all-in/all-out: minting at price p turns one backing coin into
 p / (1 + eps_alpha) stablecoins, redeeming turns one stablecoin into
 (1 - eps_beta) / p backing coins, so a buy-sell pair multiplies wealth by
-(p_buy / p_sell) * (1 - eps_beta) / (1 + eps_alpha).  The exhaustive oracle
-enumerates every alternating schedule on short series; the linear-time ledger
-(best all-out / best all-in wealth so far) provably attains the same maxima
-and is used everywhere else: its trace is greedy_threshold_profit, and
+(p_buy / p_sell) * (1 - eps_beta) / (1 + eps_alpha).  The linear-time
+ledger (best all-out / best all-in wealth so far) attains the maxima of every
+alternating schedule: its trace is greedy_threshold_profit, and
 run_omniscient rebuilds one optimal schedule from the steps where it improved.
-Both oracles build their products from the identical per-action factor
-expressions so their outputs agree bit for bit.
+The tests check it against an exhaustive search on short series that builds
+its products from the same per-action factors (_buy_factor, _sell_factor), so
+the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ __all__ = [
     "stability_label",
     "min_fee",
     "converging_spread_series",
-    "optimal_profit_bruteforce",
     "greedy_threshold_profit",
     "sensitivity_check",
     "realized_profit_trace",
@@ -49,7 +48,6 @@ __all__ = [
     "run_omniscient",
 ]
 
-BRUTEFORCE_MAX_LEN = 14
 BOUNDARY_TOL = 1e-12
 
 
@@ -150,44 +148,6 @@ def _sell_factor(p: float, eps_beta: float) -> float:
     return (1.0 - eps_beta) / p
 
 
-def optimal_profit_bruteforce(
-    series: PriceSeries, eps_alpha: float, eps_beta: float, n0: float = 1.0
-) -> tuple[float, ...]:
-    """Optimal-trader profit trace by exhaustive schedule enumeration.
-
-    Every alternating buy/sell schedule is a subset of timesteps read in
-    order (odd positions buy, even positions sell); subsets ending on a buy
-    never help backing profit and are skipped.  s_t is the best wealth
-    multiple completed by step t, minus 1, scaled by n0.  Exponential in the
-    length, so the series must have at most BRUTEFORCE_MAX_LEN prices.
-    """
-    t_len = len(series)
-    if t_len > BRUTEFORCE_MAX_LEN:
-        raise ValueError(f"series too long for exhaustive search (max {BRUTEFORCE_MAX_LEN})")
-    prices = series.prices
-    best_done_at = [1.0] * (t_len + 1)
-    for mask in range(1 << t_len):
-        if bin(mask).count("1") % 2 == 1:
-            continue
-        wealth = 1.0
-        buying = True
-        last = -1
-        for idx in range(t_len):
-            if mask >> idx & 1:
-                p = prices[idx]
-                wealth *= _buy_factor(p, eps_alpha) if buying else _sell_factor(p, eps_beta)
-                buying = not buying
-                last = idx
-        if wealth > best_done_at[last + 1]:
-            best_done_at[last + 1] = wealth
-    trace = []
-    running = 1.0
-    for t in range(1, t_len + 1):
-        running = max(running, best_done_at[t])
-        trace.append(n0 * (running - 1.0))
-    return tuple(trace)
-
-
 def _ledger(prices, eps_alpha: float, eps_beta: float, n0: float) -> tuple[list[float], list[int], list[int]]:
     """The linear-time profit ledger: one forward pass over the prices.
 
@@ -219,7 +179,7 @@ def greedy_threshold_profit(
     """Optimal-trader profit trace in linear time.
 
     The ledger's dynamic program ranges over exactly the alternating
-    schedules the exhaustive oracle enumerates, so the traces agree exactly.
+    schedules an exhaustive search enumerates, so the traces agree exactly.
     """
     return tuple(_ledger(series.prices, eps_alpha, eps_beta, n0)[0])
 

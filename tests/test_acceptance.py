@@ -34,16 +34,16 @@ from pegstress.rounds import (
     eigen,
     expected_portfolio,
     round_matrix_from_params,
-    y_ratio_normal,
 )
 from pegstress.speculator import NoTradeInterval, SpeculatorParams, WaitingInterval, waiting_interval
 from pegstress.theory import (
     TailSpread,
     greedy_threshold_profit,
     min_fee,
-    optimal_profit_bruteforce,
     run_omniscient,
 )
+
+from oracles import optimal_profit_bruteforce, y_ratio_normal
 
 
 @contextmanager

@@ -18,7 +18,7 @@ from pegstress.engine import (
     run,
     sweep,
 )
-from pegstress.prices import NormalSpec, PriceSeries, WalkSpec, derive_seed
+from pegstress.prices import SEED_CHUNK, NormalSpec, PriceSeries, WalkSpec, derive_seed
 from pegstress.speculator import SpeculatorParams
 
 EX1 = SimConfig(
@@ -226,6 +226,41 @@ class TestMonteCarlo:
     def test_trials_validated(self):
         with pytest.raises(ValueError, match="trials"):
             monte_carlo(EX1, trials=0)
+
+    def test_results_do_not_depend_on_seed_chunks(self):
+        # Seeds' generator states are computed SEED_CHUNK trials at a time.
+        def results(trials):
+            seen = []
+            monte_carlo(EX1, trials=trials, sink=lambda idx, res: seen.append(res))
+            return seen
+
+        longer = results(2 * SEED_CHUNK + 5)
+        for trials in (SEED_CHUNK - 1, SEED_CHUNK, SEED_CHUNK + 1, 2 * SEED_CHUNK + 1):
+            assert results(trials) == longer[:trials]
+        for idx in (SEED_CHUNK - 1, SEED_CHUNK, 2 * SEED_CHUNK):
+            assert longer[idx] == run(EX1, seed=derive_seed(EX1.master_seed, idx))
+
+    def test_nested_monte_carlo_in_a_sink(self):
+        # Each monte_carlo call reseeds its own generator, so a sink may run
+        # another one without moving the outer trials' prices.
+        walk = dataclasses.replace(EX1, source=WalkSpec(0.0, 1.0, 100.0), max_steps=600, master_seed=3)
+        inner = []
+        outer = []
+
+        def sink(idx, res):
+            inner.append(monte_carlo(walk, trials=3))
+            outer.append(res)
+
+        assert monte_carlo(EX1, trials=6, sink=sink) == monte_carlo(EX1, trials=6)
+        assert outer == [run(EX1, seed=derive_seed(EX1.master_seed, idx)) for idx in range(6)]
+        assert inner == [monte_carlo(walk, trials=3)] * 6
+
+    @pytest.mark.parametrize("seed", [2**64, 2**70])
+    def test_direct_run_takes_seeds_past_64_bits(self, seed):
+        traced = run(dataclasses.replace(EX1, record_traces=True), seed=seed)
+        want = np.random.default_rng(seed).normal(100.0, 10.0, traced.steps)
+        assert traced.seed == seed and traced.steps > 100
+        assert traced.traces.p == tuple(np.clip(want, EX1.source.support_lo, EX1.source.support_hi).tolist())
 
 
 class TestSweep:

@@ -8,8 +8,10 @@ m0/lambda_sell 1 run on one that visited every out-of-band step.  The json
 digests were recorded while --out still held every record and wrote the
 file with one json.dump.  The long-walk and 50k-price csv digests were
 recorded while the walk and series generators still drew every block at 512
-prices; those runs reach the generators' widest blocks.  Any change to the
-kernel or the writer must keep them byte for byte.
+prices; those runs reach the generators' widest blocks.  The five-chunk
+reference and walk-source json digests were recorded while every trial still
+built its own generator (default_rng(seed)).  Any change to the kernel or the
+writer must keep them byte for byte.
 
 An untraced run visits only the out-of-band steps on a side that holds
 something; a traced run visits every step.  run_every_step, a copy of the
@@ -120,6 +122,30 @@ def test_simulate_json_out_is_pinned(tmp_path, capsys, payload, flags, digest):
     cfg.write_text(json.dumps(payload))
     out = tmp_path / "runs.json"
     argv = ["simulate", "--config", str(cfg), "--seed", "7", "--out", str(out), "--format", "json", *flags]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "payload, trials, fmt, digest",
+    [
+        # Five chunks of generator states (4 x SEED_CHUNK 512, then 452 trials).
+        (REFERENCE, "2500", "csv", "864b2783599368fd229a7079f7ae0358697e2a15b41ef88e692f4a3c152e863f"),
+        (
+            dict(ADAPTIVE_WALK, source=dict(ADAPTIVE_WALK["source"], sigma_step=2.0), run={"max_steps": 5000}),
+            "200",
+            "json",
+            "51f8d0c46d5984f9c1a24cc8881a83c7ce11e126129cfa46e55629a0c5f09cc4",
+        ),
+    ],
+    ids=["reference_five_seed_chunks", "walk_json"],
+)
+def test_bulk_seeded_out_is_pinned(tmp_path, capsys, payload, trials, fmt, digest):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    out = tmp_path / f"runs.{fmt}"
+    argv = ["simulate", "--config", str(cfg), "--trials", trials, "--seed", "11", "--out", str(out), "--format", fmt]
     assert main(argv) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from pegstress import prices
@@ -24,6 +26,7 @@ from pegstress.prices import (
     derive_seed,
     iid_blocks,
     load_csv,
+    pcg64_states,
     pdf,
     random_walk,
     series_blocks,
@@ -376,6 +379,60 @@ class TestSeedDerivation:
         for i in range(50):
             s = derive_seed(2**63, i)
             assert 0 <= s < 2**64
+
+
+@settings(deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=prices._ARRAY_BATCH, max_size=80))
+@example(seeds=[0, 1, 2**32 - 1, 2**32, 2**64 - 1] * 4)
+def test_seeding_property_pcg64_states_equal_numpy(seeds):
+    # Batches this large take the array pass: the bulk SeedSequence hash gives
+    # each seed the state PCG64(seed) starts in.
+    assert pcg64_states(seeds) == [np.random.PCG64(s).state["state"] for s in seeds]
+
+
+class TestSeeding:
+    def test_edges_and_derived_seeds(self):
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + [derive_seed(m, i) for m in (0, 7, 2**64 + 5) for i in range(300)]
+        assert pcg64_states(seeds) == [np.random.PCG64(s).state["state"] for s in seeds]
+
+    @pytest.mark.parametrize("seed", [2**64, 2**70])
+    def test_seeds_past_64_bits_take_numpy_state(self, seed):
+        assert pcg64_states([seed]) == [np.random.PCG64(seed).state["state"]]
+        assert pcg64_states([1, seed]) == [np.random.PCG64(1).state["state"], np.random.PCG64(seed).state["state"]]
+
+    def test_negative_seed_raises_numpys_error(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            pcg64_states([-1])
+        with pytest.raises(ValueError, match="non-negative"):
+            next(iid_blocks(EX1, -1))
+
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 - 1, 2**64, 2**70])
+    def test_streams_are_default_rngs(self, seed):
+        want = np.clip(np.random.default_rng(seed).normal(100.0, 10.0, 3 * BLOCK), EX1.support_lo, EX1.support_hi)
+        assert iid_prices(EX1, 3 * BLOCK, seed).tolist() == want.tolist()
+        steps = np.random.default_rng(seed).normal(0.0, 1.0, 2000)
+        path = np.add.accumulate(np.concatenate(([1000.0], steps)))  # far above the floor
+        assert random_walk(WalkSpec(0.0, 1.0, 1000.0), 2001, seed).prices == tuple(path.tolist())
+
+    def test_a_generator_is_drawn_from_as_it_stands(self):
+        rng = np.random.default_rng(3)
+        rng.normal(size=5)
+        want = np.random.default_rng(3)
+        want.normal(size=5)
+        assert next(iid_blocks(EX1, rng))[0].tolist() == np.clip(want.normal(100.0, 10.0, BLOCK), EX1.support_lo, EX1.support_hi).tolist()
+
+    @pytest.mark.parametrize(
+        "make", [lambda s: iid_blocks(EX1, s), lambda s: walk_blocks(WalkSpec(0.0, 1.0, 100.0), s)], ids=["iid", "walk"]
+    )
+    def test_streams_driven_alternately_equal_each_alone(self, make):
+        # Each stream owns its generator: interleaving two cannot mix them.
+        alone = [[next(blocks)[0].tolist() for _ in range(4)] for blocks in (make(4), make(5))]
+        a, b = make(4), make(5)
+        mixed = [[], []]
+        for _ in range(4):
+            mixed[0].append(next(a)[0].tolist())
+            mixed[1].append(next(b)[0].tolist())
+        assert mixed == alone and alone[0] != alone[1]
 
 
 class TestSpecValidation:

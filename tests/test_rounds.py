@@ -24,9 +24,10 @@ from pegstress.rounds import (
     expected_portfolio,
     round_matrix_from_params,
     rounds_to_timesteps,
-    y_ratio_normal,
 )
 from pegstress.speculator import SpeculatorParams, WaitingInterval, waiting_interval
+
+from oracles import y_ratio_normal
 
 EX1_DIST = NormalSpec(100.0, 100.0)
 EX1_PARAMS = SpeculatorParams(delta=0.1)
@@ -395,6 +396,9 @@ class TestDepletion:
 
     @settings(max_examples=300, deadline=None)
     @example(a1=0.75, a2=0.75, c1n=1.5, c2n=-1.625, at=114, nudge=1.0, reserves0=8.0)
+    # The odd rounds' progression turns between rounds 7 and 9 and falls
+    # from 9, where it first crosses a target of 0.
+    @example(a1=-0.9, a2=2.0734494562387106e-29, c1n=-6.728109076440626e-208, c2n=-1.0, at=1, nudge=1.0, reserves0=1.0)
     @given(
         a1=st.one_of(st.floats(0.2, 1.6), st.sampled_from([1.0, -0.9, 1.0 + 1e-4])),
         a2=st.one_of(st.floats(-1.2, 1.2), st.sampled_from([0.0, -1.0, 1.0, -0.999, 0.999])),

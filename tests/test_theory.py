@@ -29,13 +29,14 @@ from pegstress.theory import (
     converging_spread_series,
     greedy_threshold_profit,
     min_fee,
-    optimal_profit_bruteforce,
     realized_profit_trace,
     run_omniscient,
     sensitivity_check,
     stability_label,
     tail_spread,
 )
+
+from oracles import optimal_profit_bruteforce
 
 
 def series(*prices):
