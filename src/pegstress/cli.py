@@ -248,15 +248,13 @@ def _parse_config(raw: dict, args) -> dict:
     for key in ("seed", "trials", "max_steps"):
         if getattr(args, key) is not None:
             run[key] = getattr(args, key)
-    try:
-        cfg["adaptive"] = AdaptiveSpec(**cfg["adaptive"])
-        if cfg["speculator"] is not None:
-            cfg["speculator"] = SpeculatorParams(**cfg["speculator"])
-        if cfg["matrix"] is not None:
-            cfg["matrix"] = round_matrix_from_params(**cfg["matrix"])
-        check_fees(**cfg["fees"])
-    except ValueError as exc:  # the model's own message, as for a source
-        raise ConfigError(str(exc)) from None
+    # A model's own ValueError, like a ConfigError, is main's "error: ..." line.
+    cfg["adaptive"] = AdaptiveSpec(**cfg["adaptive"])
+    if cfg["speculator"] is not None:
+        cfg["speculator"] = SpeculatorParams(**cfg["speculator"])
+    if cfg["matrix"] is not None:
+        cfg["matrix"] = round_matrix_from_params(**cfg["matrix"])
+    check_fees(**cfg["fees"])
     if cfg["mode"] not in MODES:
         raise ConfigError("mode must be auto, analytic, or adaptive")
     if cfg["mode"] == "analytic" and not isinstance(cfg["source"], (NormalSpec, type(None))):
@@ -278,10 +276,7 @@ def _parse_config(raw: dict, args) -> dict:
             source=cfg["source"], speculator=cfg["speculator"] or SpeculatorParams(delta=0.5),
             reserves0=cfg["reserves0"] or 1.0, n0=cfg["n0"], m0=cfg["m0"], **cfg["fees"],
         )
-        try:
-            sweep_configs(probe, sw["axis"], sw["values"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        sweep_configs(probe, sw["axis"], sw["values"])
     return cfg
 
 
@@ -519,11 +514,10 @@ def cmd_sweep(cfg: dict, args) -> None:
     sw = _need(cfg, "sweep")
     # --trials beats sweep.trials, which beats run.trials.
     trials = sw["trials"] if args.trials is None and sw["trials"] is not None else cfg["run"]["trials"]
-    points = sweep(config, sw["axis"], sw["values"], trials)
     rows = []
-    for pt in points:
-        row = _summary_rows(pt.summary, {"axis": pt.axis, "value": pt.value})
-        mean = pt.summary.mean_depletion_step
+    for value, summary in zip(sw["values"], sweep(config, sw["axis"], sw["values"], trials)):
+        row = _summary_rows(summary, {"axis": sw["axis"], "value": value})
+        mean = summary.mean_depletion_step
         row["log10_mean_depletion_steps"] = math.log10(mean) if mean else None
         rows.append(row)
     _emit(rows, args)
@@ -574,7 +568,7 @@ def main(argv=None) -> int:
 
     try:
         args.fn(_parse_config(_load_config(args.config), args), args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # a ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -1,11 +1,10 @@
 """Simulation driver: one trader against one mechanism until depletion.
 
-Prices come in blocks from the source's block generator: 512 i.i.d.
-prices at a time, or walk and series blocks that grow from 512 to 4096, all
-on a fixed grid of 512-price segments from the start of the path.  A step
-asks the trader for a trade, settles it on plain floats (mechanism.settle),
-and the run stops when the reserves hit zero or the horizon runs out.  A
-price inside the trader's band changes nothing, nor does one on a side that
+Prices come in blocks from the source's block generator, which grow from 512
+to 4096 prices, all on a fixed grid of 512-price segments from the start of
+the path.  A step asks the trader for a trade, settles it on plain floats
+(mechanism.settle), and the run stops when the reserves hit zero or the
+horizon runs out.  A price inside the trader's band changes nothing, nor does one on a side that
 holds nothing (above it with no backing, below it with no stablecoins).  So
 an untraced run visits only the out-of-band steps, found with one numpy pass
 per block, on a side that holds something: from a step on an empty side it
@@ -22,11 +21,11 @@ With zero fees this is exactly the all-in rule (1 - lambda_buy) * p_t * n.
 Monte Carlo trials are independent: trial seeds derive from
 (master_seed, trial index), so aggregation order cannot change any result.
 Every trial draws from one generator set to its seed's PCG64 state
-(prices.seeded_generators): what default_rng(seed) would draw, without a
-generator per trial.  monte_carlo folds each trial into running sums and
-keeps no per-trial record; a caller that wants the records (the CLI's --out)
-passes a sink, which sees each SimResult once, in trial order, as its trial
-finishes.
+(prices.seeded_generators): what default_rng(seed), which a lone run builds,
+would draw, without a generator per trial.  monte_carlo folds each trial into
+running sums and keeps no per-trial record; a caller that wants the records
+(the CLI's --out) passes a sink, which sees each SimResult once, in trial
+order, as its trial finishes.
 
 numpy is imported inside the functions that scan price blocks (RollingBand,
 _running_sums, run), not at module level: importing this module, and with
@@ -55,7 +54,6 @@ __all__ = [
     "Traces",
     "SimResult",
     "MonteCarloSummary",
-    "SweepPoint",
     "run",
     "monte_carlo",
     "sweep",
@@ -246,13 +244,6 @@ class MonteCarloSummary:
     r_min_max: float
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    axis: str
-    value: float
-    summary: MonteCarloSummary
-
-
 def _analytic_band(config: SimConfig) -> tuple[float, float]:
     """Trade triggers (y1, y2) for analytic mode, which needs a normal source.
 
@@ -281,7 +272,8 @@ def run(
     (y1, y2) is computed from the source distribution unless one is passed
     in (monte_carlo passes it so the optimisation runs once, not per trial).
     rng, if given, is a generator already in seed's PCG64 state (monte_carlo
-    reseeds one for each trial); without it the run builds its own.
+    reseeds one for each trial); without it the run draws from
+    default_rng(seed).
     Untraced, it visits the out-of-band steps on a side that holds something
     (above y2 while n > 0, below y1 while m > 0); traced, every step.
     """
@@ -315,7 +307,7 @@ def run(
     # else sells, so such a run never jumps.  RollingBand's never is (c >= 0).
     inverted = not adaptive and lo > hi
     jump = not (record or inverted)
-    for prices, clamped in price_blocks(source, seed if rng is None else rng):
+    for prices, clamped in price_blocks(source, np.random.default_rng(seed) if rng is None else rng):
         block = prices[: config.max_steps - steps]
         if adaptive:
             lo, hi = window.band(block)
@@ -474,11 +466,8 @@ def sweep_configs(config: SimConfig, axis: str, values) -> list[SimConfig]:
     return [_with_axis(config, axis, float(v)) for v in values]
 
 
-def sweep(config: SimConfig, axis: str, values, trials: int) -> tuple[SweepPoint, ...]:
-    """Monte Carlo at each axis value; the master seed is shared across
-    points so neighbouring points see common random numbers.  Every value is
-    checked before the first trial runs."""
-    points = []
-    for v, point in zip(values, sweep_configs(config, axis, values)):
-        points.append(SweepPoint(axis=axis, value=float(v), summary=monte_carlo(point, trials)))
-    return tuple(points)
+def sweep(config: SimConfig, axis: str, values, trials: int) -> tuple[MonteCarloSummary, ...]:
+    """Monte Carlo at each axis value, one summary per value in order; the
+    master seed is shared across points so neighbouring points see common
+    random numbers.  Every value is checked before the first trial runs."""
+    return tuple(monte_carlo(point, trials) for point in sweep_configs(config, axis, values))

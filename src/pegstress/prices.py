@@ -16,11 +16,13 @@ which follows from f'(x) = -(x - mu) / sigma^2 * f(x).  Everything downstream
 (waiting intervals, round matrices) leans on that identity, so it is kept in
 one place and tested against quadrature.
 
-Only the block generators (iid_blocks, walk_blocks, series_blocks), their
-seeding (pcg64_states, seeded_generators) and step_stats use numpy, and they
-import it when first called.  The specs, the normal calculus, load_csv and
-derive_seed need only the standard library, as do the closed form and the
-theory report built on them.
+Only the block generators (iid_blocks, walk_blocks, series_blocks), the
+bulk seeding (pcg64_states, seeded_generators), random_walk and step_stats
+use numpy, and they import it when first called.  A block generator that
+draws takes a numpy Generator from its caller and never builds one from a
+seed.  The specs, the normal calculus, load_csv and derive_seed need only
+the standard library, as do the closed form and the theory report built on
+them.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ __all__ = [
     "NormalSpec",
     "WalkSpec",
     "PriceSeries",
-    "pdf",
     "cdf",
     "TruncatedNormal",
     "iid_blocks",
@@ -65,13 +66,12 @@ _MIN_EVENT_PROB = 1e-13
 _POSITIVE_FLOOR = 1e-6
 
 # Prices per block drawn by the block generators; one simulation trial
-# holds one block at a time.  iid_blocks draws BLOCK prices at a time (an
-# analytic trial at the reference config ends after ~224 steps).  The path
-# generators (walk_blocks, series_blocks) start at BLOCK and double up to
-# MAX_BLOCK, so a short run draws little and a long one pays numpy's
-# per-call cost once per MAX_BLOCK prices.  Each block they yield, but a
-# series' last, is a whole number of BLOCK-price segments, so the segments
-# lie on a fixed grid whatever the block sizes.
+# holds one block at a time.  Every generator's blocks start at BLOCK and
+# double up to MAX_BLOCK, so a short run draws little (an analytic trial at
+# the reference config ends after ~224 steps) and a long one pays numpy's
+# per-call cost once per MAX_BLOCK prices.  Each block, but a series' last,
+# is a whole number of BLOCK-price segments, so the segments lie on a fixed
+# grid whatever the block sizes.
 BLOCK = 512
 MAX_BLOCK = 8 * BLOCK
 
@@ -82,10 +82,11 @@ class NormalSpec:
 
     Default support is mu +/- 6 sigma, with the lower edge floored at a small
     positive value so the model can be used as a price source.  Explicit bounds
-    may place the support anywhere (tests exercise standard-normal cases);
-    price-generating entry points reject non-positive lower bounds themselves.
+    may place the support anywhere finite (tests exercise standard-normal
+    cases); price-generating entry points reject non-positive lower bounds
+    themselves.
 
-    sigma2 == 0 denotes a point mass at mu.
+    sigma2 == 0 denotes a point mass at mu, whose support must contain mu.
     """
 
     mu: float
@@ -104,7 +105,14 @@ class NormalSpec:
             object.__setattr__(self, "support_lo", lo)
         if math.isnan(self.support_hi):
             object.__setattr__(self, "support_hi", self.mu + 6.0 * sigma)
-        if not (self.support_lo < self.support_hi or self.sigma2 == 0.0):
+        for name in ("support_lo", "support_hi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if self.sigma2 == 0.0:
+            # iid_blocks clips the point's draws, which are mu, to the support.
+            if not self.support_lo <= self.mu <= self.support_hi:
+                raise ValueError("a point mass needs support_lo <= mu <= support_hi")
+        elif not self.support_lo < self.support_hi:
             raise ValueError("support_lo must be < support_hi")
 
     @property
@@ -132,8 +140,8 @@ class WalkSpec:
             raise ValueError("sigma_step must be finite and >= 0")
         if not (self.p0 > 0.0 and math.isfinite(self.p0)):
             raise ValueError("p0 must be a finite positive price")
-        if not (self.floor > 0.0):
-            raise ValueError("floor must be positive so 1/p stays defined")
+        if not (0.0 < self.floor < math.inf):
+            raise ValueError("floor must be finite and positive so 1/p stays defined")
 
 
 @dataclass(frozen=True)
@@ -156,7 +164,7 @@ class PriceSeries:
         return len(self.prices)
 
 
-# The standard-normal formulas behind pdf/cdf and TruncatedNormal; z is the
+# The standard-normal formulas behind cdf and TruncatedNormal; z is the
 # standardised price and scale = sigma * sqrt(2 pi).
 def _std_cdf(z: float) -> float:
     return 0.5 * (1.0 + math.erf(z / _SQRT2))
@@ -164,13 +172,6 @@ def _std_cdf(z: float) -> float:
 
 def _density(z: float, scale: float) -> float:
     return math.exp(-0.5 * z * z) / scale
-
-
-def pdf(spec: NormalSpec, x: float) -> float:
-    """Normal density of N(mu, sigma2) at x (no truncation renormalisation)."""
-    if spec.is_point_mass:
-        raise ValueError("degenerate distribution: pdf undefined for a point mass (sigma2 == 0)")
-    return _density((x - spec.mu) / spec.sigma, spec.sigma * _SQRT2PI)
 
 
 def cdf(spec: NormalSpec, x: float) -> float:
@@ -247,27 +248,6 @@ class TruncatedNormal:
         return self.mu - self.sigma2 * (pdf_b - pdf_a) / df
 
 
-def iid_blocks(spec: NormalSpec, seed: int | np.random.Generator) -> Iterator[tuple[np.ndarray, None]]:
-    """Endless i.i.d. draws clipped to the truncated support, in blocks of BLOCK.
-
-    Draws are default_rng(seed)'s stream (_generator), or come from a
-    Generator passed as seed (monte_carlo reseeds one per trial).
-    Yields (prices, None): clipping is not counted as clamping.
-    """
-    import numpy as np
-    if spec.is_point_mass:
-        block = np.full(BLOCK, float(spec.mu))
-        while True:
-            yield block, None
-    rng = _generator(seed)
-    while True:
-        block = rng.normal(spec.mu, spec.sigma, size=BLOCK)
-        # clip's Python wrapper costs more than the two ufuncs; draws are never NaN.
-        np.maximum(block, spec.support_lo, out=block)
-        np.minimum(block, spec.support_hi, out=block)
-        yield block, None
-
-
 def _block_sizes() -> Iterator[int]:
     """BLOCK, 2 * BLOCK, ... up to MAX_BLOCK, then MAX_BLOCK for ever."""
     size = BLOCK
@@ -276,16 +256,30 @@ def _block_sizes() -> Iterator[int]:
         size = min(2 * size, MAX_BLOCK)
 
 
-def walk_blocks(spec: WalkSpec, seed: int | np.random.Generator) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def iid_blocks(spec: NormalSpec, rng: np.random.Generator) -> Iterator[tuple[np.ndarray, None]]:
+    """Endless i.i.d. draws from rng clipped to the truncated support, in
+    blocks growing from BLOCK to MAX_BLOCK (rng's stream whatever the sizes).
+
+    A point mass draws mu exactly (a normal of scale 0).  Yields
+    (prices, None): clipping is not counted as clamping.
+    """
+    import numpy as np
+    for size in _block_sizes():
+        block = rng.normal(spec.mu, spec.sigma, size=size)
+        # clip's Python wrapper costs more than the two ufuncs; draws are never NaN.
+        np.maximum(block, spec.support_lo, out=block)
+        np.minimum(block, spec.support_hi, out=block)
+        yield block, None
+
+
+def walk_blocks(spec: WalkSpec, rng: np.random.Generator) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Endless clamped walk: p0 alone, then blocks growing from BLOCK to MAX_BLOCK.
 
     Yields (prices, clamped), where clamped flags the prices the floor
     caught.  Prices are the same floats as adding the steps one by one, and
-    the steps are the generator's stream (seeded as in iid_blocks) whatever
-    the block sizes.
+    the steps are rng's stream whatever the block sizes.
     """
     import numpy as np
-    rng = _generator(seed)
     p = float(spec.p0)
     yield np.array([p]), np.zeros(1, dtype=bool)
     for size in _block_sizes():
@@ -324,25 +318,27 @@ def series_blocks(series: PriceSeries) -> Iterator[tuple[np.ndarray, None]]:
 
 
 def price_blocks(
-    source: NormalSpec | WalkSpec | PriceSeries, seed: int | np.random.Generator
+    source: NormalSpec | WalkSpec | PriceSeries, rng: np.random.Generator
 ) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
-    """The block generator of the source's price model."""
+    """The block generator of the source's price model; a series draws nothing from rng."""
     if isinstance(source, NormalSpec):
-        return iid_blocks(source, seed)
+        return iid_blocks(source, rng)
     if isinstance(source, WalkSpec):
-        return walk_blocks(source, seed)
+        return walk_blocks(source, rng)
     if isinstance(source, PriceSeries):
         return series_blocks(source)
     raise TypeError(f"unsupported price source: {type(source).__name__}")
 
 
 def random_walk(spec: WalkSpec, n: int, seed: int) -> PriceSeries:
-    """Generate n prices of the clamped walk; clamp events are counted."""
+    """Generate n prices of the clamped walk, drawn from default_rng(seed);
+    clamp events are counted."""
     if n <= 0:
         raise ValueError("n must be >= 1")
+    import numpy as np
     prices: list[float] = []
     clamps = 0
-    for block, clamped in walk_blocks(spec, seed):
+    for block, clamped in walk_blocks(spec, np.random.default_rng(seed)):
         take = n - len(prices)
         prices.extend(block[:take].tolist())
         clamps += int(clamped[:take].sum())
@@ -484,8 +480,3 @@ def seeded_generators(seeds: Iterable[int]) -> Iterator[tuple[int, np.random.Gen
             rng.bit_generator.state = {"bit_generator": "PCG64", "state": pair, "has_uint32": 0, "uinteger": 0}
             yield seed, rng
 
-
-def _generator(seed: int | np.random.Generator) -> np.random.Generator:
-    """seed itself if it is a Generator, else a new one in PCG64(seed)'s state."""
-    import numpy as np
-    return seed if isinstance(seed, np.random.Generator) else next(seeded_generators([seed]))[1]

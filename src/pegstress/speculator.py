@@ -38,7 +38,6 @@ __all__ = [
     "NoTradeInterval",
     "SpeculatorParams",
     "WaitingInterval",
-    "stablecoin_value_s1",
     "waiting_interval",
 ]
 
@@ -154,7 +153,8 @@ def _sell_mean(tn: TruncatedNormal, x: float, c: float) -> float:
 
 
 def _s1(tn: TruncatedNormal, omd: float) -> float:
-    """Stablecoin value for a non-degenerate model; omd = 1 - delta."""
+    """Present value of one stablecoin in backing coins, for a non-degenerate
+    model; omd = 1 - delta."""
 
     def objective(x: float) -> float:
         x, c = tn.at(x)
@@ -170,19 +170,6 @@ def _s1(tn: TruncatedNormal, omd: float) -> float:
     if not (best > 0.0):
         raise ValueError("stablecoin value optimisation failed (nonpositive objective)")
     return best
-
-
-def stablecoin_value_s1(dist: NormalSpec, delta: float) -> float:
-    """Present value of one stablecoin in backing coins.
-
-    For a point mass at c the value is (1 - delta) / c: the coin sells next
-    step at price c after one step of discounting.
-    """
-    if not (0.0 <= delta < 1.0):
-        raise ValueError("delta must lie in [0, 1)")
-    if dist.is_point_mass:
-        return (1.0 - delta) / dist.mu
-    return _s1(TruncatedNormal(dist), 1.0 - delta)
 
 
 def waiting_interval(dist: NormalSpec, params: SpeculatorParams) -> WaitingInterval:

@@ -42,8 +42,6 @@ __all__ = [
     "min_fee",
     "converging_spread_series",
     "greedy_threshold_profit",
-    "sensitivity_check",
-    "realized_profit_trace",
     "OmniscientRun",
     "run_omniscient",
 ]
@@ -182,44 +180,6 @@ def greedy_threshold_profit(
     schedules an exhaustive search enumerates, so the traces agree exactly.
     """
     return tuple(_ledger(series.prices, eps_alpha, eps_beta, n0)[0])
-
-
-def sensitivity_check(r_trace, s_trace, n0: float) -> float:
-    """Smallest k >= 1 with r_t >= (n0 / k) * s_t for all t.
-
-    s_trace is the unit-endowment optimal profit trace; r_trace is the profit
-    actually realized by the trader under test.  Returns math.inf ("not
-    sensitive") when some r_t <= 0 while s_t > 0.
-    """
-    if len(r_trace) != len(s_trace):
-        raise ValueError("traces must have the same length")
-    k = 1.0
-    for r, s in zip(r_trace, s_trace):
-        if s > 0.0:
-            if r <= 0.0:
-                return math.inf
-            k = max(k, n0 * s / r)
-    return k
-
-
-def realized_profit_trace(prices, n_seq, m_seq, eps_beta: float, n0: float) -> tuple[float, ...]:
-    """Realized profit per step: peak liquidation value so far, minus n0.
-
-    Liquidation value marks stablecoins at the current redemption rate
-    (1 - eps_beta) / p, ignoring reserve caps; the peak is what the trader
-    could have banked by stopping at its best moment, the same convention the
-    profit oracles use.
-    """
-    if not (len(prices) == len(n_seq) == len(m_seq)):
-        raise ValueError("price and holdings sequences must have the same length")
-    peak = n0
-    out = []
-    for p, n, m in zip(prices, n_seq, m_seq):
-        value = n + m * _sell_factor(p, eps_beta)
-        if value > peak:
-            peak = value
-        out.append(peak - n0)
-    return tuple(out)
 
 
 @dataclass(frozen=True)

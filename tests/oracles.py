@@ -2,11 +2,15 @@
 
 optimal_profit_bruteforce is the exhaustive oracle for theory's linear-time
 profit ledger; it builds its products from theory's own per-action factors,
-so the two agree bit for bit.  y_ratio_normal is the untruncated closed form
-of the round matrix's Y.
+so the two agree bit for bit.  sensitivity_check and realized_profit_trace
+compare a simulated trader's profit against that optimum.  pdf is the normal
+density the quadrature oracles integrate, and y_ratio_normal the untruncated
+closed form of the round matrix's Y.
 """
 
-from pegstress.prices import NormalSpec, PriceSeries, cdf, pdf
+import math
+
+from pegstress.prices import NormalSpec, PriceSeries, cdf
 from pegstress.theory import _buy_factor, _sell_factor
 
 BRUTEFORCE_MAX_LEN = 14
@@ -48,6 +52,52 @@ def optimal_profit_bruteforce(
         running = max(running, best_done_at[t])
         trace.append(n0 * (running - 1.0))
     return tuple(trace)
+
+
+def sensitivity_check(r_trace, s_trace, n0: float) -> float:
+    """Smallest k >= 1 with r_t >= (n0 / k) * s_t for all t.
+
+    s_trace is the unit-endowment optimal profit trace; r_trace is the profit
+    actually realized by the trader under test.  Returns math.inf ("not
+    sensitive") when some r_t <= 0 while s_t > 0.
+    """
+    if len(r_trace) != len(s_trace):
+        raise ValueError("traces must have the same length")
+    k = 1.0
+    for r, s in zip(r_trace, s_trace):
+        if s > 0.0:
+            if r <= 0.0:
+                return math.inf
+            k = max(k, n0 * s / r)
+    return k
+
+
+def realized_profit_trace(prices, n_seq, m_seq, eps_beta: float, n0: float) -> tuple[float, ...]:
+    """Realized profit per step: peak liquidation value so far, minus n0.
+
+    Liquidation value marks stablecoins at the current redemption rate
+    (1 - eps_beta) / p, ignoring reserve caps; the peak is what the trader
+    could have banked by stopping at its best moment, the same convention the
+    profit oracles use.
+    """
+    if not (len(prices) == len(n_seq) == len(m_seq)):
+        raise ValueError("price and holdings sequences must have the same length")
+    peak = n0
+    out = []
+    for p, n, m in zip(prices, n_seq, m_seq):
+        value = n + m * _sell_factor(p, eps_beta)
+        if value > peak:
+            peak = value
+        out.append(peak - n0)
+    return tuple(out)
+
+
+def pdf(spec: NormalSpec, x: float) -> float:
+    """Normal density of N(mu, sigma2) at x (no truncation renormalisation)."""
+    if spec.is_point_mass:
+        raise ValueError("degenerate distribution: pdf undefined for a point mass (sigma2 == 0)")
+    z = (x - spec.mu) / spec.sigma
+    return math.exp(-0.5 * z * z) / (spec.sigma * math.sqrt(2.0 * math.pi))
 
 
 def y_ratio_normal(dist: NormalSpec, y1: float, y2: float) -> float:

@@ -24,7 +24,6 @@ from pegstress.prices import (
     PriceSeries,
     WalkSpec,
     cdf,
-    pdf,
     random_walk,
 )
 from pegstress.rounds import (
@@ -43,7 +42,7 @@ from pegstress.theory import (
     run_omniscient,
 )
 
-from oracles import optimal_profit_bruteforce, y_ratio_normal
+from oracles import optimal_profit_bruteforce, pdf, y_ratio_normal
 
 
 @contextmanager
@@ -303,13 +302,13 @@ def test_09_trend_reproduction(tmp_path, capsys):
             max_steps=20_000,
             master_seed=7,
         )
-        pts = sweep(base, "sigma2", [25.0, 100.0, 400.0], trials=100)
-        means = [censored_mean(p.summary, base.max_steps) for p in pts]
+        summaries = sweep(base, "sigma2", [25.0, 100.0, 400.0], trials=100)
+        means = [censored_mean(s, base.max_steps) for s in summaries]
         assert all(a > b for a, b in zip(means, means[1:]))
 
         base = dataclasses.replace(base, speculator=SpeculatorParams(delta=0.05))
-        pts = sweep(base, "delta", [0.05, 0.1, 0.2], trials=100)
-        means = [censored_mean(p.summary, base.max_steps) for p in pts]
+        summaries = sweep(base, "delta", [0.05, 0.1, 0.2], trials=100)
+        means = [censored_mean(s, base.max_steps) for s in summaries]
         assert all(a < b for a, b in zip(means, means[1:]))
 
         base = SimConfig(
@@ -320,8 +319,8 @@ def test_09_trend_reproduction(tmp_path, capsys):
             max_steps=10_000,
             master_seed=7,
         )
-        pts = sweep(base, "sigma_step", [0.5, 2.0, 8.0], trials=100)
-        fracs = [p.summary.fraction_depleted for p in pts]
+        summaries = sweep(base, "sigma_step", [0.5, 2.0, 8.0], trials=100)
+        fracs = [s.fraction_depleted for s in summaries]
         assert all(a <= b for a, b in zip(fracs, fracs[1:]))
         assert fracs[-1] > 0.0
 

@@ -581,6 +581,33 @@ class TestErrorPlumbing:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "support_lo must be > 0" in err
 
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            (
+                {"kind": "normal", "mu": 100.0, "sigma2": 100.0, "support_hi": float("inf")},
+                "support_hi must be finite",
+            ),
+            (
+                {"kind": "normal", "mu": 100.0, "sigma2": 0.0, "support_lo": 50.0, "support_hi": 90.0},
+                "a point mass needs support_lo <= mu <= support_hi",
+            ),
+            (
+                {"kind": "walk", "mu_step": 0.0, "sigma_step": 1.0, "p0": 100.0, "floor": float("inf")},
+                "floor must be finite and positive so 1/p stays defined",
+            ),
+        ],
+        ids=["normal_support_hi_inf", "point_mass_outside_support", "walk_floor_inf"],
+    )
+    def test_spec_edge_rejected_as_the_config_is_read(self, tmp_path, capsys, command, source, message):
+        # An infinite support_hi failed deep in the optimiser ("empty search
+        # interval"); an infinite floor priced every walk step at inf, and
+        # simulate exited 0 with NaN bands and nothing depleted.
+        cfg = write_config(tmp_path, "bad.json", dict(EX1_CONFIG, source=source))
+        assert main([command, "--config", cfg, "--trials", "2"]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     @pytest.mark.parametrize("key", ["n0", "m0"])
     def test_simulate_rejects_nan_holdings(self, tmp_path, capsys, key):
         cfg = write_config(tmp_path, "bad.json", dict(EX1_CONFIG, **{key: float("nan")}))

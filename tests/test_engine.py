@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pegstress.engine import (
     AdaptiveSpec,
@@ -18,7 +20,7 @@ from pegstress.engine import (
     run,
     sweep,
 )
-from pegstress.prices import SEED_CHUNK, NormalSpec, PriceSeries, WalkSpec, derive_seed
+from pegstress.prices import _ARRAY_BATCH, SEED_CHUNK, NormalSpec, PriceSeries, WalkSpec, derive_seed
 from pegstress.speculator import SpeculatorParams
 
 EX1 = SimConfig(
@@ -263,14 +265,51 @@ class TestMonteCarlo:
         assert traced.traces.p == tuple(np.clip(want, EX1.source.support_lo, EX1.source.support_hi).tolist())
 
 
+@st.composite
+def seeding_cases(draw):
+    """A config, a trial count and trial indices for the seeding property."""
+    kind = draw(st.sampled_from(["normal", "point_mass", "walk"]))
+    if kind == "walk":
+        source, mode = WalkSpec(0.0, draw(st.sampled_from([0.5, 2.0])), 100.0), "adaptive"
+    else:
+        sigma2 = 0.0 if kind == "point_mass" else draw(st.sampled_from([25.0, 100.0, 400.0]))
+        source, mode = NormalSpec(100.0, sigma2), draw(st.sampled_from(["analytic", "adaptive"]))
+    config = SimConfig(
+        source=source,
+        speculator=SpeculatorParams(delta=draw(st.sampled_from([0.05, 0.1]))),
+        reserves0=draw(st.sampled_from([5.0, 100.0])),
+        n0=1.0,
+        mode=mode,
+        adaptive=AdaptiveSpec(c=draw(st.sampled_from([1.0, 3.5]))),
+        max_steps=draw(st.integers(1, 1500)),
+        master_seed=draw(st.integers(0, 2**64 + 5)),
+    )
+    # Each side of the edges where seeded_generators' last chunk of states
+    # changes route: numpy's own seeding below _ARRAY_BATCH seeds, the array
+    # pass from there, and a new chunk every SEED_CHUNK trials.
+    edges = [1, _ARRAY_BATCH, SEED_CHUNK, SEED_CHUNK + _ARRAY_BATCH]
+    trials = draw(st.sampled_from(sorted({n + d for n in edges for d in (-1, 0, 1)} - {0})))
+    return config, trials, {0, trials - 1, draw(st.integers(0, trials - 1))}
+
+
+@settings(deadline=None)
+@given(case=seeding_cases())
+def test_seeding_routes_agree(case):
+    # A lone run seeds default_rng(seed); monte_carlo sets one generator to
+    # each trial's PCG64 state, computed in bulk.  Trial k must be the lone
+    # run at derive_seed(master_seed, k), bit for bit.
+    config, trials, picks = case
+    seen = []
+    monte_carlo(config, trials, sink=lambda idx, res: seen.append(res))
+    for k in picks:
+        assert repr(seen[k]) == repr(run(config, seed=derive_seed(config.master_seed, k)))
+
+
 class TestSweep:
     def test_single_value_equals_monte_carlo(self):
-        pts = sweep(EX1, "delta", [0.2], trials=5)
         spec = dataclasses.replace(EX1.speculator, delta=0.2)
         want = monte_carlo(dataclasses.replace(EX1, speculator=spec), trials=5)
-        assert len(pts) == 1
-        assert pts[0].axis == "delta" and pts[0].value == 0.2
-        assert pts[0].summary == want
+        assert sweep(EX1, "delta", [0.2], trials=5) == (want,)
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError, match="sigma2"):
@@ -293,7 +332,7 @@ class TestSweep:
     def test_larger_traders_deplete_sooner(self):
         pts = sweep(dataclasses.replace(EX1, master_seed=7), "n0", [1.0, 100.0], trials=20)
         small, big = pts
-        assert big.summary.mean_depletion_step <= small.summary.mean_depletion_step
+        assert big.mean_depletion_step <= small.mean_depletion_step
 
 
 class TestDeskScaleTrends:
@@ -302,16 +341,16 @@ class TestDeskScaleTrends:
     def test_mean_depletion_time_nondecreasing_in_delta(self):
         cfg = dataclasses.replace(EX1, master_seed=7, max_steps=20000)
         means = [
-            censored_mean(pt.summary, cfg.max_steps)
-            for pt in sweep(cfg, "delta", [0.05, 0.1, 0.2], trials=100)
+            censored_mean(summary, cfg.max_steps)
+            for summary in sweep(cfg, "delta", [0.05, 0.1, 0.2], trials=100)
         ]
         assert means[0] <= means[1] <= means[2]
 
     def test_mean_depletion_time_nondecreasing_in_lambda(self):
         cfg = dataclasses.replace(EX1, master_seed=7, max_steps=20000)
         means = [
-            censored_mean(pt.summary, cfg.max_steps)
-            for pt in sweep(cfg, "lambda", [0.0, 0.3, 0.6], trials=100)
+            censored_mean(summary, cfg.max_steps)
+            for summary in sweep(cfg, "lambda", [0.0, 0.3, 0.6], trials=100)
         ]
         assert means[0] <= means[1] <= means[2]
 
@@ -319,8 +358,8 @@ class TestDeskScaleTrends:
         spec = SpeculatorParams(delta=0.2, lambda_buy=0.5, lambda_sell=0.5)
         cfg = dataclasses.replace(EX1, speculator=spec, master_seed=7, max_steps=20000)
         means = [
-            censored_mean(pt.summary, cfg.max_steps)
-            for pt in sweep(cfg, "sigma2", [25.0, 100.0, 400.0], trials=100)
+            censored_mean(summary, cfg.max_steps)
+            for summary in sweep(cfg, "sigma2", [25.0, 100.0, 400.0], trials=100)
         ]
         assert means[0] >= means[1] >= means[2]
 
@@ -336,8 +375,8 @@ class TestDeskScaleTrends:
             master_seed=7,
         )
         fracs = [
-            pt.summary.fraction_depleted
-            for pt in sweep(cfg, "sigma_step", [0.5, 2.0, 8.0], trials=100)
+            summary.fraction_depleted
+            for summary in sweep(cfg, "sigma_step", [0.5, 2.0, 8.0], trials=100)
         ]
         assert fracs[0] <= fracs[1] <= fracs[2]
         assert fracs[-1] > 0.0
@@ -345,7 +384,7 @@ class TestDeskScaleTrends:
     def test_mean_depletion_time_nondecreasing_in_fee(self):
         cfg = dataclasses.replace(EX1, master_seed=7, max_steps=20000)
         means = [
-            censored_mean(pt.summary, cfg.max_steps)
-            for pt in sweep(cfg, "eps", [0.0, 0.02, 0.04], trials=50)
+            censored_mean(summary, cfg.max_steps)
+            for summary in sweep(cfg, "eps", [0.0, 0.02, 0.04], trials=50)
         ]
         assert means[0] <= means[1] <= means[2]

@@ -10,8 +10,11 @@ file with one json.dump.  The long-walk and 50k-price csv digests were
 recorded while the walk and series generators still drew every block at 512
 prices; those runs reach the generators' widest blocks.  The five-chunk
 reference and walk-source json digests were recorded while every trial still
-built its own generator (default_rng(seed)).  Any change to the kernel or the
-writer must keep them byte for byte.
+built its own generator (default_rng(seed)).  The point-mass, fee, adaptive
+normal and sigma2 sweep digests were recorded while the i.i.d. generator
+still drew every block at 512 prices and a point mass drew nothing; their
+trials run past the first block.  Any change to the kernel or the writer
+must keep them byte for byte.
 
 An untraced run visits only the out-of-band steps on a side that holds
 something; a traced run visits every step.  run_every_step, a copy of the
@@ -152,6 +155,55 @@ def test_bulk_seeded_out_is_pinned(tmp_path, capsys, payload, trials, fmt, diges
 
 
 @pytest.mark.parametrize(
+    "payload, longest, digest",
+    [
+        (
+            dict(REFERENCE, source={"kind": "normal", "mu": 100.0, "sigma2": 0.0}, run={"max_steps": 5000}),
+            5000,
+            "0c60d34d88a5c44043ffad701a20bd1e12e91ee87881e272af0459f416ce4fcf",
+        ),
+        (
+            dict(REFERENCE, fees={"eps_alpha": 0.14, "eps_beta": 0.14}, run={"max_steps": 20000}),
+            10871,
+            "23fac0c01f5b3fc25d152a25dbbc8dbe1740ae522f060fc1154797bcc47daac5",
+        ),
+        (
+            dict(REFERENCE, mode="adaptive", adaptive={"c": 2.5}, run={"max_steps": 20000}),
+            4199,
+            "6e19cacc644b1b2738614609e4285066ac537f0db075684424718e9f19312f28",
+        ),
+    ],
+    ids=["point_mass", "fees_0_14", "adaptive_normal"],
+)
+def test_iid_block_schedule_out_is_pinned(tmp_path, capsys, payload, longest, digest):
+    # Each run's longest trial reaches past the first 512-price block (the
+    # adaptive one past the first three blocks' 1536 prices).
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    out = tmp_path / "runs.csv"
+    assert main(["simulate", "--config", str(cfg), "--trials", "200", "--seed", "7", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert max(int(line.split(",")[9]) for line in out.read_text().splitlines()[1:]) == longest
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("csv", "453e8c9e7148670ff74b125e1065c1bb4c832b53f22b4179b7bdd960075b268e"),
+        ("json", "5d7c3d3087bb5eb67d0649465531b30a38b7a0610e7d9f76385e0e1daa0b2a21"),
+    ],
+)
+def test_iid_sweep_out_is_pinned(tmp_path, capsys, fmt, digest):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(REFERENCE, sweep={"axis": "sigma2", "values": [25.0, 100.0, 400.0], "trials": 200})))
+    out = tmp_path / f"sweep.{fmt}"
+    assert main(["sweep", "--config", str(cfg), "--seed", "7", "--out", str(out), "--format", fmt]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
     "fmt, digest",
     [
         ("csv", "1754408b99fc1948f78f3c152c3b46a7d9e617d89721c844921e35c91c2f91cb"),
@@ -246,7 +298,7 @@ def run_every_step(config, seed, interval=None):
     m, n = config.m0, config.n0
     rounds, last_dir, steps, depletion_step = 0, -1, 0, None
     clamp_count = config.source.clamp_count if isinstance(config.source, PriceSeries) else 0
-    for prices, clamped in price_blocks(config.source, seed):
+    for prices, clamped in price_blocks(config.source, np.random.default_rng(seed)):
         block = prices[: config.max_steps - steps]
         if adaptive:
             lo, hi = window.band(block)
@@ -389,7 +441,7 @@ def test_band_layout_matches_512_blocks(kind, seed, sigma, window, c, length):
     walk = WalkSpec(0.0, sigma, 100.0)  # sigma 30 clamps at the floor
     source = walk if kind == "walk" else random_walk(walk, length, seed)
     blocks, taken = [], 0
-    for prices, _ in price_blocks(source, seed):
+    for prices, _ in price_blocks(source, np.random.default_rng(seed)):
         blocks.append(prices[: length - taken])
         taken += len(blocks[-1])
         if taken == length:

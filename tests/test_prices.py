@@ -27,12 +27,12 @@ from pegstress.prices import (
     iid_blocks,
     load_csv,
     pcg64_states,
-    pdf,
     random_walk,
     series_blocks,
     step_stats,
     walk_blocks,
 )
+from oracles import pdf
 
 STD = NormalSpec(mu=0.0, sigma2=1.0, support_lo=-40.0, support_hi=40.0)
 EX1 = NormalSpec(mu=100.0, sigma2=100.0)
@@ -46,8 +46,7 @@ def quad_moment(spec, a, b):
 
 def iid_prices(spec, n, seed):
     """The first n prices of iid_blocks, as a simulation trial sees them."""
-    blocks = iid_blocks(spec, seed)
-    return np.concatenate([next(blocks)[0] for _ in range(math.ceil(n / BLOCK))])[:n]
+    return np.concatenate([b for b, _ in first_blocks(iid_blocks(spec, np.random.default_rng(seed)), n)])
 
 
 def quad_mass(spec, a, b):
@@ -224,7 +223,7 @@ class TestBlockLayout:
         ids=["plain", "clamping", "clamping_high_floor"],
     )
     def test_walk_blocks_equal_the_512_block_stream(self, spec, clamps, monkeypatch):
-        wide = first_blocks(walk_blocks(spec, 5), self.N)
+        wide = first_blocks(walk_blocks(spec, np.random.default_rng(5)), self.N)
         assert [len(b) for b, _ in wide] == [1, 512, 1024, 2048, 4096, 4096, 4096, 4096, 1031]
         path = np.concatenate([b for b, _ in wide])
         clamped = np.concatenate([c for _, c in wide])
@@ -239,11 +238,20 @@ class TestBlockLayout:
         series = random_walk(spec, self.N, 5)
         assert series.prices == tuple(expected) and series.clamp_count == sum(flags) == clamps
         monkeypatch.setattr(prices, "MAX_BLOCK", BLOCK)
-        narrow = first_blocks(walk_blocks(spec, 5), self.N)
+        narrow = first_blocks(walk_blocks(spec, np.random.default_rng(5)), self.N)
         assert {len(b) for b, _ in narrow[1:-1]} == {BLOCK}
         assert np.array_equal(np.concatenate([b for b, _ in narrow]), path)
         assert np.array_equal(np.concatenate([c for _, c in narrow]), clamped)
         assert random_walk(spec, self.N, 5) == series
+
+    def test_iid_blocks_equal_the_512_block_stream(self):
+        # A support of 1.5 sigma, so clipping reaches both edges.
+        spec = NormalSpec(mu=100.0, sigma2=100.0, support_lo=85.0, support_hi=115.0)
+        wide = first_blocks(iid_blocks(spec, np.random.default_rng(5)), self.N)
+        assert [len(b) for b, _ in wide] == [512, 1024, 2048, 4096, 4096, 4096, 4096, 1032]
+        rng = np.random.default_rng(5)
+        narrow = [np.clip(rng.normal(100.0, 10.0, BLOCK), 85.0, 115.0) for _ in range(-(-self.N // BLOCK))]
+        assert np.concatenate([b for b, _ in wide]).tolist() == np.concatenate(narrow)[: self.N].tolist()
 
     def test_series_blocks_equal_the_512_block_stream(self, monkeypatch):
         series = PriceSeries(tuple(100.0 + (k * 7919) % 1009 for k in range(self.N)), "literal")
@@ -404,7 +412,7 @@ class TestSeeding:
         with pytest.raises(ValueError, match="non-negative"):
             pcg64_states([-1])
         with pytest.raises(ValueError, match="non-negative"):
-            next(iid_blocks(EX1, -1))
+            random_walk(WalkSpec(0.0, 1.0, 100.0), 5, -1)
 
     @pytest.mark.parametrize("seed", [0, 2**32, 2**64 - 1, 2**64, 2**70])
     def test_streams_are_default_rngs(self, seed):
@@ -422,7 +430,12 @@ class TestSeeding:
         assert next(iid_blocks(EX1, rng))[0].tolist() == np.clip(want.normal(100.0, 10.0, BLOCK), EX1.support_lo, EX1.support_hi).tolist()
 
     @pytest.mark.parametrize(
-        "make", [lambda s: iid_blocks(EX1, s), lambda s: walk_blocks(WalkSpec(0.0, 1.0, 100.0), s)], ids=["iid", "walk"]
+        "make",
+        [
+            lambda s: iid_blocks(EX1, np.random.default_rng(s)),
+            lambda s: walk_blocks(WalkSpec(0.0, 1.0, 100.0), np.random.default_rng(s)),
+        ],
+        ids=["iid", "walk"],
     )
     def test_streams_driven_alternately_equal_each_alone(self, make):
         # Each stream owns its generator: interleaving two cannot mix them.
@@ -455,6 +468,22 @@ class TestSpecValidation:
     def test_walk_requires_positive_floor(self):
         with pytest.raises(ValueError):
             WalkSpec(mu_step=0.0, sigma_step=1.0, p0=10.0, floor=0.0)
+
+    @pytest.mark.parametrize("floor", [math.inf, math.nan])
+    def test_walk_requires_finite_floor(self, floor):
+        with pytest.raises(ValueError, match="floor must be finite and positive"):
+            WalkSpec(mu_step=0.0, sigma_step=1.0, p0=10.0, floor=floor)
+
+    @pytest.mark.parametrize("edge, value", [("support_lo", -math.inf), ("support_hi", math.inf)])
+    def test_infinite_support_edge_rejected(self, edge, value):
+        with pytest.raises(ValueError, match=f"{edge} must be finite"):
+            NormalSpec(mu=0.0, sigma2=1.0, **{edge: value})
+
+    def test_point_mass_support_holds_mu(self):
+        assert NormalSpec(mu=7.0, sigma2=0.0, support_lo=5.0, support_hi=9.0).support_lo == 5.0
+        for edges in ({"support_hi": 6.0}, {"support_lo": 8.0, "support_hi": 9.0}):
+            with pytest.raises(ValueError, match="a point mass needs support_lo <= mu <= support_hi"):
+                NormalSpec(mu=7.0, sigma2=0.0, **edges)
 
     def test_series_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """The README's "Library use" examples run against the package namespace,
-and every name a submodule's __all__ lists exists."""
+and every name a submodule's __all__ lists exists and has a caller."""
 
+import ast
 import contextlib
 import importlib
 import io
@@ -11,7 +12,9 @@ import pytest
 
 import pegstress
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+MODULES = ["cli", "engine", "mechanism", "prices", "rounds", "speculator", "theory"]
 
 
 def library_blocks():
@@ -39,8 +42,42 @@ def test_namespace_is_the_documented_surface():
     assert all(hasattr(pegstress, name) for name in pegstress.__all__)
 
 
-@pytest.mark.parametrize("module", ["cli", "engine", "mechanism", "prices", "rounds", "speculator", "theory"])
+@pytest.mark.parametrize("module", MODULES)
 def test_module_all_names_resolve(module):
     # A name deleted from a module but left in its __all__ fails here.
     mod = importlib.import_module(f"pegstress.{module}")
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def loaded_names(tree):
+    """Names a module loads (a Name, an Attribute or an import alias),
+    leaving out each top-level def's or class's loads of its own name."""
+    names = set()
+    for stmt in tree.body:
+        own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        names.discard(own)  # a recursive call or a method naming its class
+    return names
+
+
+def test_module_all_names_have_a_caller():
+    # Public API that nothing calls is dead weight: a name a submodule's
+    # __all__ lists must be loaded somewhere in src/pegstress/ outside its
+    # own def or class, or be named by the benchmark in perfbench/.
+    used = set()
+    for path in (ROOT / "src" / "pegstress").glob("*.py"):
+        used |= loaded_names(ast.parse(path.read_text()))
+    bench = "\n".join(path.read_text() for path in (ROOT / "perfbench").glob("*.py"))
+    uncalled = [
+        f"{module}.{name}"
+        for module in MODULES
+        for name in importlib.import_module(f"pegstress.{module}").__all__
+        if name not in used and not re.search(rf"\b{name}\b", bench)
+    ]
+    assert uncalled == []

@@ -20,7 +20,7 @@ from pegstress.speculator import (
     NoTradeInterval,
     SpeculatorParams,
     WaitingInterval,
-    stablecoin_value_s1,
+    _s1,
     waiting_interval,
 )
 
@@ -70,14 +70,11 @@ def brute_force_s1(dist, delta, points):
 
 
 class TestStablecoinValue:
-    def test_point_mass(self):
-        assert stablecoin_value_s1(NormalSpec(mu=50.0, sigma2=0.0), 0.25) == pytest.approx(0.75 / 50.0)
-
     def test_zero_delta_reaches_support_floor(self):
         # With no impatience the trader waits for the cheapest price, so a
         # stablecoin is worth 1/support_lo backing coins.
         dist = NormalSpec(mu=100.0, sigma2=100.0, support_lo=60.0, support_hi=140.0)
-        s1 = stablecoin_value_s1(dist, 0.0)
+        s1 = _s1(TruncatedNormal(dist), 1.0)
         oracle = brute_force_s1(dist, 0.0, 200_001)
         # The supremum sits on the support edge where conditioning mass is at
         # float resolution, so the match is looser than in the interior case.
@@ -85,18 +82,12 @@ class TestStablecoinValue:
         assert s1 == pytest.approx(oracle, rel=1e-5)
 
     def test_example_config_matches_dense_grid(self):
-        s1 = stablecoin_value_s1(EX1_DIST, 0.1)
+        s1 = waiting_interval(EX1_DIST, EX1_PARAMS).s1
         oracle = brute_force_s1(EX1_DIST, 0.1, 1_000_001)
         assert s1 == pytest.approx(oracle, rel=1e-6)
 
     def test_example_config_value(self):
-        assert stablecoin_value_s1(EX1_DIST, 0.1) == pytest.approx(0.0090850, rel=1e-3)
-
-    def test_delta_range_enforced(self):
-        with pytest.raises(ValueError):
-            stablecoin_value_s1(EX1_DIST, 1.0)
-        with pytest.raises(ValueError):
-            stablecoin_value_s1(EX1_DIST, -0.1)
+        assert waiting_interval(EX1_DIST, EX1_PARAMS).s1 == pytest.approx(0.0090850, rel=1e-3)
 
 
 class TestWaitingInterval:
@@ -188,7 +179,7 @@ class TestWaitingInterval:
         with pytest.raises(ValueError, match="support_lo must be > 0"):
             waiting_interval(dist, SpeculatorParams(delta=0.1))
         with pytest.raises(ValueError, match="support_lo must be > 0"):
-            stablecoin_value_s1(dist, 0.1)
+            _s1(TruncatedNormal(dist), 1.0 - 0.1)
 
 
 # The trader's trade rule lives in the engine's step loop: these run one
@@ -285,6 +276,11 @@ class TestParamValidation:
     def test_delta_open_above(self):
         with pytest.raises(ValueError):
             SpeculatorParams(delta=1.0)
+
+    @pytest.mark.parametrize("delta", [0.0, -0.1])
+    def test_delta_open_below(self, delta):
+        with pytest.raises(ValueError, match="delta must lie in"):
+            SpeculatorParams(delta=delta)
 
     def test_lambda_range(self):
         with pytest.raises(ValueError):

@@ -29,14 +29,12 @@ from pegstress.theory import (
     converging_spread_series,
     greedy_threshold_profit,
     min_fee,
-    realized_profit_trace,
     run_omniscient,
-    sensitivity_check,
     stability_label,
     tail_spread,
 )
 
-from oracles import optimal_profit_bruteforce
+from oracles import optimal_profit_bruteforce, realized_profit_trace, sensitivity_check
 
 
 def series(*prices):
@@ -279,7 +277,7 @@ class TestSensitivityCheck:
         for seed in range(50):
             res = run(base, seed=seed)
             prices = PriceSeries(prices=res.traces.p, source="iid", seed=seed)
-            assert prices.prices == tuple(next(iid_blocks(dist, seed))[0][:200].tolist())
+            assert prices.prices == tuple(next(iid_blocks(dist, np.random.default_rng(seed)))[0][:200].tolist())
             r = realized_profit_trace(res.traces.p, res.traces.n, res.traces.m, 0.0, 1.0)
             s = greedy_threshold_profit(prices, 0.0, 0.0, n0=1.0)
             k = sensitivity_check(r, s, n0=1.0)
