@@ -9,7 +9,7 @@ abstracts away (path dependence, finite horizons, adaptive traders).
 
 Modules:
     prices      price models (truncated normal, random walk, historical csv)
-    mechanism   settle, the one mint/redeem rule, with fees embedded in the rates
+    mechanism   apply_trade, the one mint/redeem rule, with fees embedded in the rates
     speculator  stablecoin value s1 and the optimal waiting interval
     rounds      round matrix, eigen decomposition, depletion times
     theory      stability criteria and omniscient-trader oracles

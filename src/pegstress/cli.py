@@ -52,8 +52,8 @@ def _section(raw: dict, where: str, keys: dict):
     keys maps name -> (converter, default); default _REQUIRED means the key
     must be present.  A dict converter is a sub-section, parsed by this
     function.  Absent or null, it takes its default: None leaves it for _need
-    to demand, {} gives the sub-section's own defaults (so does any empty
-    value, as `x or {}` would).
+    to demand, {} gives the sub-section's own defaults.  Any other value that
+    is not an object, falsy or not, is an error.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"{where} must be an object")
@@ -65,8 +65,8 @@ def _section(raw: dict, where: str, keys: dict):
     for name, (conv, default) in keys.items():
         if isinstance(conv, dict):
             value = raw.get(name)
-            if default is not None:
-                value = value or default
+            if value is None:
+                value = default
             out[name] = None if value is None else _section(value, name, conv)
         elif name in raw:
             try:

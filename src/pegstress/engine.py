@@ -3,7 +3,7 @@
 Prices come in blocks from the source's block generator, which grow from 512
 to 4096 prices, all on a fixed grid of 512-price segments from the start of
 the path.  A step asks the trader for a trade, settles it on plain floats
-(mechanism.settle), and the run stops when the reserves hit zero or the
+(mechanism.apply_trade), and the run stops when the reserves hit zero or the
 horizon runs out.  A price inside the trader's band changes nothing, nor does one on a side that
 holds nothing (above it with no backing, below it with no stablecoins).  So
 an untraced run visits only the out-of-band steps, found with one numpy pass
@@ -40,7 +40,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from .mechanism import apply_trade, check_schedule, settle  # noqa: F401  (perfbench/tracing.py wraps engine.apply_trade)
+from .mechanism import apply_trade, check_schedule
 from .prices import BLOCK, NormalSpec, PriceSeries, WalkSpec, derive_seed, price_blocks, seeded_generators
 from .speculator import NoTradeInterval, SpeculatorParams, waiting_interval
 
@@ -338,7 +338,7 @@ def run(
                 continue
 
             if delta != 0.0:
-                reserves, flow = settle(reserves, delta, p, eps_alpha, eps_beta)
+                reserves, flow = apply_trade(reserves, delta, p, eps_alpha, eps_beta)
                 m += delta
                 n += flow
                 if m < 0.0 or n < 0.0:
@@ -438,10 +438,13 @@ def monte_carlo(config: SimConfig, trials: int, sink: Callable | None = None) ->
 
 def _with_axis(config: SimConfig, axis: str, value: float) -> SimConfig:
     if axis == "sigma2":
-        if not isinstance(config.source, NormalSpec):
+        source = config.source
+        if not isinstance(source, NormalSpec):
             raise ValueError("sigma2 sweep requires a normal source")
-        # Fresh spec so the default support tracks the new width.
-        return replace(config, source=NormalSpec(mu=config.source.mu, sigma2=value))
+        # The default support tracks the new width; an explicit one is kept.
+        if source == NormalSpec(source.mu, source.sigma2):
+            return replace(config, source=NormalSpec(source.mu, value))
+        return replace(config, source=replace(source, sigma2=value))
     if axis == "delta":
         return replace(config, speculator=replace(config.speculator, delta=value))
     if axis == "lambda":

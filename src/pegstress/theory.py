@@ -31,7 +31,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .mechanism import apply_trade, check_schedule, settle  # noqa: F401  (perfbench/tracing.py wraps theory.apply_trade)
+from .mechanism import apply_trade, check_schedule
 from .prices import PriceSeries
 
 __all__ = [
@@ -221,11 +221,11 @@ def run_omniscient(
         if backing > 0.0:
             p = prices[buy]
             delta = backing * _buy_factor(p, eps_alpha)
-            reserves, flow = settle(reserves, delta, p, eps_alpha, eps_beta)
+            reserves, flow = apply_trade(reserves, delta, p, eps_alpha, eps_beta)
             backing = max(backing + flow, 0.0)
             coins += delta
         if coins > 0.0:
-            reserves, flow = settle(reserves, -coins, prices[sell], eps_alpha, eps_beta)
+            reserves, flow = apply_trade(reserves, -coins, prices[sell], eps_alpha, eps_beta)
             backing += flow
             coins = 0.0
             if reserves == 0.0:

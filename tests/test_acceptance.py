@@ -8,7 +8,6 @@ the shipped tolerances and sample sizes.
 
 import dataclasses
 import json
-import math
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -18,7 +17,7 @@ import pytest
 from scipy import integrate
 
 from pegstress.cli import main
-from pegstress.engine import AdaptiveSpec, SimConfig, monte_carlo, run, sweep
+from pegstress.engine import SimConfig, monte_carlo, sweep
 from pegstress.prices import (
     NormalSpec,
     PriceSeries,

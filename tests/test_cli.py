@@ -713,6 +713,15 @@ class TestConfigSchema:
         if section in ("source", "speculator") or command == "sweep":
             assert results[0][1].err == f"error: missing key {section!r} in config\n"
 
+    @pytest.mark.parametrize("value", [0, False, "", []])
+    @pytest.mark.parametrize("section", ["fees", "run", "adaptive", "theory"])
+    def test_falsy_section_is_not_absent(self, tmp_path, capsys, section, value):
+        # Only null stands for an absent section.
+        cfg = write_config(tmp_path, "cfg.json", dict(EX1_CONFIG, **{section: value}))
+        assert main(["analyze", "--config", cfg]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {section} must be an object\n")
+
     @pytest.mark.parametrize(
         "command, change, message",
         [

@@ -19,6 +19,7 @@ from pegstress.engine import (
     monte_carlo,
     run,
     sweep,
+    sweep_configs,
 )
 from pegstress.prices import _ARRAY_BATCH, SEED_CHUNK, NormalSpec, PriceSeries, WalkSpec, derive_seed
 from pegstress.speculator import SpeculatorParams
@@ -310,6 +311,16 @@ class TestSweep:
         spec = dataclasses.replace(EX1.speculator, delta=0.2)
         want = monte_carlo(dataclasses.replace(EX1, speculator=spec), trials=5)
         assert sweep(EX1, "delta", [0.2], trials=5) == (want,)
+
+    def test_sigma2_sweep_keeps_an_explicit_support(self):
+        # Inside [95, 105] the trader never trades; on the default support
+        # (mu +/- 6 sigma) every trial depletes.
+        cfg = dataclasses.replace(EX1, source=NormalSpec(100.0, 100.0, 95.0, 105.0), master_seed=3)
+        want = monte_carlo(cfg, trials=50)
+        assert want.depleted_count == 0
+        assert sweep(cfg, "sigma2", [100.0], trials=50) == (want,)
+        wider = sweep_configs(cfg, "sigma2", [400.0])[0].source
+        assert (wider.support_lo, wider.support_hi) == (95.0, 105.0)
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError, match="sigma2"):

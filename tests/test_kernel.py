@@ -32,9 +32,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pegstress import engine, theory
 from pegstress.cli import main
 from pegstress.engine import AdaptiveSpec, RollingBand, SimConfig, SimResult, _analytic_band, monte_carlo, run
-from pegstress.mechanism import MechanismState, apply_trade, check_schedule, settle
+from pegstress.mechanism import apply_trade, check_schedule
 from pegstress.prices import BLOCK, MAX_BLOCK, NormalSpec, PriceSeries, WalkSpec, derive_seed, price_blocks, random_walk
 from pegstress.speculator import SpeculatorParams
 from pegstress.theory import run_omniscient
@@ -311,7 +312,7 @@ def run_every_step(config, seed, interval=None):
             elif p < y1 and m > 0.0:
                 delta = -((1.0 - spec.lambda_sell) * m)
             if delta != 0.0:
-                reserves, flow = settle(reserves, delta, p, ea, eb)
+                reserves, flow = apply_trade(reserves, delta, p, ea, eb)
                 m, n = max(m + delta, 0.0), max(n + flow, 0.0)
                 if delta < 0.0 and last_dir > 0:
                     rounds += 1
@@ -484,22 +485,50 @@ def test_settle_matches_the_quote_formulas_bit_for_bit(reserves, qty, buy, p, ep
         payout = min(qty * (1.0 - eps_beta) / p, reserves)
         expected = (reserves - payout, payout)
         delta = -qty
-    got = settle(reserves, delta, p, eps_alpha, eps_beta)
+    got = apply_trade(reserves, delta, p, eps_alpha, eps_beta)
     assert [x.hex() for x in got] == [x.hex() for x in expected]
-    state = MechanismState(reserves=reserves, eps_alpha=eps_alpha, eps_beta=eps_beta)
-    new_state, flow = apply_trade(state, delta, p, t=3)
-    assert (new_state.reserves, flow) == got
-    assert new_state.depleted_at == (3 if not buy and got[0] == 0.0 else None)
 
 
 def test_settle_keeps_the_state_checks():
     with pytest.raises(ValueError, match="price"):
-        settle(1.0, 1.0, 0.0, 0.0, 0.0)
+        apply_trade(1.0, 1.0, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError, match="reserves"):
-        settle(1.0, 1e308, 1e-10, 0.0, 0.0)
+        apply_trade(1.0, 1e308, 1e-10, 0.0, 0.0)
     with pytest.raises(ValueError, match="reserves"):
-        settle(math.nan, -1.0, 1.0, 0.0, 0.0)
-    assert settle(0.5, -10.0, 1.0, 0.0, 0.0) == (0.0, 0.5)  # payout capped at the reserves
+        apply_trade(math.nan, -1.0, 1.0, 0.0, 0.0)
+    assert apply_trade(0.5, -10.0, 1.0, 0.0, 0.0) == (0.0, 0.5)  # payout capped at the reserves
+
+
+def test_every_settlement_goes_through_the_traced_name(monkeypatch):
+    # The benchmark's tracer counts settlements by replacing engine.apply_trade
+    # and theory.apply_trade; both loops must look the function up there.
+    calls = []
+
+    def counted(reserves, delta, p, eps_alpha, eps_beta):
+        out = apply_trade(reserves, delta, p, eps_alpha, eps_beta)
+        calls.append((reserves, delta, out))
+        return out
+
+    monkeypatch.setattr(engine, "apply_trade", counted)
+    monkeypatch.setattr(theory, "apply_trade", counted)
+    traced = run(dataclasses.replace(REFERENCE_CONFIG, record_traces=True), seed=7)
+    trades = sum(delta != 0.0 for delta in traced.traces.delta)
+    assert trades > 0 and len(calls) == trades
+    calls.clear()
+    run(REFERENCE_CONFIG, seed=7)
+    assert len(calls) == trades
+
+    calls.clear()
+    res = run_omniscient(random_walk(WalkSpec(0.0, 2.0, 100.0), 5000, 3), 0.01, 0.01, 50.0)
+    # Replaying the settlements seen gives the run's own outcome, so none
+    # went around the name: buys and sells alternate from the first buy.
+    assert calls
+    reserves, backing = 50.0, 1.0
+    for k, (before, delta, (reserves_out, flow)) in enumerate(calls):
+        assert before == reserves and (delta > 0.0) == (k % 2 == 0)
+        reserves = reserves_out
+        backing = max(backing + flow, 0.0) if delta > 0.0 else backing + flow
+    assert (backing, reserves == 0.0) == (res.final_backing, res.depleted)
 
 
 @pytest.mark.parametrize(
@@ -509,8 +538,6 @@ def test_settle_keeps_the_state_checks():
 def test_schedule_checks_guard_every_entry_point(reserves, eps_alpha, eps_beta):
     with pytest.raises(ValueError):
         check_schedule(reserves, eps_alpha, eps_beta)
-    with pytest.raises(ValueError):
-        MechanismState(reserves, eps_alpha, eps_beta)
     with pytest.raises(ValueError):
         SimConfig(
             source=NormalSpec(100.0, 100.0),

@@ -1,5 +1,6 @@
 """The README's "Library use" examples run against the package namespace,
-and every name a submodule's __all__ lists exists and has a caller."""
+every name a submodule's __all__ lists exists and has a caller, and every
+import in the package and its tests is used."""
 
 import ast
 import contextlib
@@ -81,3 +82,23 @@ def test_module_all_names_have_a_caller():
         if name not in used and not re.search(rf"\b{name}\b", bench)
     ]
     assert uncalled == []
+
+
+def test_every_import_is_loaded():
+    # An imported name that its module never loads is dead, unless the module
+    # re-exports it in __all__.  The stdlib ast does the scan, so the lint
+    # needs no dependency.
+    unused = []
+    for path in sorted([*(ROOT / "src" / "pegstress").glob("*.py"), *(ROOT / "tests").glob("*.py")]):
+        tree = ast.parse(path.read_text())
+        keep = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["__all__"]:
+                keep |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in keep:
+                        unused.append(f"{path.relative_to(ROOT)}: {name}")
+    assert unused == []

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pegstress.engine import SimConfig, run
-from pegstress.mechanism import check_schedule, settle
+from pegstress.mechanism import apply_trade, check_schedule
 from pegstress.prices import NormalSpec, PriceSeries, WalkSpec, iid_blocks, random_walk
 from pegstress.speculator import SpeculatorParams
 from pegstress.theory import (
@@ -380,11 +380,11 @@ def run_omniscient_every_step(series, eps_alpha, eps_beta, reserves0, n0=1.0):
     for t, (p, act) in enumerate(zip(prices, actions), start=1):
         if act == +1 and backing > 0.0:
             delta = backing * _buy_factor(p, eps_alpha)
-            reserves, flow = settle(reserves, delta, p, eps_alpha, eps_beta)
+            reserves, flow = apply_trade(reserves, delta, p, eps_alpha, eps_beta)
             backing = max(backing + flow, 0.0)
             coins += delta
         elif act == -1 and coins > 0.0:
-            reserves, flow = settle(reserves, -coins, p, eps_alpha, eps_beta)
+            reserves, flow = apply_trade(reserves, -coins, p, eps_alpha, eps_beta)
             backing += flow
             coins = 0.0
             if reserves == 0.0:
