@@ -21,10 +21,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import replace
 
-from .engine import (
-    MODES, AdaptiveSpec, MonteCarloSummary, SimConfig, SimResult, monte_carlo, sweep, sweep_configs,
-)
-from .mechanism import check_fees
+from .engine import AdaptiveSpec, MonteCarloSummary, SimConfig, SimResult, monte_carlo, sweep, sweep_configs
 from .prices import NormalSpec, PriceSeries, WalkSpec, load_csv, step_stats
 from .rounds import (
     build_round_matrix, discriminant, divergence_check, eigen, expected_depletion_rounds,
@@ -242,6 +239,9 @@ def _parse_config(raw: dict, args) -> dict:
 
     Every section given is checked here, also when the subcommand does not
     use it; adaptive, speculator and matrix come back as their model objects.
+    The run's SimConfig is built once, as cfg["sim"], and checks the engine's
+    rules for every subcommand; a section it needs and this config lacks gets
+    a stand-in (delta 0.5, unit reserves), which _sim_config keeps from a run.
     """
     cfg = _section(raw, "config", _CONFIG)
     run, t, sw = cfg["run"], cfg["theory"], cfg["sweep"]
@@ -254,42 +254,30 @@ def _parse_config(raw: dict, args) -> dict:
         cfg["speculator"] = SpeculatorParams(**cfg["speculator"])
     if cfg["matrix"] is not None:
         cfg["matrix"] = round_matrix_from_params(**cfg["matrix"])
-    check_fees(**cfg["fees"])
-    if cfg["mode"] not in MODES:
-        raise ConfigError("mode must be auto, analytic, or adaptive")
-    if cfg["mode"] == "analytic" and not isinstance(cfg["source"], (NormalSpec, type(None))):
-        raise ConfigError("analytic mode requires a distribution source")
-    for key in ("max_steps", "trials"):
-        if run[key] < 1:
-            raise ConfigError(f"{key} must be >= 1")
+    cfg["sim"] = SimConfig(
+        source=cfg["source"], speculator=cfg["speculator"] or SpeculatorParams(delta=0.5),
+        reserves0=cfg["reserves0"] or 1.0, n0=cfg["n0"], m0=cfg["m0"], mode=cfg["mode"],
+        adaptive=cfg["adaptive"], max_steps=run["max_steps"], master_seed=run["seed"],
+        record_traces=run["record_traces"], **cfg["fees"],
+    )
+    for trials in (run["trials"], sw and sw["trials"]):
+        if trials is not None and trials < 1:
+            raise ConfigError("trials must be >= 1")
     if not 0.0 < t["tail_fraction"] <= 1.0:
         raise ConfigError("tail_fraction must lie in (0, 1]")
     if not (math.isfinite(t["boundary_tol"]) and t["boundary_tol"] >= 0.0):
         raise ConfigError("boundary_tol must be finite and >= 0")
     if sw is not None:
-        if sw["trials"] is not None and sw["trials"] < 1:
-            raise ConfigError("trials must be >= 1")
-        # Each value goes through the checks its axis gets in a sweep.  The
-        # sections a sweep needs and this config lacks get stand-ins: the
-        # speculator's default delta and unit reserves.
-        probe = SimConfig(
-            source=cfg["source"], speculator=cfg["speculator"] or SpeculatorParams(delta=0.5),
-            reserves0=cfg["reserves0"] or 1.0, n0=cfg["n0"], m0=cfg["m0"], **cfg["fees"],
-        )
-        sweep_configs(probe, sw["axis"], sw["values"])
+        # Each value goes through the checks its axis gets in a sweep.
+        sweep_configs(cfg["sim"], sw["axis"], sw["values"])
     return cfg
 
 
 def _sim_config(cfg: dict) -> SimConfig:
-    run = cfg["run"]
-    return SimConfig(
-        source=_need(cfg, "source"),
-        speculator=_need(cfg, "speculator"),
-        reserves0=_need(cfg, "reserves0"),
-        n0=cfg["n0"], m0=cfg["m0"], mode=cfg["mode"], adaptive=cfg["adaptive"],
-        max_steps=run["max_steps"], master_seed=run["seed"], record_traces=run["record_traces"],
-        **cfg["fees"],
-    )
+    """cfg["sim"], once the sections it has stand-ins for are given."""
+    for key in ("source", "speculator", "reserves0"):
+        _need(cfg, key)
+    return cfg["sim"]
 
 
 def _price_series(cfg: dict, command: str) -> PriceSeries:
@@ -512,6 +500,8 @@ def cmd_theory(cfg: dict, args) -> None:
 def cmd_sweep(cfg: dict, args) -> None:
     config = _sim_config(cfg)
     sw = _need(cfg, "sweep")
+    if config.record_traces:
+        raise ConfigError("sweep writes no per-trial records: 'record_traces' in run needs simulate")
     # --trials beats sweep.trials, which beats run.trials.
     trials = sw["trials"] if args.trials is None and sw["trials"] is not None else cfg["run"]["trials"]
     rows = []

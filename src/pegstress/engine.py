@@ -197,6 +197,8 @@ class SimConfig:
         _check_count("max_steps", self.max_steps, 1)
         if self.mode not in MODES:
             raise ValueError("mode must be auto, analytic, or adaptive")
+        if self.mode == "analytic" and isinstance(self.source, (WalkSpec, PriceSeries)):
+            raise ValueError("analytic mode requires a distribution source")
         check_schedule(self.reserves0, self.eps_alpha, self.eps_beta)
 
     def resolved_mode(self) -> str:
@@ -245,14 +247,12 @@ class MonteCarloSummary:
 
 
 def _analytic_band(config: SimConfig) -> tuple[float, float]:
-    """Trade triggers (y1, y2) for analytic mode, which needs a normal source.
+    """Trade triggers (y1, y2) for analytic mode, whose source SimConfig keeps normal.
 
     When no finite trigger exists (zero variance, or a discount so deep the
     trader would never act on one side) the trader is inert: the band is the
     whole real line and the simulation simply plays prices forward.
     """
-    if not isinstance(config.source, NormalSpec):
-        raise ValueError("analytic mode requires a distribution source")
     try:
         wi = waiting_interval(config.source, config.speculator)
     except NoTradeInterval:
@@ -268,9 +268,10 @@ def run(
 ) -> SimResult:
     """Run one simulation.
 
-    seed defaults to config.master_seed.  For analytic mode the band
-    (y1, y2) is computed from the source distribution unless one is passed
-    in (monte_carlo passes it so the optimisation runs once, not per trial).
+    seed defaults to config.master_seed.  A band (y1, y2) passed in holds for
+    every step, in any mode (monte_carlo passes analytic mode's, so the
+    optimisation runs once, not per trial).  Without one, analytic mode
+    computes it from the source distribution and adaptive mode rolls it.
     rng, if given, is a generator already in seed's PCG64 state (monte_carlo
     reseeds one for each trial); without it the run draws from
     default_rng(seed).
@@ -278,7 +279,7 @@ def run(
     (above y2 while n > 0, below y1 while m > 0); traced, every step.
     """
     import numpy as np
-    adaptive = config.resolved_mode() == "adaptive"
+    adaptive = interval is None and config.resolved_mode() == "adaptive"
     if adaptive:
         window = RollingBand(config.adaptive)
     else:

@@ -16,18 +16,14 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["check_fees", "check_schedule", "apply_trade"]
+__all__ = ["check_schedule", "apply_trade"]
 
 
 def check_schedule(reserves: float, eps_alpha: float, eps_beta: float) -> None:
-    """Reject reserves that are not finite and >= 0, and fees out of range."""
+    """Reject reserves that are not finite and >= 0, an eps_alpha that is not
+    finite and >= 0, or an eps_beta outside [0, 1)."""
     if not (math.isfinite(reserves) and reserves >= 0.0):
         raise ValueError("reserves must be finite and >= 0")
-    check_fees(eps_alpha, eps_beta)
-
-
-def check_fees(eps_alpha: float, eps_beta: float) -> None:
-    """Reject an eps_alpha that is not finite and >= 0, or an eps_beta outside [0, 1)."""
     if not (eps_alpha >= 0.0 and math.isfinite(eps_alpha)):
         raise ValueError("eps_alpha must be >= 0")
     if not (0.0 <= eps_beta < 1.0):

@@ -29,7 +29,7 @@ trader's backing holdings reach n_0 + R_0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .prices import NormalSpec, TruncatedNormal
 from .speculator import SpeculatorParams, WaitingInterval
@@ -338,8 +338,8 @@ def expected_depletion_rounds(sys: EigenSystem, reserves0: float, n0: float) -> 
     _first_crossing in O(log k) evaluations, each the same float a
     round-by-round scan would compute, then the fraction of the last round
     by bisection on the closed form (which interpolates the sign of a2 < 0).
-    A base above 1 in modulus always crosses: by the round where its power
-    overflows at the latest.
+    A base above 1 in modulus with a non-zero coefficient always crosses:
+    by the round where its power overflows at the latest.
     """
     if not (math.isfinite(reserves0) and reserves0 >= 0.0):
         raise ValueError("reserves0 must be finite and >= 0")
@@ -348,6 +348,10 @@ def expected_depletion_rounds(sys: EigenSystem, reserves0: float, n0: float) -> 
     a1, a2, c1n, c2n = sys.a1, sys.a2, sys.c1[1], sys.c2[1]
     if not all(math.isfinite(v) for v in (a1, a2, c1n, c2n)):
         raise ValueError("eigen system is not finite: the round matrix overflowed")
+    # A term whose coefficient is 0 adds nothing, however far its power
+    # would overflow: its base becomes 0, whose powers never do.
+    a1, a2 = (a if c != 0.0 else 0.0 for a, c in ((a1, c1n), (a2, c2n)))
+    sys = replace(sys, a1=a1, a2=a2)
     target = n0 + reserves0
     if _backing_at(sys, 0.0) >= target:
         return 0.0

@@ -215,6 +215,20 @@ class TestAnalyze:
         assert float(sim["fraction_depleted"]) == 0.0
         assert float(sim["r_min_min"]) == EX1_CONFIG["reserves0"]
 
+    @pytest.mark.parametrize(
+        "base",
+        [EX1_CONFIG, {"matrix": {"lambda_buy": 0.3, "lambda_sell": 0.3, "i": 5.0, "j": 3.0, "y_ratio": 1.4},
+                      "reserves0": 100.0}],
+        ids=["normal", "matrix"],
+    )
+    def test_empty_handed_trader_never_depletes(self, tmp_path, capsys, base):
+        # With n0 = m0 = 0 both eigen coefficients are 0: the backing stays 0
+        # however far the dominant power would overflow.
+        cfg = write_config(tmp_path, "empty.json", dict(base, n0=0.0, m0=0.0))
+        assert main(["analyze", "--config", cfg]) == 0
+        report = parse_console(capsys.readouterr().out)
+        assert (report["outcome"], report["depletion_rounds"]) == ("never depletes", "")
+
     def test_file_matches_console(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "ex1.json", EX1_CONFIG)
         out = tmp_path / "report.csv"
@@ -519,6 +533,14 @@ class TestSweep:
         cfg = write_config(tmp_path, "bad.json", payload)
         assert main(["sweep", "--config", cfg]) == 1
         assert "volatility" in capsys.readouterr().err
+
+    def test_record_traces_rejected(self, tmp_path, capsys):
+        # A sweep keeps no per-trial record, so traces would be run and dropped.
+        payload = dict(EX1_CONFIG, sweep={"axis": "delta", "values": [0.1]}, run={"record_traces": True})
+        cfg = write_config(tmp_path, "tr.json", payload)
+        assert main(["sweep", "--config", cfg]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and "record_traces" in err
 
     def test_trials_priority(self, tmp_path, capsys):
         payload = dict(

@@ -126,9 +126,22 @@ class TestSingleRun:
         assert res.final_n + res.traces.reserves[-1] == pytest.approx(101.0, rel=1e-12)
 
     def test_analytic_mode_needs_distribution(self):
-        cfg = dataclasses.replace(EX1, source=literal(1.0, 2.0), mode="analytic")
         with pytest.raises(ValueError, match="analytic mode"):
+            cfg = dataclasses.replace(EX1, source=literal(1.0, 2.0), mode="analytic")
             run(cfg)
+
+    def test_analytic_mode_on_a_walk_fails_at_construction(self):
+        walk = WalkSpec(mu_step=0.0, sigma_step=1.0, p0=100.0)
+        with pytest.raises(ValueError, match="analytic mode requires a distribution source"):
+            SimConfig(source=walk, speculator=EX1.speculator, reserves0=100.0, n0=1.0, mode="analytic")
+
+    def test_explicit_band_applies_in_adaptive_mode(self):
+        # A band passed to run holds in any mode, not only in analytic mode.
+        cfg = dataclasses.replace(EX1, source=WalkSpec(mu_step=0.0, sigma_step=2.0, p0=100.0), max_steps=2000)
+        assert cfg.resolved_mode() == "adaptive"
+        banded = run(cfg, seed=3, interval=(99.0, 101.0))
+        assert repr(banded) != repr(run(cfg, seed=3))
+        assert banded == run(dataclasses.replace(cfg, adaptive=AdaptiveSpec(c=0.0)), seed=3, interval=(99.0, 101.0))
 
     def test_mode_resolution(self):
         assert EX1.resolved_mode() == "analytic"

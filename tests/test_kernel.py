@@ -289,7 +289,7 @@ def sim_configs(draw):
 def run_every_step(config, seed, interval=None):
     """run's loop as it was before it jumped: it visits every out-of-band
     step, whatever the trader holds.  Untraced record only."""
-    adaptive = config.resolved_mode() == "adaptive"
+    adaptive = interval is None and config.resolved_mode() == "adaptive"
     if adaptive:
         window = RollingBand(config.adaptive)
     else:
@@ -336,8 +336,8 @@ def run_every_step(config, seed, interval=None):
 REFERENCE_CONFIG = SimConfig(
     source=NormalSpec(100.0, 100.0), speculator=SpeculatorParams(delta=0.1), reserves0=100.0, n0=1.0
 )
-# Explicit bands for analytic mode; (101, 99) and (105, 95) are inverted, so
-# a price between them is on both sides.
+# Explicit bands, which hold in any mode; (101, 99) and (105, 95) are
+# inverted, so a price between them is on both sides.
 _bands = st.tuples(st.sampled_from([90.0, 95.0, 99.0, 101.0, 105.0]), st.sampled_from([95.0, 99.0, 101.0, 110.0]))
 
 
@@ -348,8 +348,6 @@ _bands = st.tuples(st.sampled_from([90.0, 95.0, 99.0, 101.0, 105.0]), st.sampled
 def test_run_matches_the_every_step_oracle(cfg, seed, interval):
     # The run jumps over the steps on a side that holds nothing; the oracle
     # visits each one.  Both must land on the same record, bit for bit.
-    if interval is not None:
-        cfg = dataclasses.replace(cfg, mode="analytic")  # an explicit band holds for every source
     # repr tells -0.0 from 0.0, which == does not.
     assert repr(run(cfg, seed=seed, interval=interval)) == repr(run_every_step(cfg, seed, interval))
 

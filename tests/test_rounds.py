@@ -5,6 +5,7 @@ algebraic identities on random draws, and one seeded trade-level simulation
 that must agree with the matrix formula to within Monte Carlo error.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -36,7 +37,10 @@ EX1_MATRIX = build_round_matrix(EX1_DIST, EX1_INTERVAL, EX1_PARAMS)
 
 
 def backing(sys_, k):
-    """Expected backing after k rounds; an overflowing power counts as inf."""
+    """Expected backing after k rounds; an overflowing power counts as inf,
+    unless its coefficient is 0: that term is 0 whatever its power."""
+    c1n, c2n = sys_.c1[1], sys_.c2[1]
+    sys_ = dataclasses.replace(sys_, a1=sys_.a1 if c1n != 0.0 else 0.0, a2=sys_.a2 if c2n != 0.0 else 0.0)
     try:
         return expected_portfolio(sys_, k)[1]
     except OverflowError:
@@ -393,6 +397,18 @@ class TestDepletion:
             k = expected_depletion_rounds(sys_, reserves0, n0)
             assert math.isfinite(k)
             assert k == scan_depletion_rounds(sys_, reserves0, n0, 2000)
+
+    def test_zero_coefficient_power_never_crosses(self):
+        # 2**k overflows near round 1024, but c1n is 0: that term adds
+        # nothing, and the backing 0.5**k only decays from 1 below 2.
+        sys_ = EigenSystem(a1=2.0, a2=0.5, c1=(0.0, 0.0), c2=(0.0, 1.0), x0=(0.0, 1.0))
+        assert expected_depletion_rounds(sys_, reserves0=1.0, n0=1.0) == math.inf
+        # The backing flips between 1 and -1 below a target of 1 + 1e-9,
+        # whatever 1.5**k does; the unit-step scan agrees.
+        flipping = EigenSystem(a1=1.5, a2=-1.0, c1=(0.0, 0.0), c2=(0.0, -1.0), x0=(0.0, -1.0))
+        n0 = backing(flipping, 1.0) * (1.0 + 1e-9)
+        assert expected_depletion_rounds(flipping, 0.0, n0) == math.inf
+        assert scan_depletion_rounds(flipping, 0.0, n0, 4000) is None
 
     @settings(max_examples=300, deadline=None)
     @example(a1=0.75, a2=0.75, c1n=1.5, c2n=-1.625, at=114, nudge=1.0, reserves0=8.0)
