@@ -19,7 +19,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
+from typing import NamedTuple
 
 from .engine import AdaptiveSpec, MonteCarloSummary, SimConfig, SimResult, monte_carlo, sweep, sweep_configs
 from .prices import NormalSpec, PriceSeries, WalkSpec, load_csv, step_stats
@@ -32,8 +32,6 @@ from .theory import L_criterion, converging_spread_series, min_fee, stability_la
 
 __all__ = ["main", "ConfigError"]
 
-_REQUIRED = object()
-
 
 class ConfigError(ValueError):
     """Bad or missing configuration; the message names the offending key."""
@@ -43,14 +41,18 @@ class ConfigError(ValueError):
 # config parsing
 
 
+class _Required(NamedTuple):
+    conv: object  # the converter of a key the section must give
+
+
 def _section(raw: dict, where: str, keys: dict):
     """Pull typed values out of a dict; unknown keys are errors.
 
-    keys maps name -> (converter, default); default _REQUIRED means the key
-    must be present.  A dict converter is a sub-section, parsed by this
-    function.  Absent or null, it takes its default: None leaves it for _need
-    to demand, {} gives the sub-section's own defaults.  Any other value that
-    is not an object, falsy or not, is an error.
+    keys maps name -> converter, or _Required(converter) for a key that must
+    be present.  The schema holds no defaults: a key left out is left out of
+    the result, and the model it feeds applies its own.  A dict converter is
+    a sub-section, parsed by this function; given as null, it counts as
+    absent.  Any other value that is not an object, falsy or not, is an error.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"{where} must be an object")
@@ -59,29 +61,31 @@ def _section(raw: dict, where: str, keys: dict):
         allowed = ", ".join(sorted(keys))
         raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in {where} (allowed: {allowed})")
     out = {}
-    for name, (conv, default) in keys.items():
-        if isinstance(conv, dict):
-            value = raw.get(name)
-            if value is None:
-                value = default
-            out[name] = None if value is None else _section(value, name, conv)
-        elif name in raw:
-            try:
-                out[name] = conv(raw[name])
-            except ConfigError:
-                raise
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad value for {name!r} in {where}: {exc}") from None
-        elif default is _REQUIRED:
-            raise ConfigError(f"missing key {name!r} in {where}")
-        else:
-            out[name] = default
+    for name, conv in keys.items():
+        if isinstance(conv, _Required):
+            if name not in raw:
+                raise ConfigError(f"missing key {name!r} in {where}")
+            conv = conv.conv
+        value = raw.get(name)
+        if name not in raw or value is None and isinstance(conv, dict):
+            continue
+        try:
+            out[name] = _section(value, name, conv) if isinstance(conv, dict) else conv(value)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad value for {name!r} in {where}: {exc}") from None
     return out
+
+
+def _given(section: dict, *names: str) -> dict:
+    """section's entries among names: keyword arguments for a model that defaults the rest."""
+    return {name: section[name] for name in names if name in section}
 
 
 def _need(cfg: dict, key: str):
     """cfg[key], which this subcommand cannot do without."""
-    if cfg[key] is None:
+    if cfg.get(key) is None:
         raise ConfigError(f"missing key {key!r} in config")
     return cfg[key]
 
@@ -110,27 +114,10 @@ def _as_bool(v) -> bool:
     return v
 
 
-def _as_holding(v) -> float:
-    x = _as_float(v)
-    if not (math.isfinite(x) and x >= 0.0):
-        raise ValueError("must be finite and >= 0")
-    return x
-
-
-def _as_reserves(v) -> float:
-    x = _as_holding(v)
-    if x == 0.0:
-        raise ValueError("must be > 0")
-    return x
-
-
-def _list_of(conv):
-    def parse(v) -> list[float]:
-        if not isinstance(v, list) or not v:
-            raise ValueError("expected a non-empty list of numbers")
-        return [conv(x) for x in v]
-
-    return parse
+def _as_floats(v) -> list[float]:
+    if not isinstance(v, list) or not v:
+        raise ValueError("expected a non-empty list of numbers")
+    return [_as_float(x) for x in v]
 
 
 def _load_config(path: str) -> dict:
@@ -146,41 +133,32 @@ def _load_config(path: str) -> dict:
     return raw
 
 
-def _normal(s: dict) -> NormalSpec:
-    if s["support_lo"] <= 0.0:
-        raise ConfigError("support_lo must be > 0 in source(normal): prices must stay positive")
-    return NormalSpec(**s)
-
-
-def _literal(s: dict) -> PriceSeries:
-    if s["repeat"] < 1:
-        raise ConfigError("repeat must be >= 1 in source(literal)")
-    return PriceSeries(prices=tuple(s["prices"]) * s["repeat"], source="literal")
-
-
 # kind -> (keys besides "kind", build).  The builders look load_csv and
 # converging_spread_series up at call time, so wrappers installed on this
-# module's names (perfbench/tracing.py) see the calls.
+# module's names (perfbench/tracing.py) see the calls.  No model defaults
+# repeat, inv_lo or inv_hi, so the builders do.
 _SOURCES = {
     "normal": (
-        {"mu": (_as_float, _REQUIRED), "sigma2": (_as_float, _REQUIRED),
-         "support_lo": (_as_float, math.nan), "support_hi": (_as_float, math.nan)},
-        _normal,
+        {"mu": _Required(_as_float), "sigma2": _Required(_as_float), "support_lo": _as_float,
+         "support_hi": _as_float},
+        lambda s: NormalSpec(**s),
     ),
     "walk": (
-        {"mu_step": (_as_float, _REQUIRED), "sigma_step": (_as_float, _REQUIRED),
-         "p0": (_as_float, _REQUIRED), "floor": (_as_float, 1e-6)},
+        {"mu_step": _Required(_as_float), "sigma_step": _Required(_as_float), "p0": _Required(_as_float),
+         "floor": _as_float},
         lambda s: WalkSpec(**s),
     ),
     "csv": (
-        {"path": (_as_str, _REQUIRED), "timestamp_column": (_as_str, "timestamp"),
-         "price_column": (_as_str, "price")},
-        lambda s: load_csv(s["path"], s["timestamp_column"], s["price_column"]),
+        {"path": _Required(_as_str), "timestamp_column": _as_str, "price_column": _as_str},
+        lambda s: load_csv(**s),
     ),
-    "literal": ({"prices": (_list_of(_as_float), _REQUIRED), "repeat": (_as_int, 1)}, _literal),
+    "literal": (
+        {"prices": _Required(_as_floats), "repeat": _as_int},
+        lambda s: PriceSeries(prices=tuple(s["prices"]) * s.get("repeat", 1), source="literal"),
+    ),
     "converging_spread": (
-        {"inv_lo": (_as_float, 1.0), "inv_hi": (_as_float, 2.0), "pairs": (_as_int, _REQUIRED)},
-        lambda s: converging_spread_series(s["inv_lo"], s["inv_hi"], s["pairs"]),
+        {"inv_lo": _as_float, "inv_hi": _as_float, "pairs": _Required(_as_int)},
+        lambda s: converging_spread_series(s.get("inv_lo", 1.0), s.get("inv_hi", 2.0), s["pairs"]),
     ),
 }
 
@@ -194,7 +172,7 @@ def _parse_source(raw) -> NormalSpec | WalkSpec | PriceSeries | None:
     if not isinstance(kind, str) or kind not in _SOURCES:
         raise ConfigError(f"unknown source kind {kind!r} (allowed: {', '.join(_SOURCES)})")
     keys, build = _SOURCES[kind]
-    s = _section(raw, f"source({kind})", {"kind": (_as_str, _REQUIRED), **keys})
+    s = _section(raw, f"source({kind})", {"kind": _as_str, **keys})
     del s["kind"]
     try:
         return build(s)
@@ -202,71 +180,66 @@ def _parse_source(raw) -> NormalSpec | WalkSpec | PriceSeries | None:
         raise ConfigError(str(exc)) from None
 
 
-_SPECULATOR = {"delta": (_as_float, 0.5), "lambda_buy": (_as_float, 0.0), "lambda_sell": (_as_float, 0.0)}
-
-# Top-level keys.  Sub-sections defaulting to None are needed by only some
-# subcommands, which demand them with _need.
+# Top-level keys.  Sections that only some subcommands need are demanded
+# there, with _need.
 _CONFIG = {
-    "source": (_parse_source, None),
-    "speculator": (_SPECULATOR, None),
-    "mode": (_as_str, "auto"),
-    "adaptive": ({"c": (_as_float, 3.5), "window": (_as_int, 168)}, {}),
-    "fees": ({"eps_alpha": (_as_float, 0.0), "eps_beta": (_as_float, 0.0)}, {}),
-    "reserves0": (_as_reserves, None),
-    "n0": (_as_holding, 1.0),
-    "m0": (_as_holding, 0.0),
-    "n0_grid": (_list_of(_as_holding), None),
-    "run": (
-        {"max_steps": (_as_int, 100_000), "seed": (_as_int, 0), "trials": (_as_int, 1),
-         "record_traces": (_as_bool, False)},
-        {},
-    ),
-    "sweep": (
-        {"axis": (_as_str, _REQUIRED), "values": (_list_of(_as_float), _REQUIRED), "trials": (_as_int, None)},
-        None,
-    ),
-    "theory": ({"tail_fraction": (_as_float, 0.5), "boundary_tol": (_as_float, 1e-12)}, {}),
-    "matrix": (
-        {"lambda_buy": (_as_float, 0.0), "lambda_sell": (_as_float, 0.0), "i": (_as_float, _REQUIRED),
-         "j": (_as_float, _REQUIRED), "y_ratio": (_as_float, _REQUIRED), "sell_mean": (_as_float, 1.0)},
-        None,
-    ),
+    "source": _parse_source,
+    "speculator": {"delta": _as_float, "lambda_buy": _as_float, "lambda_sell": _as_float},
+    "mode": _as_str,
+    "adaptive": {"c": _as_float, "window": _as_int},
+    "fees": {"eps_alpha": _as_float, "eps_beta": _as_float},
+    "reserves0": _as_float,
+    "n0": _as_float,
+    "m0": _as_float,
+    "n0_grid": _as_floats,
+    "run": {"max_steps": _as_int, "seed": _as_int, "trials": _as_int, "record_traces": _as_bool},
+    "sweep": {"axis": _Required(_as_str), "values": _Required(_as_floats), "trials": _as_int},
+    "theory": {"tail_fraction": _as_float, "boundary_tol": _as_float},
+    "matrix": {"lambda_buy": _as_float, "lambda_sell": _as_float, "i": _Required(_as_float),
+               "j": _Required(_as_float), "y_ratio": _Required(_as_float), "sell_mean": _as_float},
 }
 
 
 def _parse_config(raw: dict, args) -> dict:
     """The whole config, typed, with the command-line overrides applied.
 
-    Every section given is checked here, also when the subcommand does not
-    use it; adaptive, speculator and matrix come back as their model objects.
-    The run's SimConfig is built once, as cfg["sim"], and checks the engine's
-    rules for every subcommand; a section it needs and this config lacks gets
-    a stand-in (delta 0.5, unit reserves), which _sim_config keeps from a run.
+    A key left out stays out, so the model it feeds applies its default.
+    Every section given is checked, also for a subcommand that does not use
+    it.  speculator, matrix and n0_grid (a SimConfig per entry) come back as
+    model objects; cfg["sim"] is the run's SimConfig, with unit reserves
+    standing in for a missing reserves0, which _sim_config keeps from a run.
     """
     cfg = _section(raw, "config", _CONFIG)
-    run, t, sw = cfg["run"], cfg["theory"], cfg["sweep"]
+    run, sw, t = cfg.setdefault("run", {}), cfg.get("sweep"), cfg.get("theory", {})
     for key in ("seed", "trials", "max_steps"):
         if getattr(args, key) is not None:
             run[key] = getattr(args, key)
+    run.setdefault("trials", 1)  # monte_carlo has no default count
     # A model's own ValueError, like a ConfigError, is main's "error: ..." line.
-    cfg["adaptive"] = AdaptiveSpec(**cfg["adaptive"])
-    if cfg["speculator"] is not None:
+    if "speculator" in cfg:
         cfg["speculator"] = SpeculatorParams(**cfg["speculator"])
-    if cfg["matrix"] is not None:
-        cfg["matrix"] = round_matrix_from_params(**cfg["matrix"])
+    if "matrix" in cfg:
+        # round_matrix_from_params takes the haircuts first, without defaults.
+        cfg["matrix"] = round_matrix_from_params(**{"lambda_buy": 0.0, "lambda_sell": 0.0, **cfg["matrix"]})
+    # run's keys are SimConfig's, but for seed (its master_seed) and trials.
+    engine = {"master_seed" if k == "seed" else k: v for k, v in run.items() if k != "trials"}
     cfg["sim"] = SimConfig(
-        source=cfg["source"], speculator=cfg["speculator"] or SpeculatorParams(delta=0.5),
-        reserves0=cfg["reserves0"] or 1.0, n0=cfg["n0"], m0=cfg["m0"], mode=cfg["mode"],
-        adaptive=cfg["adaptive"], max_steps=run["max_steps"], master_seed=run["seed"],
-        record_traces=run["record_traces"], **cfg["fees"],
+        source=cfg.get("source"), speculator=cfg.get("speculator", SpeculatorParams()),
+        reserves0=cfg.get("reserves0", 1.0), adaptive=AdaptiveSpec(**cfg.get("adaptive", {})),
+        **_given(cfg, "n0", "m0", "mode"), **cfg.get("fees", {}), **engine,
     )
-    for trials in (run["trials"], sw and sw["trials"]):
+    for trials in (run["trials"], sw and sw.get("trials")):
         if trials is not None and trials < 1:
             raise ConfigError("trials must be >= 1")
-    if not 0.0 < t["tail_fraction"] <= 1.0:
+    if "tail_fraction" in t and not 0.0 < t["tail_fraction"] <= 1.0:
         raise ConfigError("tail_fraction must lie in (0, 1]")
-    if not (math.isfinite(t["boundary_tol"]) and t["boundary_tol"] >= 0.0):
+    if "boundary_tol" in t and not (math.isfinite(t["boundary_tol"]) and t["boundary_tol"] >= 0.0):
         raise ConfigError("boundary_tol must be finite and >= 0")
+    if "n0_grid" in cfg:
+        try:
+            cfg["n0_grid"] = sweep_configs(cfg["sim"], "n0", cfg["n0_grid"])
+        except ValueError as exc:
+            raise ConfigError(f"bad value for 'n0_grid' in config: {exc}") from None
     if sw is not None:
         # Each value goes through the checks its axis gets in a sweep.
         sweep_configs(cfg["sim"], sw["axis"], sw["values"])
@@ -365,15 +338,16 @@ def _emit(rows, args) -> None:
 
 
 def cmd_analyze(cfg: dict, args) -> None:
-    reserves0, n0, m0 = _need(cfg, "reserves0"), cfg["n0"], cfg["m0"]
-    if any(cfg["fees"].values()):
+    _need(cfg, "reserves0")
+    sim = cfg["sim"]
+    if sim.eps_alpha or sim.eps_beta:
         raise ConfigError(
             "analyze: the closed form is fee-free and cannot model non-zero 'fees'; "
             "use simulate for a fee schedule"
         )
     report: dict = {}
 
-    mat = cfg["matrix"]
+    mat = cfg.get("matrix")
     if mat is None:
         source = _need(cfg, "source")
         if not isinstance(source, NormalSpec):
@@ -405,9 +379,9 @@ def cmd_analyze(cfg: dict, args) -> None:
             x2=interval.x2,
         )
 
-    sys_ = eigen(mat, (m0, n0))
-    diverges = divergence_check(mat, (m0, n0))
-    k = expected_depletion_rounds(sys_, reserves0, n0)
+    sys_ = eigen(mat, (sim.m0, sim.n0))
+    diverges = divergence_check(mat, (sim.m0, sim.n0))
+    k = expected_depletion_rounds(sys_, sim.reserves0, sim.n0)
     report.update(
         i=mat.i,
         j=mat.j,
@@ -466,30 +440,30 @@ def _trial_row(n0: float, idx: int, res: SimResult) -> dict:
 def cmd_simulate(cfg: dict, args) -> None:
     config = _sim_config(cfg)
     trials = cfg["run"]["trials"]
-    if config.record_traces and args.out and args.format != "json":
-        raise ConfigError("record_traces output requires --format json")
+    if config.record_traces and not (args.out and args.format == "json"):
+        raise ConfigError("record_traces output requires --out with --format json")
     with _out_records(args) as write:
-        for n0 in cfg["n0_grid"] or [config.n0]:
+        for point in cfg.get("n0_grid") or [config]:
             # Each trial's row is written as the trial finishes; without
             # --out there is no sink, and no per-trial record is made.
-            sink = None if write is None else lambda idx, res: write(_trial_row(n0, idx, res))
-            summary = monte_carlo(replace(config, n0=n0), trials, sink=sink)
-            _print_report(_summary_rows(summary, {"n0": n0}))
+            sink = None if write is None else lambda idx, res: write(_trial_row(point.n0, idx, res))
+            summary = monte_carlo(point, trials, sink=sink)
+            _print_report(_summary_rows(summary, {"n0": point.n0}))
 
 
 def cmd_theory(cfg: dict, args) -> None:
     source = _price_series(cfg, "theory")
-    t, fees = cfg["theory"], cfg["fees"]
-    spread = tail_spread(source, t["tail_fraction"])
-    value = L_criterion(fees["eps_alpha"], fees["eps_beta"], spread)
-    label = stability_label(fees["eps_alpha"], fees["eps_beta"], spread, boundary_tol=t["boundary_tol"])
+    t, sim = cfg.get("theory", {}), cfg["sim"]
+    spread = tail_spread(source, **_given(t, "tail_fraction"))
+    value = L_criterion(sim.eps_alpha, sim.eps_beta, spread)
+    label = stability_label(sim.eps_alpha, sim.eps_beta, spread, **_given(t, "boundary_tol"))
     report = {
         "series_len": len(source),
         "tail_fraction": spread.tail_fraction,
         "inv_liminf_est": spread.inv_liminf_est,
         "inv_limsup_est": spread.inv_limsup_est,
-        "eps_alpha": fees["eps_alpha"],
-        "eps_beta": fees["eps_beta"],
+        "eps_alpha": sim.eps_alpha,
+        "eps_beta": sim.eps_beta,
         "L": value,
         "classification": label,
         "min_fee": min_fee(spread),
@@ -503,7 +477,7 @@ def cmd_sweep(cfg: dict, args) -> None:
     if config.record_traces:
         raise ConfigError("sweep writes no per-trial records: 'record_traces' in run needs simulate")
     # --trials beats sweep.trials, which beats run.trials.
-    trials = sw["trials"] if args.trials is None and sw["trials"] is not None else cfg["run"]["trials"]
+    trials = sw["trials"] if args.trials is None and "trials" in sw else cfg["run"]["trials"]
     rows = []
     for value, summary in zip(sw["values"], sweep(config, sw["axis"], sw["values"], trials)):
         row = _summary_rows(summary, {"axis": sw["axis"], "value": value})

@@ -173,12 +173,13 @@ def _running_sums(dev: np.ndarray, window: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Everything one run needs; immutable so sweeps can share it."""
+    """Everything one run needs; immutable so sweeps can share it.  Its
+    defaults are the CLI's for a config key left out."""
 
     source: NormalSpec | WalkSpec | PriceSeries
     speculator: SpeculatorParams
     reserves0: float
-    n0: float
+    n0: float = 1.0
     m0: float = 0.0
     eps_alpha: float = 0.0
     eps_beta: float = 0.0
@@ -189,8 +190,8 @@ class SimConfig:
     record_traces: bool = False
 
     def __post_init__(self) -> None:
-        if not (self.reserves0 > 0.0):
-            raise ValueError("reserves0 must be > 0")
+        if not (math.isfinite(self.reserves0) and self.reserves0 > 0.0):
+            raise ValueError("reserves0 must be finite and > 0")
         for name, held in (("m0", self.m0), ("n0", self.n0)):
             if not (math.isfinite(held) and held >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0")
@@ -199,6 +200,8 @@ class SimConfig:
             raise ValueError("mode must be auto, analytic, or adaptive")
         if self.mode == "analytic" and isinstance(self.source, (WalkSpec, PriceSeries)):
             raise ValueError("analytic mode requires a distribution source")
+        if isinstance(self.source, NormalSpec) and not self.source.support_lo > 0.0:
+            raise ValueError("support_lo must be > 0 in source(normal): prices must stay positive")
         check_schedule(self.reserves0, self.eps_alpha, self.eps_beta)
 
     def resolved_mode(self) -> str:

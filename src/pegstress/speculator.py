@@ -58,13 +58,13 @@ class NoTradeInterval(ValueError):
 
 @dataclass(frozen=True)
 class SpeculatorParams:
-    """delta: per-step discount rate in (0, 1); haircuts in [0, 1].
+    """delta: per-step discount rate in (0, 1), 0.5 by default; haircuts in [0, 1].
 
     A haircut of lambda means a fraction lambda of the relevant holding is
     kept back on each trade (lambda = 1 never trades, lambda = 0 goes all-in).
     """
 
-    delta: float
+    delta: float = 0.5
     lambda_buy: float = 0.0
     lambda_sell: float = 0.0
 

@@ -133,7 +133,12 @@ class TestAnalyze:
         cfg = write_config(tmp_path, "bad.json", dict(EX1_CONFIG, **holdings))
         assert main(["analyze", "--config", cfg]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: bad value for {key!r} in config: must be finite and >= 0\n"
+        # The models' own messages; n0_grid's also names the grid.
+        message = {
+            "reserves0": "reserves0 must be finite and > 0",
+            "n0_grid": "bad value for 'n0_grid' in config: n0 must be finite and >= 0",
+        }.get(key, f"{key} must be finite and >= 0")
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("command", ["analyze", "simulate", "sweep", "theory", "ingest-stats"])
     def test_zero_reserves_rejected(self, tmp_path, capsys, command):
@@ -143,7 +148,7 @@ class TestAnalyze:
         assert main([command, "--config", cfg]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "error: bad value for 'reserves0' in config: must be > 0\n"
+        assert err == "error: reserves0 must be finite and > 0\n"
 
     @pytest.mark.parametrize("value", [float("inf"), float("nan")])
     @pytest.mark.parametrize("key", ["i", "j", "y_ratio", "sell_mean"])
@@ -300,6 +305,13 @@ class TestSimulate:
         out = tmp_path / "runs.csv"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
         assert "json" in capsys.readouterr().err
+
+    def test_traces_require_out(self, tmp_path, capsys):
+        # Without --out every trial used to run traced and drop its traces.
+        payload = dict(EX1_CONFIG, run={"record_traces": True, "max_steps": 50})
+        cfg = write_config(tmp_path, "tr.json", payload)
+        assert main(["simulate", "--config", cfg]) == 1
+        assert capsys.readouterr() == ("", "error: record_traces output requires --out with --format json\n")
 
     def test_traces_embedded_in_json(self, tmp_path):
         payload = dict(EX1_CONFIG, run={"record_traces": True, "max_steps": 50})

@@ -187,6 +187,25 @@ class TestSingleRun:
             else:
                 dataclasses.replace(EX1, **kwargs)
 
+    def test_n0_defaults_to_one_backing_coin(self):
+        cfg = SimConfig(EX1.source, EX1.speculator, 100.0)
+        assert cfg.n0 == 1.0 and cfg == EX1
+
+    @pytest.mark.parametrize("reserves0", [math.inf, math.nan])
+    def test_reserves0_must_be_finite(self, reserves0):
+        with pytest.raises(ValueError, match=r"^reserves0 must be finite and > 0$"):
+            dataclasses.replace(EX1, reserves0=reserves0)
+
+    @pytest.mark.parametrize("mode", ["analytic", "adaptive", "auto"])
+    def test_normal_support_reaching_non_positive_prices_rejected(self, mode):
+        # Such a config used to build, then fail in the run: "price must be
+        # positive" (adaptive) or a non-positive conditional mean (analytic).
+        source = NormalSpec(0.5, 1.0, -4.0, 4.0)
+        with pytest.raises(ValueError, match="support_lo must be > 0"):
+            dataclasses.replace(EX1, source=source, mode=mode)
+        with pytest.raises(ValueError, match="support_lo must be > 0"):
+            dataclasses.replace(EX1, source=dataclasses.replace(source, support_lo=0.0), mode=mode)
+
     def test_config_takes_numpy_integers(self):
         cfg = dataclasses.replace(EX1, max_steps=np.int64(3), adaptive=AdaptiveSpec(window=np.int32(2)))
         assert run(cfg).steps == 3

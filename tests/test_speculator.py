@@ -110,6 +110,9 @@ class TestWaitingInterval:
         assert wi.y2 == pytest.approx(100.0, abs=1e-2)
         assert wi.y1 <= wi.y2
 
+    def test_delta_defaults_to_one_half(self):
+        assert SpeculatorParams() == SpeculatorParams(0.5, 0.0, 0.0)
+
     def test_point_mass_has_no_interval(self):
         with pytest.raises(NoTradeInterval):
             waiting_interval(NormalSpec(mu=100.0, sigma2=0.0), EX1_PARAMS)
