@@ -136,7 +136,7 @@ def _load_config(path: str) -> dict:
 # kind -> (keys besides "kind", build).  The builders look load_csv and
 # converging_spread_series up at call time, so wrappers installed on this
 # module's names (perfbench/tracing.py) see the calls.  No model defaults
-# repeat, inv_lo or inv_hi, so the builders do.
+# repeat, so the literal builder does.
 _SOURCES = {
     "normal": (
         {"mu": _Required(_as_float), "sigma2": _Required(_as_float), "support_lo": _as_float,
@@ -158,7 +158,7 @@ _SOURCES = {
     ),
     "converging_spread": (
         {"inv_lo": _as_float, "inv_hi": _as_float, "pairs": _Required(_as_int)},
-        lambda s: converging_spread_series(s.get("inv_lo", 1.0), s.get("inv_hi", 2.0), s["pairs"]),
+        lambda s: converging_spread_series(**s),
     ),
 }
 
@@ -219,8 +219,7 @@ def _parse_config(raw: dict, args) -> dict:
     if "speculator" in cfg:
         cfg["speculator"] = SpeculatorParams(**cfg["speculator"])
     if "matrix" in cfg:
-        # round_matrix_from_params takes the haircuts first, without defaults.
-        cfg["matrix"] = round_matrix_from_params(**{"lambda_buy": 0.0, "lambda_sell": 0.0, **cfg["matrix"]})
+        cfg["matrix"] = round_matrix_from_params(**cfg["matrix"])
     # run's keys are SimConfig's, but for seed (its master_seed) and trials.
     engine = {"master_seed" if k == "seed" else k: v for k, v in run.items() if k != "trials"}
     cfg["sim"] = SimConfig(
@@ -339,6 +338,8 @@ def _emit(rows, args) -> None:
 
 def cmd_analyze(cfg: dict, args) -> None:
     _need(cfg, "reserves0")
+    if "n0_grid" in cfg:
+        raise ConfigError("analyze answers for one n0: 'n0_grid' needs simulate")
     sim = cfg["sim"]
     if sim.eps_alpha or sim.eps_beta:
         raise ConfigError(
@@ -476,6 +477,8 @@ def cmd_sweep(cfg: dict, args) -> None:
     sw = _need(cfg, "sweep")
     if config.record_traces:
         raise ConfigError("sweep writes no per-trial records: 'record_traces' in run needs simulate")
+    if "n0_grid" in cfg:
+        raise ConfigError("sweep runs one n0: 'n0_grid' needs simulate")
     # --trials beats sweep.trials, which beats run.trials.
     trials = sw["trials"] if args.trials is None and "trials" in sw else cfg["run"]["trials"]
     rows = []

@@ -20,10 +20,11 @@ where L1, L2 are the buy/sell haircuts.  M has eigenvalues
     a_{1,2} = (A + D +/- R) / 2,    R = sqrt((A - D)^2 + 4 B C),
 
 and because det M = L1^i L2^j (so B C = A D - L1^i L2^j), the discriminant
-also equals sqrt((A + D)^2 - 4 L1^i L2^j).  Decomposing x_0 into eigen
-components c1 + c2 = x_0 gives x_k = a1^k c1 + a2^k c2 in closed form, hence
-expected depletion times without simulation: reserves are exhausted when the
-trader's backing holdings reach n_0 + R_0.
+also equals sqrt((A + D)^2 - 4 L1^i L2^j).  Every entry of M is >= 0, so
+R is real, trace M >= 0 and det M >= 0: hence 0 <= a2 <= a1.  Decomposing
+x_0 into eigen components c1 + c2 = x_0 gives x_k = a1^k c1 + a2^k c2 in
+closed form, hence expected depletion times without simulation: reserves
+are exhausted when the trader's backing holdings reach n_0 + R_0.
 """
 
 from __future__ import annotations
@@ -81,16 +82,20 @@ class EigenSystem:
     a2: float
     c1: tuple[float, float]
     c2: tuple[float, float]
-    x0: tuple[float, float]
+
+    def __post_init__(self):
+        # Tested as < 0 so that a NaN passes, to be refused as not finite.
+        if self.a1 < 0.0 or self.a2 < 0.0:
+            raise ValueError("eigenvalues must be >= 0: a round matrix has no negative eigenvalue")
 
 
 def round_matrix_from_params(
-    lambda_buy: float,
-    lambda_sell: float,
     i: float,
     j: float,
     y_ratio: float,
     sell_mean: float = 1.0,
+    lambda_buy: float = 0.0,
+    lambda_sell: float = 0.0,
 ) -> RoundMatrix:
     """Assemble the round matrix directly from its parameters.
 
@@ -156,39 +161,28 @@ def eigen(mat: RoundMatrix, x0: tuple[float, float]) -> EigenSystem:
     """Eigenvalues and the eigen split c1 + c2 = x0 (exactly) of the start x0 = (m, n).
 
     Requires distinct eigenvalues (R > 0); R = 0 happens only when both
-    haircut powers equal 1, i.e. the matrix is the identity.
+    haircut powers equal 1, i.e. the matrix is the identity.  The
+    eigenvalues come back as 0 <= a2 <= a1.
     """
     r = discriminant(mat)
     if r <= _R_TOL:
         raise ValueError("eigen decomposition undefined: repeated eigenvalue (R = 0)")
     a1 = 0.5 * (mat.A + mat.D + r)
-    a2 = 0.5 * (mat.A + mat.D - r)
+    # det M >= 0, so a2 >= 0; cancellation can leave it an ulp below 0.
+    a2 = max(0.5 * (mat.A + mat.D - r), 0.0)
     m0, n0 = x0
     ad = mat.A - mat.D
     c1 = ((0.5 * (r + ad) * m0 + mat.B * n0) / r, (mat.C * m0 + 0.5 * (r - ad) * n0) / r)
     c2 = ((0.5 * (r - ad) * m0 - mat.B * n0) / r, (-mat.C * m0 + 0.5 * (r + ad) * n0) / r)
-    return EigenSystem(a1=a1, a2=a2, c1=c1, c2=c2, x0=x0)
-
-
-def _pow_real(base: float, k: float) -> float:
-    """base**k extended continuously to negative bases.
-
-    Integer k is exact; between integers a negative base uses
-    |base|^k * cos(pi k), which interpolates the alternating signs.
-    """
-    if base >= 0.0:
-        return base**k
-    if k == round(k):
-        return base ** int(k)
-    return abs(base) ** k * math.cos(math.pi * k)
+    return EigenSystem(a1=a1, a2=a2, c1=c1, c2=c2)
 
 
 def expected_portfolio(sys: EigenSystem, k: float) -> tuple[float, float]:
     """Closed-form expected holdings after k rounds: a1^k c1 + a2^k c2."""
     if k < 0.0:
         raise ValueError("k must be >= 0")
-    w1 = _pow_real(sys.a1, k)
-    w2 = _pow_real(sys.a2, k)
+    w1 = sys.a1**k
+    w2 = sys.a2**k
     return (w1 * sys.c1[0] + w2 * sys.c2[0], w1 * sys.c1[1] + w2 * sys.c2[1])
 
 
@@ -277,14 +271,13 @@ def _first_crossing(sys: EigenSystem, target: float) -> int | None:
 
     n_k = c1n a1^k + c2n a2^k, and every round is evaluated exactly as a
     unit-step scan would evaluate it.  Past a short prefix checked round by
-    round, the rounds are split by parity when a base is negative; along
-    each progression k = k0 + s m the backing is p x^m + q y^m with x, y >= 0,
-    and only its rising runs can hold the first crossing, found there by
-    galloping bisection.  The search stops at the round where a base's
-    power overflows (the backing is inf there), or one past the round where
-    every decaying power has underflowed to 0.0, after which each parity
-    repeats one value, so None is proven.  When the backing decays to 0,
-    the rounds where every term is below _TINY are scanned one by one
+    round, the backing from round k0 on is p a1^m + q a2^m at k = k0 + m,
+    with a1, a2 >= 0, and only its rising runs can hold the first crossing,
+    found there by galloping bisection.  The search stops at the round where
+    a base's power overflows (the backing is inf there), or one past the
+    round where every decaying power has underflowed to 0.0, after which the
+    backing repeats one value, so None is proven.  When the backing decays
+    to 0, the rounds where every term is below _TINY are scanned one by one
     instead: there subnormal rounding, not the closed form, orders them.
     """
 
@@ -295,13 +288,13 @@ def _first_crossing(sys: EigenSystem, target: float) -> int | None:
         if hits(k):
             return k
     a1, a2, c1n, c2n = sys.a1, sys.a2, sys.c1[1], sys.c2[1]
-    big = [abs(b) for b in (a1, a2) if abs(b) > 1.0]
-    small = [abs(b) for b in (a1, a2) if abs(b) < 1.0]
+    big = [b for b in (a1, a2) if b > 1.0]
+    small = [b for b in (a1, a2) if b < 1.0]
     overflow = _first_round(lambda k: _overflows(big, k)) if big else None
     underflow = _first_round(lambda k: all(b ** float(k) == 0.0 for b in small))
     last_k = overflow if overflow is not None else max(underflow, _PREFIX) + 1
     tail = range(0)
-    terms = [(abs(a), abs(c)) for a, c in ((a1, c1n), (a2, c2n)) if c != 0.0]
+    terms = [(a, abs(c)) for a, c in ((a1, c1n), (a2, c2n)) if c != 0.0]
     if all(a < 1.0 for a, _ in terms):
         fine = _first_round(lambda k: all(c * a ** float(k) < _TINY for a, c in terms))
         if fine <= last_k:
@@ -309,23 +302,13 @@ def _first_crossing(sys: EigenSystem, target: float) -> int | None:
                 tail = range(max(fine, _PREFIX + 1), min(last_k, max(underflow, _PREFIX) + 1) + 1)
             last_k = fine - 1
 
-    best = None
-    step = 2 if min(a1, a2) < 0.0 else 1
-    for k0 in range(_PREFIX + 1, min(_PREFIX + 1 + step, last_k + 1)):
-        p, x = c1n * a1**k0, a1**step
-        q, y = c2n * a2**k0, a2**step
-        for first, stop in _rising_runs(p, x, q, y, (last_k - k0) // step):
-            if best is not None and k0 + step * first >= best:
-                break
-            m = _first_true(lambda m: hits(k0 + step * m), first, stop)
+    k0 = _PREFIX + 1
+    if last_k >= k0:
+        for first, stop in _rising_runs(c1n * a1**k0, a1, c2n * a2**k0, a2, last_k - k0):
+            m = _first_true(lambda m: hits(k0 + m), first, stop)
             if m is not None:
-                k = k0 + step * m
-                if best is None or k < best:
-                    best = k
-                break
-    if best is None:
-        best = next((k for k in tail if hits(k)), overflow)
-    return best
+                return k0 + m
+    return next((k for k in tail if hits(k)), overflow)
 
 
 def expected_depletion_rounds(sys: EigenSystem, reserves0: float, n0: float) -> float:
@@ -337,9 +320,9 @@ def expected_depletion_rounds(sys: EigenSystem, reserves0: float, n0: float) -> 
     is no horizon: the first whole round at or past the target is found by
     _first_crossing in O(log k) evaluations, each the same float a
     round-by-round scan would compute, then the fraction of the last round
-    by bisection on the closed form (which interpolates the sign of a2 < 0).
-    A base above 1 in modulus with a non-zero coefficient always crosses:
-    by the round where its power overflows at the latest.
+    by bisection on the closed form.  A base above 1 with a non-zero
+    coefficient always crosses: by the round where its power overflows at
+    the latest.
     """
     if not (math.isfinite(reserves0) and reserves0 >= 0.0):
         raise ValueError("reserves0 must be finite and >= 0")
@@ -355,10 +338,9 @@ def expected_depletion_rounds(sys: EigenSystem, reserves0: float, n0: float) -> 
     target = n0 + reserves0
     if _backing_at(sys, 0.0) >= target:
         return 0.0
-    if abs(a1) <= 1.0 and abs(a2) <= 1.0:
+    if a1 <= 1.0 and a2 <= 1.0:
         # Bounded trajectory: n_k can never exceed that bound.
-        top = abs(c1n) if a1 < 0.0 else max(c1n, 0.0)
-        if target > top + abs(c2n):
+        if target > max(c1n, 0.0) + abs(c2n):
             return math.inf
     k = _first_crossing(sys, target)
     if k is None:

@@ -114,7 +114,7 @@ def min_fee(spread: TailSpread):
     return (spread.inv_limsup_est - spread.inv_liminf_est) / total
 
 
-def converging_spread_series(inv_lo: float, inv_hi: float, pairs: int) -> PriceSeries:
+def converging_spread_series(pairs: int, inv_lo: float = 1.0, inv_hi: float = 2.0) -> PriceSeries:
     """Series whose 1/p oscillates toward [inv_lo, inv_hi] from the outside.
 
     Pair k (k = 2..pairs+1) contributes inverse prices inv_lo - 1/k and

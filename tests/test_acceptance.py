@@ -120,7 +120,7 @@ def test_03_eigen_algebra_randomized_suite():
             lam_b, lam_s = rng.uniform(0.0, 1.0, size=2)
             y = rng.uniform(1.0, 5.0)
             i, j = rng.uniform(1.0, 20.0, size=2)
-            mat = round_matrix_from_params(lam_b, lam_s, i, j, y)
+            mat = round_matrix_from_params(lambda_buy=lam_b, lambda_sell=lam_s, i=i, j=j, y_ratio=y)
             r = discriminant(mat)
 
             # Lower bound, with equality only at the flat-ratio / full-haircut edges.
@@ -164,9 +164,9 @@ def test_03_eigen_algebra_randomized_suite():
             i, j = rng.uniform(1.0, 20.0, size=2)
             y = rng.uniform(1.0, 5.0)
             for mat in (
-                round_matrix_from_params(lam_b, lam_s, i, j, 1.0),
-                round_matrix_from_params(1.0, lam_s, i, j, y),
-                round_matrix_from_params(lam_b, 1.0, i, j, y),
+                round_matrix_from_params(lambda_buy=lam_b, lambda_sell=lam_s, i=i, j=j, y_ratio=1.0),
+                round_matrix_from_params(lambda_buy=1.0, lambda_sell=lam_s, i=i, j=j, y_ratio=y),
+                round_matrix_from_params(lambda_buy=lam_b, lambda_sell=1.0, i=i, j=j, y_ratio=y),
             ):
                 assert abs(discriminant(mat) - abs(mat.A + mat.D - 2.0)) <= 1e-10
 
@@ -272,7 +272,7 @@ def test_08_divergence_predicate_matches_trajectories():
         assert len(points) == 200
         n_diverging = 0
         for y, (lam_b, lam_s), (i, j) in points:
-            mat = round_matrix_from_params(lam_b, lam_s, i, j, y)
+            mat = round_matrix_from_params(lambda_buy=lam_b, lambda_sell=lam_s, i=i, j=j, y_ratio=y)
             sys_ = eigen(mat, x0)
             if divergence_check(mat, x0):
                 n_diverging += 1

@@ -140,6 +140,12 @@ class TestAnalyze:
         }.get(key, f"{key} must be finite and >= 0")
         assert err == f"error: {message}\n"
 
+    def test_n0_grid_rejected(self, tmp_path, capsys):
+        # One report, at n0 alone, used to stand for the whole grid.
+        cfg = write_config(tmp_path, "grid.json", dict(EX1_CONFIG, n0_grid=[1, 10.0, 100]))
+        assert main(["analyze", "--config", cfg]) == 1
+        assert capsys.readouterr() == ("", "error: analyze answers for one n0: 'n0_grid' needs simulate\n")
+
     @pytest.mark.parametrize("command", ["analyze", "simulate", "sweep", "theory", "ingest-stats"])
     def test_zero_reserves_rejected(self, tmp_path, capsys, command):
         # Checked once, as the config is read: analyze used to answer
@@ -553,6 +559,13 @@ class TestSweep:
         assert main(["sweep", "--config", cfg]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:") and "record_traces" in err
+
+    def test_n0_grid_rejected(self, tmp_path, capsys):
+        # Every point used to run at n0 alone, whatever the grid said.
+        payload = dict(EX1_CONFIG, sweep={"axis": "delta", "values": [0.1, 0.2]}, n0_grid=[1, 10.0, 100])
+        cfg = write_config(tmp_path, "grid.json", payload)
+        assert main(["sweep", "--config", cfg]) == 1
+        assert capsys.readouterr() == ("", "error: sweep runs one n0: 'n0_grid' needs simulate\n")
 
     def test_trials_priority(self, tmp_path, capsys):
         payload = dict(

@@ -64,7 +64,7 @@ class TestTailSpread:
         # window overstates the spread, less so the longer the series.
         errors = []
         for pairs in (20, 200, 2000):
-            spread = tail_spread(converging_spread_series(1.0, 2.0, pairs))
+            spread = tail_spread(converging_spread_series(pairs, 1.0, 2.0))
             assert spread.inv_liminf_est < 1.0
             assert spread.inv_limsup_est > 2.0
             errors.append(
@@ -114,7 +114,7 @@ class TestLCriterion:
         # than [1, 2], so the exact-boundary fee classifies as at-risk under
         # the default tolerance; a tolerance sized to the estimation error
         # recovers the boundary label.
-        spread = tail_spread(converging_spread_series(1.0, 2.0, pairs=200))
+        spread = tail_spread(converging_spread_series(200, 1.0, 2.0))
         assert stability_label(1.0 / 3.0, 1.0 / 3.0, spread) == "at-risk"
         assert stability_label(1.0 / 3.0, 1.0 / 3.0, spread, boundary_tol=0.02) == "boundary"
 
