@@ -21,7 +21,7 @@ import sys
 from contextlib import contextmanager
 from typing import NamedTuple
 
-from .engine import AdaptiveSpec, MonteCarloSummary, SimConfig, SimResult, monte_carlo, sweep, sweep_configs
+from .engine import AdaptiveSpec, SimConfig, SimResult, monte_carlo, sweep, sweep_configs
 from .prices import NormalSpec, PriceSeries, WalkSpec, load_csv, step_stats
 from .rounds import (
     build_round_matrix, discriminant, divergence_check, eigen, expected_depletion_rounds,
@@ -323,10 +323,10 @@ def _out_records(args):
     print(f"wrote {args.out} ({count} records)", file=sys.stderr)
 
 
-def _emit(rows, args) -> None:
+def _emit(rows: list[dict], args) -> None:
     """Print each report to the console and write it to --out if requested."""
     with _out_records(args) as write:
-        for row in rows if isinstance(rows, list) else [rows]:
+        for row in rows:
             _print_report(row)
             if write:
                 write(row)
@@ -354,13 +354,7 @@ def cmd_analyze(cfg: dict, args) -> None:
         if not isinstance(source, NormalSpec):
             raise ConfigError("analytic mode requires a distribution source (kind 'normal')")
         params = _need(cfg, "speculator")
-        report.update(
-            mu=source.mu,
-            sigma2=source.sigma2,
-            delta=params.delta,
-            lambda_buy=params.lambda_buy,
-            lambda_sell=params.lambda_sell,
-        )
+        report.update(mu=source.mu, sigma2=source.sigma2, **vars(params))
         try:
             interval = waiting_interval(source, params)
         except NoTradeInterval as exc:
@@ -369,16 +363,10 @@ def cmd_analyze(cfg: dict, args) -> None:
             report.update(
                 outcome="never depletes", reason=str(exc), depletion_rounds=None, depletion_timesteps=None
             )
-            _emit(report, args)
+            _emit([report], args)
             return
         mat = build_round_matrix(source, interval, params)
-        report.update(
-            s1=interval.s1,
-            y1=interval.y1,
-            y2=interval.y2,
-            x1=interval.x1,
-            x2=interval.x2,
-        )
+        report.update(vars(interval))
 
     sys_ = eigen(mat, (sim.m0, sim.n0))
     diverges = divergence_check(mat, (sim.m0, sim.n0))
@@ -408,23 +396,7 @@ def cmd_analyze(cfg: dict, args) -> None:
         report["outcome"] = "depletes"
         report["depletion_rounds"] = k
         report["depletion_timesteps"] = rounds_to_timesteps(k, mat.i, mat.j)
-    _emit(report, args)
-
-
-def _summary_rows(summary: MonteCarloSummary, extra: dict) -> dict:
-    row = dict(extra)
-    row.update(
-        trials=summary.trials,
-        depleted_count=summary.depleted_count,
-        fraction_depleted=summary.fraction_depleted,
-        mean_depletion_steps=summary.mean_depletion_step,
-        std_depletion_steps=summary.std_depletion_step,
-        mean_depletion_rounds=summary.mean_depletion_rounds,
-        r_min_mean=summary.r_min_mean,
-        r_min_min=summary.r_min_min,
-        r_min_max=summary.r_min_max,
-    )
-    return row
+    _emit([report], args)
 
 
 def _trial_row(n0: float, idx: int, res: SimResult) -> dict:
@@ -449,7 +421,7 @@ def cmd_simulate(cfg: dict, args) -> None:
             # --out there is no sink, and no per-trial record is made.
             sink = None if write is None else lambda idx, res: write(_trial_row(point.n0, idx, res))
             summary = monte_carlo(point, trials, sink=sink)
-            _print_report(_summary_rows(summary, {"n0": point.n0}))
+            _print_report({"n0": point.n0, **vars(summary)})
 
 
 def cmd_theory(cfg: dict, args) -> None:
@@ -469,7 +441,7 @@ def cmd_theory(cfg: dict, args) -> None:
         "classification": label,
         "min_fee": min_fee(spread),
     }
-    _emit(report, args)
+    _emit([report], args)
 
 
 def cmd_sweep(cfg: dict, args) -> None:
@@ -483,8 +455,8 @@ def cmd_sweep(cfg: dict, args) -> None:
     trials = sw["trials"] if args.trials is None and "trials" in sw else cfg["run"]["trials"]
     rows = []
     for value, summary in zip(sw["values"], sweep(config, sw["axis"], sw["values"], trials)):
-        row = _summary_rows(summary, {"axis": sw["axis"], "value": value})
-        mean = summary.mean_depletion_step
+        row = {"axis": sw["axis"], "value": value, **vars(summary)}
+        mean = summary.mean_depletion_steps
         row["log10_mean_depletion_steps"] = math.log10(mean) if mean else None
         rows.append(row)
     _emit(rows, args)
@@ -499,7 +471,7 @@ def cmd_ingest_stats(cfg: dict, args) -> None:
         "mu_step": walk.mu_step,
         "sigma_step": walk.sigma_step,
     }
-    _emit(report, args)
+    _emit([report], args)
 
 
 # ---------------------------------------------------------------------------

@@ -238,11 +238,13 @@ class SimResult:
 
 @dataclass(frozen=True)
 class MonteCarloSummary:
+    """Aggregates over trials; simulate and sweep report the fields in this order."""
+
     trials: int
     depleted_count: int
     fraction_depleted: float
-    mean_depletion_step: float | None
-    std_depletion_step: float | None
+    mean_depletion_steps: float | None
+    std_depletion_steps: float | None
     mean_depletion_rounds: float | None
     r_min_mean: float
     r_min_min: float
@@ -305,7 +307,9 @@ def run(
     record = config.record_traces
 
     steps = 0
-    clamp_count = source.clamp_count if isinstance(source, PriceSeries) else 0
+    # The clamps among the prices this run used: a series clamps none as it
+    # plays, whatever count it was built with.
+    clamp_count = 0
     depletion_step: int | None = None
     # A price between the edges of an inverted band (y1 > y2) buys if it can,
     # else sells, so such a run never jumps.  RollingBand's never is (c >= 0).
@@ -431,8 +435,8 @@ def monte_carlo(config: SimConfig, trials: int, sink: Callable | None = None) ->
         trials=trials,
         depleted_count=depleted,
         fraction_depleted=depleted / trials,
-        mean_depletion_step=mean,
-        std_depletion_step=std,
+        mean_depletion_steps=mean,
+        std_depletion_steps=std,
         mean_depletion_rounds=(sum_rounds / depleted if depleted else None),
         r_min_mean=r_min_sum / trials,
         r_min_min=r_min_min,

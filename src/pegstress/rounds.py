@@ -162,14 +162,15 @@ def eigen(mat: RoundMatrix, x0: tuple[float, float]) -> EigenSystem:
 
     Requires distinct eigenvalues (R > 0); R = 0 happens only when both
     haircut powers equal 1, i.e. the matrix is the identity.  The
-    eigenvalues come back as 0 <= a2 <= a1.
+    eigenvalues come back as 0 <= a2 <= a1: a1 = (A + D + R) / 2 > R / 2 > 0,
+    and a2 = det M / a1 = L1^i L2^j / a1, since (A + D - R) / 2 cancels
+    where a2 is small.  A zero determinant gives a2 = 0.0 exactly.
     """
     r = discriminant(mat)
     if r <= _R_TOL:
         raise ValueError("eigen decomposition undefined: repeated eigenvalue (R = 0)")
     a1 = 0.5 * (mat.A + mat.D + r)
-    # det M >= 0, so a2 >= 0; cancellation can leave it an ulp below 0.
-    a2 = max(0.5 * (mat.A + mat.D - r), 0.0)
+    a2 = mat.lam1_i * mat.lam2_j / a1
     m0, n0 = x0
     ad = mat.A - mat.D
     c1 = ((0.5 * (r + ad) * m0 + mat.B * n0) / r, (mat.C * m0 + 0.5 * (r - ad) * n0) / r)

@@ -79,13 +79,13 @@ class SpeculatorParams:
 
 @dataclass(frozen=True)
 class WaitingInterval:
-    """Closed no-trade price interval [y1, y2] plus the quantities behind it."""
+    """No-trade interval [y1, y2] and the quantities behind it, in the order analyze reports them."""
 
+    s1: float
     y1: float
     y2: float
     x1: float
     x2: float
-    s1: float
 
     def __post_init__(self) -> None:
         scale = max(1.0, abs(self.y2))
@@ -216,4 +216,4 @@ def waiting_interval(dist: NormalSpec, params: SpeculatorParams) -> WaitingInter
     at2 = tn.at(x2)
     d2 = _discount_pow(omd, 1.0 - tn.prob_below(*at2))
     y2 = d2 * tn.mean_above(*at2) + (1.0 - d2) / s1
-    return WaitingInterval(y1=y1, y2=y2, x1=x1, x2=x2, s1=s1)
+    return WaitingInterval(s1=s1, y1=y1, y2=y2, x1=x1, x2=x2)

@@ -70,7 +70,7 @@ def parse_console(captured):
 
 
 def censored_mean(summary, cap):
-    done = (summary.mean_depletion_step or 0.0) * summary.depleted_count
+    done = (summary.mean_depletion_steps or 0.0) * summary.depleted_count
     return (done + cap * (summary.trials - summary.depleted_count)) / summary.trials
 
 
@@ -108,8 +108,8 @@ def test_02_monte_carlo_reference_moments():
         summary = monte_carlo(cfg, trials=10_000)
         elapsed = time.perf_counter() - t0
         assert summary.fraction_depleted == 1.0
-        assert 219.0 <= summary.mean_depletion_step <= 229.0
-        assert 35.0 <= summary.std_depletion_step <= 51.0
+        assert 219.0 <= summary.mean_depletion_steps <= 229.0
+        assert 35.0 <= summary.std_depletion_steps <= 51.0
         assert elapsed < 60.0
 
 

@@ -21,7 +21,7 @@ from pegstress.engine import (
     sweep,
     sweep_configs,
 )
-from pegstress.prices import _ARRAY_BATCH, SEED_CHUNK, NormalSpec, PriceSeries, WalkSpec, derive_seed
+from pegstress.prices import _ARRAY_BATCH, SEED_CHUNK, NormalSpec, PriceSeries, WalkSpec, derive_seed, random_walk
 from pegstress.speculator import SpeculatorParams
 
 EX1 = SimConfig(
@@ -37,7 +37,7 @@ def literal(*prices):
 
 
 def censored_mean(summary, cap):
-    done = (summary.mean_depletion_step or 0.0) * summary.depleted_count
+    done = (summary.mean_depletion_steps or 0.0) * summary.depleted_count
     return (done + cap * (summary.trials - summary.depleted_count)) / summary.trials
 
 
@@ -157,6 +157,17 @@ class TestSingleRun:
         assert res.steps == 20
         assert res.clamp_count >= 10
 
+    def test_series_run_counts_only_the_clamps_it_used(self):
+        # The series keeps the count of its 2,000-price walk; a 3-step run
+        # over it used no clamped price, as the same walk given as a
+        # WalkSpec shows.
+        walk = WalkSpec(mu_step=0.0, sigma_step=3.0, p0=5.0, floor=1.0)
+        series = random_walk(walk, 2000, seed=7)
+        assert series.clamp_count == 126
+        over_series = run(dataclasses.replace(EX1, source=series, max_steps=3), seed=7)
+        assert over_series.clamp_count == 0
+        assert over_series == run(dataclasses.replace(EX1, source=walk, max_steps=3), seed=7)
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -223,7 +234,7 @@ class TestMonteCarlo:
         cfg = dataclasses.replace(EX1, source=NormalSpec(100.0, 0.0), max_steps=200)
         summary = monte_carlo(cfg, trials=20)
         assert summary.fraction_depleted == 0.0
-        assert summary.mean_depletion_step is None
+        assert summary.mean_depletion_steps is None
         assert summary.r_min_mean == cfg.reserves0
 
     def test_reproducible(self):
@@ -232,8 +243,8 @@ class TestMonteCarlo:
     def test_reference_config_depletion_times(self):
         summary = monte_carlo(EX1, trials=200)
         assert summary.fraction_depleted == 1.0
-        assert 200.0 <= summary.mean_depletion_step <= 250.0
-        assert 25.0 <= summary.std_depletion_step <= 60.0
+        assert 200.0 <= summary.mean_depletion_steps <= 250.0
+        assert 25.0 <= summary.std_depletion_steps <= 60.0
 
     def test_streaming_aggregates_match_results(self):
         seen = []
@@ -244,8 +255,8 @@ class TestMonteCarlo:
         assert summary.depleted_count == len(done)
         mean = sum(done) / len(done)
         var = sum((d - mean) ** 2 for d in done) / (len(done) - 1)
-        assert summary.mean_depletion_step == pytest.approx(mean, rel=1e-12)
-        assert summary.std_depletion_step == pytest.approx(math.sqrt(var), rel=1e-9)
+        assert summary.mean_depletion_steps == pytest.approx(mean, rel=1e-12)
+        assert summary.std_depletion_steps == pytest.approx(math.sqrt(var), rel=1e-9)
         r_mins = [r.r_min for r in results]
         assert summary.r_min_mean == pytest.approx(sum(r_mins) / 50, rel=1e-12)
         assert summary.r_min_min == min(r_mins)
@@ -375,7 +386,7 @@ class TestSweep:
     def test_larger_traders_deplete_sooner(self):
         pts = sweep(dataclasses.replace(EX1, master_seed=7), "n0", [1.0, 100.0], trials=20)
         small, big = pts
-        assert big.mean_depletion_step <= small.mean_depletion_step
+        assert big.mean_depletion_steps <= small.mean_depletion_steps
 
 
 class TestDeskScaleTrends:

@@ -298,7 +298,7 @@ def run_every_step(config, seed, interval=None):
     reserves = r_min = config.reserves0
     m, n = config.m0, config.n0
     rounds, last_dir, steps, depletion_step = 0, -1, 0, None
-    clamp_count = config.source.clamp_count if isinstance(config.source, PriceSeries) else 0
+    clamp_count = 0
     for prices, clamped in price_blocks(config.source, np.random.default_rng(seed)):
         block = prices[: config.max_steps - steps]
         if adaptive:

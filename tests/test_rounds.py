@@ -227,6 +227,13 @@ class TestEigen:
         # Zero haircuts make the matrix singular, so the other eigenvalue is 0.
         assert abs(sys_.a2) <= 1e-12
 
+    def test_zero_determinant_gives_zero_a2(self):
+        # lambda_buy = 0 makes det M = L1^i L2^j exactly 0, so a2 = det / a1
+        # is 0.0; (A + D - R) / 2 cancels to 1.1e-16 on this matrix.
+        params = SpeculatorParams(delta=0.1, lambda_buy=0.0, lambda_sell=0.3)
+        mat = build_round_matrix(EX1_DIST, waiting_interval(EX1_DIST, params), params)
+        assert eigen(mat, (0.0, 1.0)).a2 == 0.0
+
     def test_repeated_eigenvalue_rejected(self):
         mat = round_matrix_from_params(lambda_buy=1.0, lambda_sell=1.0, i=2.0, j=2.0, y_ratio=1.5)
         with pytest.raises(ValueError, match="eigen decomposition undefined"):
@@ -274,10 +281,7 @@ class TestEigen:
             assert sys_.a1 >= sys_.a2
             assert sys_.a1 >= 1.0 - 1e-12
             assert sys_.a2 <= 1.0 + 1e-12
-            # det = lam1_i * lam2_j >= 0 forces the second eigenvalue up too.
-            assert sys_.a2 >= -1e-12
-            if sys_.a2 < -1.0:
-                assert mat.D > mat.A
+            assert sys_.a2 >= 0.0
 
 
 class TestExpectedPortfolio:
