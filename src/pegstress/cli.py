@@ -341,6 +341,8 @@ def cmd_analyze(cfg: dict, args) -> None:
     if "n0_grid" in cfg:
         raise ConfigError("analyze answers for one n0: 'n0_grid' needs simulate")
     sim = cfg["sim"]
+    if sim.mode == "adaptive":
+        raise ConfigError("analyze models the fixed-band trader: 'mode' adaptive needs simulate")
     if sim.eps_alpha or sim.eps_beta:
         raise ConfigError(
             "analyze: the closed form is fee-free and cannot model non-zero 'fees'; "

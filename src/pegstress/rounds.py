@@ -30,7 +30,7 @@ are exhausted when the trader's backing holdings reach n_0 + R_0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .prices import NormalSpec, TruncatedNormal
 from .speculator import SpeculatorParams, WaitingInterval
@@ -57,17 +57,38 @@ _R_TOL = 1e-14
 
 @dataclass(frozen=True)
 class RoundMatrix:
-    """Expected one-round transition matrix [[A, B], [C, D]] plus provenance."""
+    """Expected one-round transition matrix [[A, B], [C, D]], derived from its inputs.
 
-    A: float
-    B: float
-    C: float
-    D: float
+    The inputs are y_ratio, the phase lengths i, j, the haircut powers lam1_i,
+    lam2_j and sell_mean = E[p | p <= y1]; a replace() of any of them recomputes
+    A..D.  repr leaves out sell_mean, which B and C carry, so a matrix prints as
+    the nine numbers the pinned round-matrix digests hash.
+    """
+
+    A: float = field(init=False)
+    B: float = field(init=False)
+    C: float = field(init=False)
+    D: float = field(init=False)
     y_ratio: float
     i: float
     j: float
     lam1_i: float
     lam2_j: float
+    sell_mean: float = field(default=1.0, repr=False)
+
+    def __post_init__(self) -> None:
+        if not (0.0 < self.i < math.inf and 0.0 < self.j < math.inf):
+            raise ValueError("phase lengths i, j must be finite and positive")
+        if not 0.0 < self.sell_mean < math.inf:
+            raise ValueError("sell_mean must be finite and positive")
+        if not 0.0 < self.y_ratio < math.inf:
+            raise ValueError("y_ratio must be finite and positive")
+        if not (0.0 <= self.lam1_i <= 1.0 and 0.0 <= self.lam2_j <= 1.0):
+            raise ValueError("haircut powers lam1_i, lam2_j must lie in [0, 1]")
+        l1, l2, y = self.lam1_i, self.lam2_j, self.y_ratio
+        for name, value in (("A", l2), ("B", l2 * (1.0 - l1) * (y * self.sell_mean)),
+                            ("C", (1.0 - l2) / self.sell_mean), ("D", l1 + (1.0 - l1) * (1.0 - l2) * y)):
+            object.__setattr__(self, name, value)
 
     def apply(self, x: tuple[float, float]) -> tuple[float, float]:
         m, n = x
@@ -97,32 +118,15 @@ def round_matrix_from_params(
     lambda_buy: float = 0.0,
     lambda_sell: float = 0.0,
 ) -> RoundMatrix:
-    """Assemble the round matrix directly from its parameters.
+    """The round matrix of the paper's haircut algebra: kept fractions lambda**i, lambda**j.
 
     sell_mean is E[p | p <= y1]; the buy-side mean is then y_ratio * sell_mean.
     """
     if not (0.0 < i < math.inf and 0.0 < j < math.inf):
         raise ValueError("phase lengths i, j must be finite and positive")
-    if not 0.0 < sell_mean < math.inf:
-        raise ValueError("sell_mean must be finite and positive")
-    if not 0.0 < y_ratio < math.inf:
-        raise ValueError("y_ratio must be finite and positive")
     if not (0.0 <= lambda_buy <= 1.0 and 0.0 <= lambda_sell <= 1.0):
         raise ValueError("haircuts must lie in [0, 1]")
-    lam1_i = lambda_buy**i
-    lam2_j = lambda_sell**j
-    buy_mean = y_ratio * sell_mean
-    return RoundMatrix(
-        A=lam2_j,
-        B=lam2_j * (1.0 - lam1_i) * buy_mean,
-        C=(1.0 - lam2_j) / sell_mean,
-        D=lam1_i + (1.0 - lam1_i) * (1.0 - lam2_j) * y_ratio,
-        y_ratio=y_ratio,
-        i=i,
-        j=j,
-        lam1_i=lam1_i,
-        lam2_j=lam2_j,
-    )
+    return RoundMatrix(y_ratio=y_ratio, i=i, j=j, lam1_i=lambda_buy**i, lam2_j=lambda_sell**j, sell_mean=sell_mean)
 
 
 def build_round_matrix(dist: NormalSpec, interval: WaitingInterval, params: SpeculatorParams) -> RoundMatrix:
@@ -279,7 +283,8 @@ def _first_crossing(sys: EigenSystem, target: float) -> int | None:
     round where every decaying power has underflowed to 0.0, after which the
     backing repeats one value, so None is proven.  When the backing decays
     to 0, the rounds where every term is below _TINY are scanned one by one
-    instead: there subnormal rounding, not the closed form, orders them.
+    instead (subnormal rounding, not the closed form, orders them), unless
+    the target is above the positive terms' sum at the first of them, which no later one exceeds.
     """
 
     def hits(k: int) -> bool:
@@ -295,11 +300,11 @@ def _first_crossing(sys: EigenSystem, target: float) -> int | None:
     underflow = _first_round(lambda k: all(b ** float(k) == 0.0 for b in small))
     last_k = overflow if overflow is not None else max(underflow, _PREFIX) + 1
     tail = range(0)
-    terms = [(a, abs(c)) for a, c in ((a1, c1n), (a2, c2n)) if c != 0.0]
+    terms = [(a, c) for a, c in ((a1, c1n), (a2, c2n)) if c != 0.0]
     if all(a < 1.0 for a, _ in terms):
-        fine = _first_round(lambda k: all(c * a ** float(k) < _TINY for a, c in terms))
+        fine = _first_round(lambda k: all(abs(c) * a ** float(k) < _TINY for a, c in terms))
         if fine <= last_k:
-            if target <= 2.0 * _TINY:
+            if target <= sum(max(c, 0.0) * a ** float(fine) for a, c in terms):
                 tail = range(max(fine, _PREFIX + 1), min(last_k, max(underflow, _PREFIX) + 1) + 1)
             last_k = fine - 1
 
@@ -315,15 +320,13 @@ def _first_crossing(sys: EigenSystem, target: float) -> int | None:
 def expected_depletion_rounds(sys: EigenSystem, reserves0: float, n0: float) -> float:
     """Smallest k >= 0 with expected backing holdings n_k = n0 + reserves0.
 
-    Returns math.inf only when the trajectory provably never reaches the
-    target: it stays inside the band c1 +/- |c2| below the target, or it
-    settles (every decaying term underflowed) without reaching it.  There
-    is no horizon: the first whole round at or past the target is found by
-    _first_crossing in O(log k) evaluations, each the same float a
+    There is no horizon: the first whole round at or past the target is
+    found by _first_crossing in O(log k) evaluations, each the same float a
     round-by-round scan would compute, then the fraction of the last round
-    by bisection on the closed form.  A base above 1 with a non-zero
-    coefficient always crosses: by the round where its power overflows at
-    the latest.
+    by bisection on the closed form.  math.inf comes only from that search,
+    when the trajectory settles (every decaying term underflowed) below the
+    target.  A base above 1 with a non-zero coefficient always crosses: by
+    the round where its power overflows at the latest.
     """
     if not (math.isfinite(reserves0) and reserves0 >= 0.0):
         raise ValueError("reserves0 must be finite and >= 0")
@@ -339,10 +342,6 @@ def expected_depletion_rounds(sys: EigenSystem, reserves0: float, n0: float) -> 
     target = n0 + reserves0
     if _backing_at(sys, 0.0) >= target:
         return 0.0
-    if a1 <= 1.0 and a2 <= 1.0:
-        # Bounded trajectory: n_k can never exceed that bound.
-        if target > max(c1n, 0.0) + abs(c2n):
-            return math.inf
     k = _first_crossing(sys, target)
     if k is None:
         return math.inf

@@ -146,6 +146,24 @@ class TestAnalyze:
         assert main(["analyze", "--config", cfg]) == 1
         assert capsys.readouterr() == ("", "error: analyze answers for one n0: 'n0_grid' needs simulate\n")
 
+    def test_adaptive_mode_rejected(self, tmp_path, capsys):
+        # The closed form is the fixed band's: it used to answer 226.67
+        # timesteps here, where simulate runs the rolling band (194.2).
+        payload = dict(EX1_CONFIG, mode="adaptive", adaptive={"c": 1.0, "window": 50})
+        cfg = write_config(tmp_path, "adaptive.json", payload)
+        assert main(["analyze", "--config", cfg]) == 1
+        message = "error: analyze models the fixed-band trader: 'mode' adaptive needs simulate\n"
+        assert capsys.readouterr() == ("", message)
+
+    @pytest.mark.parametrize("mode", ["auto", "analytic"])
+    def test_fixed_band_modes_answer_as_the_default(self, tmp_path, capsys, mode):
+        # An adaptive section stays checked but unused.
+        reports = []
+        for payload in (EX1_CONFIG, dict(EX1_CONFIG, mode=mode, adaptive={"c": 1.0, "window": 50})):
+            assert main(["analyze", "--config", write_config(tmp_path, "cfg.json", payload)]) == 0
+            reports.append(capsys.readouterr())
+        assert reports[0] == reports[1]
+
     @pytest.mark.parametrize("command", ["analyze", "simulate", "sweep", "theory", "ingest-stats"])
     def test_zero_reserves_rejected(self, tmp_path, capsys, command):
         # Checked once, as the config is read: analyze used to answer

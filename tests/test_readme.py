@@ -1,6 +1,7 @@
 """The README's "Library use" examples run against the package namespace,
-every name a submodule's __all__ lists exists and has a caller, and every
-import in the package and its tests is used."""
+every name a submodule's __all__ lists exists and has a caller, every
+import in the package and its tests is used, and CI's by-name test
+selection names tests that exist."""
 
 import ast
 import contextlib
@@ -15,6 +16,7 @@ import pegstress
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 MODULES = ["cli", "engine", "mechanism", "prices", "rounds", "speculator", "theory"]
 
 
@@ -102,3 +104,22 @@ def test_every_import_is_loaded():
                     if name not in keep:
                         unused.append(f"{path.relative_to(ROOT)}: {name}")
     assert unused == []
+
+
+def test_ci_profile_step_names_existing_tests():
+    # The "Every-step oracle properties, ci profile" step picks its properties
+    # by name with -k, so a renamed one would drop out of the 500-example run
+    # without an error.  Each " or " term must be part of the name of a
+    # def test_... in the files that step collects.
+    step = WORKFLOW.read_text().split("- name: Every-step oracle properties, ci profile\n", 1)[1]
+    command = next(line for line in step.splitlines() if "-m pytest" in line)
+    files = re.findall(r"\btests/\w+\.py\b", command)
+    terms = re.search(r'-k "([^"]*)"', command).group(1).split(" or ")
+    tests = {
+        node.name
+        for path in files
+        for node in ast.walk(ast.parse((ROOT / path).read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")
+    }
+    assert files and terms
+    assert [term for term in terms if not any(term in name for name in tests)] == []

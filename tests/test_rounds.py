@@ -6,6 +6,7 @@ that must agree with the matrix formula to within Monte Carlo error.
 """
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from scipy import integrate
 from pegstress.prices import NormalSpec
 from pegstress.rounds import (
     EigenSystem,
+    RoundMatrix,
     build_round_matrix,
     discriminant,
     divergence_check,
@@ -174,6 +176,58 @@ class TestRoundMatrixConstruction:
         kwargs = dict(lambda_buy=0.5, lambda_sell=0.5, i=2.0, j=2.0, y_ratio=1.2, sell_mean=95.0)
         with pytest.raises(ValueError, match="must be finite and positive"):
             round_matrix_from_params(**dict(kwargs, **{key: value}))
+
+    def test_pinned_round_matrices_with_haircuts(self):
+        # repr of build_round_matrix over haircut pairs on normal sources, in
+        # order.  Recorded while RoundMatrix stored its entries as fields.
+        digest = hashlib.sha256()
+        for sigma2 in (60.0, 100.0, 400.0):
+            for delta in (0.05, 0.1, 0.2):
+                dist = NormalSpec(100.0, sigma2)
+                wi = waiting_interval(dist, SpeculatorParams(delta=delta))
+                for lb in (0.0, 0.001, 0.3, 0.6, 0.9):
+                    for ls in (0.0, 0.001, 0.3, 0.6, 0.9):
+                        digest.update(repr(build_round_matrix(dist, wi, SpeculatorParams(delta, lb, ls))).encode())
+        assert digest.hexdigest() == "cbe6fbde24dcd61ab4ebdd926418b77ac721c3c6f39f72e97c91376661f7dd4a"
+
+    def test_replace_recomputes_entries(self):
+        kwargs = dict(lambda_buy=0.3, lambda_sell=0.3, i=5.0, j=3.0, y_ratio=1.4, sell_mean=2.0)
+        mat = round_matrix_from_params(**kwargs)
+        assert dataclasses.replace(mat, y_ratio=2.0) == round_matrix_from_params(**dict(kwargs, y_ratio=2.0))
+        assert dataclasses.replace(mat, sell_mean=3.0) == round_matrix_from_params(**dict(kwargs, sell_mean=3.0))
+        assert dataclasses.replace(mat, lam1_i=0.0, lam2_j=0.0) == round_matrix_from_params(
+            **dict(kwargs, lambda_buy=0.0, lambda_sell=0.0)
+        )
+
+    def test_entries_are_not_inputs(self):
+        mat = round_matrix_from_params(lambda_buy=0.3, lambda_sell=0.3, i=5.0, j=3.0, y_ratio=1.4)
+        with pytest.raises(TypeError):
+            RoundMatrix(A=mat.A, B=mat.B, C=mat.C, D=mat.D, y_ratio=1.4, i=5.0, j=3.0, lam1_i=mat.lam1_i,
+                        lam2_j=mat.lam2_j)
+        with pytest.raises(ValueError):
+            dataclasses.replace(mat, D=2.0)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(i=0.0), "phase lengths i, j must be finite and positive"),
+            (dict(j=math.inf), "phase lengths i, j must be finite and positive"),
+            (dict(y_ratio=math.nan), "y_ratio must be finite and positive"),
+            (dict(sell_mean=-1.0), "sell_mean must be finite and positive"),
+            (dict(lam1_i=1.5), "haircut powers lam1_i, lam2_j must lie in \\[0, 1\\]"),
+            (dict(lam2_j=math.nan), "haircut powers lam1_i, lam2_j must lie in \\[0, 1\\]"),
+        ],
+        ids=["i", "j", "y_ratio", "sell_mean", "lam1_i", "lam2_j"],
+    )
+    def test_direct_construction_checks_inputs(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            RoundMatrix(**dict(dict(y_ratio=1.4, i=5.0, j=3.0, lam1_i=0.5, lam2_j=0.5), **change))
+
+    def test_direct_zero_powers_give_zero_determinant(self):
+        mat = RoundMatrix(y_ratio=1.4, i=5.0, j=3.0, lam1_i=0.0, lam2_j=0.0)
+        assert mat.A == mat.B == 0.0
+        assert (mat.C, mat.D) == (1.0, 1.4)
+        assert eigen(mat, (0.0, 1.0)).a2 == 0.0
 
 
 class TestDiscriminant:
@@ -406,6 +460,36 @@ class TestDepletion:
         # is refused as the system is built.
         with pytest.raises(ValueError, match=">= 0"):
             EigenSystem(a1=1.5, a2=-1.0, c1=(0.0, 0.0), c2=(0.0, -1.0))
+
+    @pytest.mark.parametrize(
+        "a1, a2, c1n, c2n, target",
+        [
+            (0.9, 0.5, 3.0, -2.0, 5.5),
+            (1.0, 0.999, -1.0, 4.0, 4.5),
+            (1.0, 0.5, 10.0, -5.0, 15.0 * (1.0 + 1e-15)),
+            # The term is below _TINY from round 1 on, and a base this close
+            # to 1 underflows only after some 7e9 rounds.
+            (0.9999999, 0.0, 1e-305, 0.0, 2e-305),
+        ],
+    )
+    def test_bounded_band_below_target_never_depletes(self, a1, a2, c1n, c2n, target):
+        # Both bases <= 1 keep every round's backing at or below
+        # max(c1n, 0) + |c2n|, under the target: the search proves inf.
+        assert target > max(c1n, 0.0) + abs(c2n)
+        sys_ = EigenSystem(a1=a1, a2=a2, c1=(0.0, c1n), c2=(0.0, c2n))
+        assert expected_depletion_rounds(sys_, reserves0=target, n0=0.0) == math.inf
+        assert expected_depletion_rounds(sys_, reserves0=0.5 * target, n0=0.5 * target) == math.inf
+
+    def test_subnormal_tail_below_target_is_not_scanned(self):
+        # n_k = 1e-305 a1^k - 1e-305 0.5^k peaks below 1e-305; every term is
+        # under _TINY from round 1, and a1 underflows only near round 7e9.
+        # The target is inside c1 +/- |c2| but above the positive term, so
+        # no round of that tail can reach it: it is not scanned one by one.
+        sys_ = EigenSystem(a1=0.9999999, a2=0.5, c1=(0.0, 1e-305), c2=(0.0, -1e-305))
+        assert expected_depletion_rounds(sys_, reserves0=1.5e-305, n0=0.0) == math.inf
+        # Through analyze's path: a raw matrix with tiny holdings.
+        mat = round_matrix_from_params(lambda_buy=0.5, lambda_sell=0.5, i=2.0, j=2.0, y_ratio=0.999999)
+        assert expected_depletion_rounds(eigen(mat, (1e-305, 1e-305)), reserves0=1e-305, n0=1e-305) == math.inf
 
     # 300 examples, or the profile's count where that is higher (ci: 500).
     @settings(max_examples=max(300, settings.default.max_examples), deadline=None)
