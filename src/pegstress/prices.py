@@ -350,47 +350,43 @@ def random_walk(spec: WalkSpec, n: int, seed: int) -> PriceSeries:
 def load_csv(path: str, timestamp_column: str = "timestamp", price_column: str = "price") -> PriceSeries:
     """Load a price series from a CSV file with a header row.
 
-    Rows are kept in file order; timestamps are not parsed, only required to
-    be present.  Non-numeric or non-positive prices are rejected with the
-    offending row number (1-based, header is row 1).
+    Rows are kept in file order and blank lines are skipped; timestamps are
+    not parsed, only required to be a column.  A column name given twice
+    reads its last column.  A missing, non-numeric or non-positive price is
+    rejected with its row number (1-based, the header is row 1, blank lines
+    are not counted), and a file the csv module cannot parse with its line.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if header.count(price_column) == 1 and timestamp_column in header:
-            col = header.index(price_column)
+        rows = csv.reader(fh)
+        try:
+            header = next(rows, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file (missing header row)")
+            for name in (timestamp_column, price_column):
+                if name not in header:
+                    raise ValueError(f"{path}: missing column {name!r} (header has {header})")
+            col = max(idx for idx, name in enumerate(header) if name == price_column)
             try:
-                return PriceSeries(prices=tuple([float(row[col]) for row in reader]), source="csv")
-            except (IndexError, ValueError):
+                return PriceSeries(prices=tuple([float(row[col]) for row in filter(None, rows)]), source="csv")
+            except (IndexError, ValueError, csv.Error):
                 pass
-    # A blank or short row, a bad price or a repeated column name: the row
-    # by row reader below skips, reports or resolves it.
-    return _load_csv_rows(path, timestamp_column, price_column)
-
-
-def _load_csv_rows(path: str, timestamp_column: str, price_column: str) -> PriceSeries:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValueError(f"{path}: empty file (missing header row)")
-        for col in (timestamp_column, price_column):
-            if col not in reader.fieldnames:
-                raise ValueError(f"{path}: missing column {col!r} (header has {reader.fieldnames})")
-        prices: list[float] = []
-        for row_no, row in enumerate(reader, start=2):
-            raw = row.get(price_column)
-            if raw is None or raw.strip() == "":
-                raise ValueError(f"{path}: row {row_no}: missing price value")
-            try:
-                p = float(raw)
-            except ValueError:
-                raise ValueError(f"{path}: row {row_no}: non-numeric price {raw!r}") from None
-            if not (math.isfinite(p) and p > 0.0):
-                raise ValueError(f"{path}: row {row_no}: price must be finite and > 0, got {raw!r}")
-            prices.append(p)
-    if not prices:
-        raise ValueError(f"{path}: no data rows")
-    return PriceSeries(prices=tuple(prices), source="csv")
+            # Read the file again, counting lines from 1, to name the first bad row.
+            fh.seek(0)
+            rows = csv.reader(fh)
+            next(rows)
+            for row_no, row in enumerate(filter(None, rows), start=2):
+                raw = row[col] if col < len(row) else ""
+                if raw.strip() == "":
+                    raise ValueError(f"{path}: row {row_no}: missing price value")
+                try:
+                    p = float(raw)
+                except ValueError:
+                    raise ValueError(f"{path}: row {row_no}: non-numeric price {raw!r}") from None
+                if not (math.isfinite(p) and p > 0.0):
+                    raise ValueError(f"{path}: row {row_no}: price must be finite and > 0, got {raw!r}")
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {rows.line_num}: {exc}") from None
+    raise ValueError(f"{path}: no data rows")
 
 
 def step_stats(series: PriceSeries) -> WalkSpec:

@@ -158,7 +158,10 @@ def build_round_matrix(dist: NormalSpec, interval: WaitingInterval, params: Spec
 
 def discriminant(mat: RoundMatrix) -> float:
     """R = sqrt((A - D)^2 + 4 B C) >= 0."""
-    return math.sqrt((mat.A - mat.D) ** 2 + 4.0 * mat.B * mat.C)
+    try:
+        return math.sqrt((mat.A - mat.D) ** 2 + 4.0 * mat.B * mat.C)
+    except OverflowError:
+        raise ValueError("round matrix overflows: (A - D)^2 is out of float range") from None
 
 
 def eigen(mat: RoundMatrix, x0: tuple[float, float]) -> EigenSystem:
@@ -278,13 +281,14 @@ def _first_crossing(sys: EigenSystem, target: float) -> int | None:
     unit-step scan would evaluate it.  Past a short prefix checked round by
     round, the backing from round k0 on is p a1^m + q a2^m at k = k0 + m,
     with a1, a2 >= 0, and only its rising runs can hold the first crossing,
-    found there by galloping bisection.  The search stops at the round where
-    a base's power overflows (the backing is inf there), or one past the
-    round where every decaying power has underflowed to 0.0, after which the
-    backing repeats one value, so None is proven.  When the backing decays
-    to 0, the rounds where every term is below _TINY are scanned one by one
-    instead (subnormal rounding, not the closed form, orders them), unless
-    the target is above the positive terms' sum at the first of them, which no later one exceeds.
+    found there by galloping bisection.  The runs end the round before a
+    base's power overflows (the backing is inf there: the answer if no round
+    before it crosses), or one past the round where every decaying power has
+    underflowed to 0.0, after which the backing repeats one value, so None is
+    proven.  When the backing decays to 0, the rounds where every term is
+    below _TINY are scanned one by one instead (subnormal rounding, not the
+    closed form, orders them), unless the target is above the positive
+    terms' sum at the first of them, which no later one exceeds.
     """
 
     def hits(k: int) -> bool:
@@ -298,7 +302,7 @@ def _first_crossing(sys: EigenSystem, target: float) -> int | None:
     small = [b for b in (a1, a2) if b < 1.0]
     overflow = _first_round(lambda k: _overflows(big, k)) if big else None
     underflow = _first_round(lambda k: all(b ** float(k) == 0.0 for b in small))
-    last_k = overflow if overflow is not None else max(underflow, _PREFIX) + 1
+    last_k = overflow - 1 if overflow is not None else max(underflow, _PREFIX) + 1
     tail = range(0)
     terms = [(a, c) for a, c in ((a1, c1n), (a2, c2n)) if c != 0.0]
     if all(a < 1.0 for a, _ in terms):

@@ -5,9 +5,11 @@ profit ledger; it builds its products from theory's own per-action factors,
 so the two agree bit for bit.  sensitivity_check and realized_profit_trace
 compare a simulated trader's profit against that optimum.  pdf is the normal
 density the quadrature oracles integrate, and y_ratio_normal the untruncated
-closed form of the round matrix's Y.
+closed form of the round matrix's Y.  load_csv_rows reads a price csv row by
+row with csv.DictReader, the reference for prices.load_csv's one csv.reader.
 """
 
+import csv
 import math
 
 from pegstress.prices import NormalSpec, PriceSeries, cdf
@@ -123,3 +125,31 @@ def y_ratio_normal(dist: NormalSpec, y1: float, y2: float) -> float:
             "y1) so prices below the threshold stay positive"
         )
     return numerator / denominator
+
+
+def load_csv_rows(path: str, timestamp_column: str = "timestamp", price_column: str = "price") -> PriceSeries:
+    """prices.load_csv by csv.DictReader, one row dict at a time: the same
+    prices or the same ValueError message, and csv.Error where the file does
+    not parse."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise ValueError(f"{path}: empty file (missing header row)")
+        for col in (timestamp_column, price_column):
+            if col not in reader.fieldnames:
+                raise ValueError(f"{path}: missing column {col!r} (header has {reader.fieldnames})")
+        prices: list[float] = []
+        for row_no, row in enumerate(reader, start=2):
+            raw = row.get(price_column)
+            if raw is None or raw.strip() == "":
+                raise ValueError(f"{path}: row {row_no}: missing price value")
+            try:
+                p = float(raw)
+            except ValueError:
+                raise ValueError(f"{path}: row {row_no}: non-numeric price {raw!r}") from None
+            if not (math.isfinite(p) and p > 0.0):
+                raise ValueError(f"{path}: row {row_no}: price must be finite and > 0, got {raw!r}")
+            prices.append(p)
+    if not prices:
+        raise ValueError(f"{path}: no data rows")
+    return PriceSeries(prices=tuple(prices), source="csv")

@@ -186,6 +186,16 @@ class TestAnalyze:
         assert out == ""
         assert err.startswith("error: ") and err.endswith(" must be finite and positive\n")
 
+    def test_overflowing_matrix_rejected(self, tmp_path, capsys):
+        # (A - D)^2 overflows once |A - D| passes ~1.34e154; the
+        # discriminant's ** 2 used to end main with an OverflowError.
+        for y_ratio, code in ((1e154, 0), (1e155, 1)):
+            cfg = write_config(tmp_path, "big.json", {"matrix": {"i": 2, "j": 2, "y_ratio": y_ratio}, "reserves0": 100})
+            assert main(["analyze", "--config", cfg]) == code
+        out, err = capsys.readouterr()
+        assert "outcome = depletes" in out
+        assert err == "error: round matrix overflows: (A - D)^2 is out of float range\n"
+
     def test_decaying_matrix_does_not_diverge(self, tmp_path, capsys):
         # Y < 1 puts the dominant eigenvalue below 1: the backing decays.
         matrix = {"lambda_buy": 0.3, "lambda_sell": 0.3, "i": 5.0, "j": 3.0, "y_ratio": 0.5}
@@ -507,6 +517,15 @@ class TestTheory:
         cfg = write_config(tmp_path, "tol.json", dict(payload, theory={"boundary_tol": tol}))
         assert main(["theory", "--config", cfg]) == 1
         assert capsys.readouterr() == ("", "error: boundary_tol must be finite and >= 0\n")
+
+    def test_unparsable_csv_is_an_error_line(self, tmp_path, capsys):
+        # A field past the csv module's limit (131072 characters) used to end
+        # main with a _csv.Error traceback.
+        data = tmp_path / "prices.csv"
+        data.write_text(f"timestamp,price\n1,{'1' * 200_000}\n")
+        cfg = write_config(tmp_path, "big.json", {"source": {"kind": "csv", "path": str(data)}})
+        assert main(["theory", "--config", cfg]) == 1
+        assert capsys.readouterr() == ("", f"error: {data}: line 2: field larger than field limit (131072)\n")
 
     def test_distribution_source_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "bad.json", {"source": {"kind": "normal", "mu": 1.0, "sigma2": 1.0}})

@@ -6,11 +6,13 @@ here against adaptive quadrature (scipy) on random draws, not just spot
 values.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -32,10 +34,34 @@ from pegstress.prices import (
     step_stats,
     walk_blocks,
 )
-from oracles import pdf
+from oracles import load_csv_rows, pdf
 
 STD = NormalSpec(mu=0.0, sigma2=1.0, support_lo=-40.0, support_hi=40.0)
 EX1 = NormalSpec(mu=100.0, sigma2=100.0)
+
+# Texts and what the row-by-row csv.DictReader loader gave for each: the
+# prices, or the message with the file's path as <path>.
+CSV_OUTCOMES = {
+    "open,price,volume,timestamp\n7,1.5,x,1\n8,2.25,y,2,extra\n": (1.5, 2.25),
+    'timestamp,price\n"2024-01-01, 00:00","101.5"\n"2024-01-02",\t 99\n': (101.5, 99.0),
+    "timestamp,price\r\n1,1.0\r\n2,2.0\r\n3,0.5\r\n": (1.0, 2.0, 0.5),
+    "timestamp,price\n1,1.0\n\n2,2.0\n": (1.0, 2.0),
+    "timestamp,price\n1,1.0\n2\n": "<path>: row 3: missing price value",
+    "timestamp,price\n1,1.0\n2, \n": "<path>: row 3: missing price value",
+    "timestamp,price\n1,nan\n": "<path>: row 2: price must be finite and > 0, got 'nan'",
+    "timestamp,price\n1,1.0\n2,0\n": "<path>: row 3: price must be finite and > 0, got '0'",
+    "timestamp,price,price\n1,1.0,2.0\n": (2.0,),
+    "price\n1.0\n": "<path>: missing column 'timestamp' (header has ['price'])",
+    "\ntimestamp,price\n1,1.0\n": "<path>: missing column 'timestamp' (header has [])",
+    "": "<path>: empty file (missing header row)",
+}
+
+
+def csv_outcome(load, path):
+    try:
+        return load(path).prices
+    except ValueError as exc:
+        return str(exc).replace(path, "<path>")
 
 
 def quad_moment(spec, a, b):
@@ -303,50 +329,52 @@ class TestCsv:
         series = load_csv(str(f), timestamp_column="ts", price_column="open")
         assert series.prices == (42.5,)
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "open,price,volume,timestamp\n7,1.5,x,1\n8,2.25,y,2,extra\n",
-            'timestamp,price\n"2024-01-01, 00:00","101.5"\n"2024-01-02",\t 99\n',
-            "timestamp,price\r\n1,1.0\r\n2,2.0\r\n3,0.5\r\n",
-        ],
-        ids=["extra_and_reordered_columns", "quoted_fields", "crlf"],
-    )
-    def test_column_reader_matches_row_reader(self, tmp_path, monkeypatch, text):
+    @pytest.mark.parametrize("text", list(CSV_OUTCOMES)[:3], ids=["extra_and_reordered_columns", "quoted_fields", "crlf"])
+    def test_column_reader_matches_row_reader(self, tmp_path, text):
         f = tmp_path / "p.csv"
         f.write_bytes(text.encode())
-        slow = prices._load_csv_rows(str(f), "timestamp", "price")
+        assert csv_outcome(load_csv, str(f)) == csv_outcome(load_csv_rows, str(f)) == CSV_OUTCOMES[text]
 
-        def fallback(*args):
-            raise AssertionError("fell back to the row reader")
-
-        monkeypatch.setattr(prices, "_load_csv_rows", fallback)
-        assert load_csv(str(f)) == slow
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "timestamp,price\n1,1.0\n\n2,2.0\n",
-            "timestamp,price\n1,1.0\n2\n",
-            "timestamp,price\n1,1.0\n2, \n",
-            "timestamp,price\n1,nan\n",
-            "timestamp,price\n1,1.0\n2,0\n",
-            "timestamp,price,price\n1,1.0,2.0\n",
-            "price\n1.0\n",
-            "\ntimestamp,price\n1,1.0\n",
-            "",
-        ],
-    )
+    @pytest.mark.parametrize("text", list(CSV_OUTCOMES)[3:])
     def test_fallback_gives_the_row_reader_result(self, tmp_path, text):
+        # Irregular files: the pass that names a bad row, a skipped blank
+        # line, a repeated column, and the header's own errors.
         f = tmp_path / "p.csv"
         f.write_text(text)
-        outcomes = []
-        for load in (load_csv, lambda path: prices._load_csv_rows(path, "timestamp", "price")):
-            try:
-                outcomes.append(load(str(f)))
-            except ValueError as exc:
-                outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1]
+        assert csv_outcome(load_csv, str(f)) == csv_outcome(load_csv_rows, str(f)) == CSV_OUTCOMES[text]
+
+    def test_unparsable_field_names_its_line(self, tmp_path):
+        f = tmp_path / "p.csv"
+        f.write_text(f"timestamp,price\n1,{'1' * 200_000}\n")
+        with pytest.raises(ValueError, match=r"p\.csv: line 2: field larger than field limit \(131072\)$"):
+            load_csv(str(f))
+
+
+CSV_CELLS = st.sampled_from(["", " ", "nan", "inf", "-3", "0", "abc", "1.5", " 2 ", "1e3", "7,5", 'q"t', "a\nb"])
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    header=st.none() | st.lists(st.sampled_from(["timestamp", "price", "open", ""]), max_size=5),
+    rows=st.lists(st.none() | st.lists(CSV_CELLS, max_size=6), max_size=8),
+    quoting=st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]),
+    newline=st.sampled_from(["\n", "\r\n"]),
+)
+def test_load_csv_matches_dictreader_oracle(tmp_path, header, rows, quoting, newline):
+    # Missing, repeated and reordered columns, blank lines (None), short
+    # and long rows, quoted fields and both line ends: load_csv gives the
+    # DictReader reference's prices or its message.
+    text = io.StringIO()
+    if header is not None:
+        writer = csv.writer(text, quoting=quoting, lineterminator=newline)
+        for row in [header, *rows]:
+            if row is None:
+                text.write(newline)
+            else:
+                writer.writerow(row)
+    f = tmp_path / "p.csv"
+    f.write_bytes(text.getvalue().encode())
+    assert csv_outcome(load_csv, str(f)) == csv_outcome(load_csv_rows, str(f))
 
 
 class TestStepStats:

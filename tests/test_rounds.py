@@ -491,6 +491,18 @@ class TestDepletion:
         mat = round_matrix_from_params(lambda_buy=0.5, lambda_sell=0.5, i=2.0, j=2.0, y_ratio=0.999999)
         assert expected_depletion_rounds(eigen(mat, (1e-305, 1e-305)), reserves0=1e-305, n0=1e-305) == math.inf
 
+    @pytest.mark.parametrize("y_ratio", [1e35, 1e36, 1e38])
+    def test_overflow_round_right_after_the_prefix(self, y_ratio):
+        # a1 = y_ratio, so a1^9 overflows: round 9, the first past the
+        # prefix, is the overflow round.  At 1e35 and 1e36 the tiny n0
+        # crosses no round before it, and evaluating a1^9 to shape the
+        # search used to raise; at 1e38 round 8 already crosses.
+        sys_ = eigen(round_matrix_from_params(i=2.0, j=2.0, y_ratio=y_ratio), (0.0, 1e-300))
+        want = scan_depletion_rounds(sys_, 100.0, 1e-300, 20)
+        assert expected_depletion_rounds(sys_, reserves0=100.0, n0=1e-300) == want
+        if y_ratio == 1e35:
+            assert want == 8.628571428576834
+
     # 300 examples, or the profile's count where that is higher (ci: 500).
     @settings(max_examples=max(300, settings.default.max_examples), deadline=None)
     @example(a1=0.75, a2=0.75, c1n=1.5, c2n=-1.625, at=114, nudge=1.0, reserves0=8.0)
