@@ -280,11 +280,14 @@ def _print_report(report: dict) -> None:
 
 @contextmanager
 def _out_records(args):
-    """Yield write(row), which appends one record to --out; None without --out.
+    """Yield write(row, header=None), which appends one record to --out; None
+    without --out.
 
-    csv: the first row's keys as header, then a line per row; json: the bytes
-    of json.dump(rows, indent=2) + newline.  The records go to a temporary file
-    beside --out that replaces it only if the block ends without an error.
+    A row is a dict, or its values in the order of header; a csv row given so
+    has its bools as text already.  csv: the first row's keys as header, then
+    a line per row; json: the bytes of json.dump(rows, indent=2) + newline.
+    The records go to a temporary file beside --out that replaces it only if
+    the block ends without an error.
     """
     if not args.out:
         yield None
@@ -292,23 +295,24 @@ def _out_records(args):
     tmp = f"{args.out}.{os.urandom(4).hex()}.tmp"
     fh = open(tmp, "x", newline="")
     rows = csv.writer(fh, lineterminator="\n")
-    header: list[str] = []
     count = 0
 
-    def write(row: dict) -> None:
+    def write(row, header=None) -> None:
         nonlocal count
         if args.format == "json":
-            # json.dumps([row], indent=2) is "[" + "\n  {...}" + "\n]": the middle
-            # is the row exactly as json.dump lays out an item of the list.
-            fh.write(("," if count else "[") + json.dumps([row], indent=2)[1:-2])
+            record = row if header is None else dict(zip(header, row))
+            # json.dumps([record], indent=2) is "[" + "\n  {...}" + "\n]": the
+            # middle is the record exactly as json.dump lays out an item of the list.
+            fh.write(("," if count else "[") + json.dumps([record], indent=2)[1:-2])
         else:
+            if header is None:
+                # csv.writer already writes None as "" and floats by repr;
+                # only bools need _fmt's text.
+                header = row
+                row = ["true" if v is True else "false" if v is False else v for v in row.values()]
             if not count:
-                header.extend(row)
                 rows.writerow(header)
-            # csv.writer already writes None as "" and floats by repr; only
-            # bools need _fmt's text.
-            values = map(row.__getitem__, header)
-            rows.writerow(["true" if v is True else "false" if v is False else v for v in values])
+            rows.writerow(row)
         count += 1
 
     try:
@@ -401,15 +405,23 @@ def cmd_analyze(cfg: dict, args) -> None:
     _emit([report], args)
 
 
-def _trial_row(n0: float, idx: int, res: SimResult) -> dict:
-    row = {
-        "n0": n0, "trial": idx, "seed": res.seed, "depleted": res.depleted,
-        "depletion_step": res.depletion_step, "rounds": res.rounds, "r_min": res.r_min,
-        "final_m": res.final_m, "final_n": res.final_n, "steps": res.steps, "clamp_count": res.clamp_count,
-    }
-    if res.traces is not None:  # record_traces, which --out takes only as json
-        row["traces"] = vars(res.traces)  # p, delta, reserves, n, m; read, never changed
-    return row
+_TRIAL_FIELDS = (
+    "n0", "trial", "seed", "depleted", "depletion_step", "rounds", "r_min", "final_m", "final_n", "steps",
+    "clamp_count",
+)
+_TRACED_FIELDS = (*_TRIAL_FIELDS, "traces")  # record_traces, which --out takes only as json
+
+
+def _trial_record(n0: float, idx: int, res: SimResult, bools) -> tuple[tuple, tuple]:
+    """A trial's --out record, as (values, header); bools[res.depleted] stands
+    for depleted."""
+    values = (
+        n0, idx, res.seed, bools[res.depleted], res.depletion_step, res.rounds, res.r_min, res.final_m,
+        res.final_n, res.steps, res.clamp_count,
+    )
+    if res.traces is None:
+        return values, _TRIAL_FIELDS
+    return (*values, vars(res.traces)), _TRACED_FIELDS  # p, delta, reserves, n, m; read, never changed
 
 
 def cmd_simulate(cfg: dict, args) -> None:
@@ -417,11 +429,12 @@ def cmd_simulate(cfg: dict, args) -> None:
     trials = cfg["run"]["trials"]
     if config.record_traces and not (args.out and args.format == "json"):
         raise ConfigError("record_traces output requires --out with --format json")
+    bools = ("false", "true") if args.format == "csv" else (False, True)
     with _out_records(args) as write:
         for point in cfg.get("n0_grid") or [config]:
-            # Each trial's row is written as the trial finishes; without
+            # Each trial's row is written as the trial comes in; without
             # --out there is no sink, and no per-trial record is made.
-            sink = None if write is None else lambda idx, res: write(_trial_row(point.n0, idx, res))
+            sink = None if write is None else lambda idx, res: write(*_trial_record(point.n0, idx, res, bools))
             summary = monte_carlo(point, trials, sink=sink)
             _print_report({"n0": point.n0, **vars(summary)})
 

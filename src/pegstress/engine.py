@@ -22,10 +22,13 @@ Monte Carlo trials are independent: trial seeds derive from
 (master_seed, trial index), so aggregation order cannot change any result.
 Every trial draws from one generator set to its seed's PCG64 state
 (prices.seeded_generators): what default_rng(seed), which a lone run builds,
-would draw, without a generator per trial.  monte_carlo folds each trial into
-running sums and keeps no per-trial record; a caller that wants the records
-(the CLI's --out) passes a sink, which sees each SimResult once, in trial
-order, as its trial finishes.
+would draw, without a generator per trial.  monte_carlo deals the trials in
+chunks of SEED_CHUNK to this process and to one forked child per other CPU
+in its affinity mask (parallel.run_chunks), and folds each trial into
+running sums in trial order, so the sums are the same floats however many
+processes ran.  It keeps no per-trial record; a caller that wants the
+records (the CLI's --out) passes a sink, which runs in the calling process
+and sees each SimResult once, in trial order, as its chunk comes in.
 
 numpy is imported inside the functions that scan price blocks (RollingBand,
 _running_sums, run), not at module level: importing this module, and with
@@ -36,12 +39,14 @@ it the package, needs only the standard library, so the closed form
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .mechanism import apply_trade, check_schedule
-from .prices import BLOCK, NormalSpec, PriceSeries, WalkSpec, derive_seed, price_blocks, seeded_generators
+from .prices import (
+    BLOCK, SEED_CHUNK, NormalSpec, PriceSeries, WalkSpec, derive_seed, price_blocks, seeded_generators,
+)
 from .speculator import NoTradeInterval, SpeculatorParams, waiting_interval
 
 if TYPE_CHECKING:
@@ -279,7 +284,7 @@ def run(
     computes it from the source distribution and adaptive mode rolls it.
     rng, if given, is a generator already in seed's PCG64 state (monte_carlo
     reseeds one for each trial); without it the run draws from
-    default_rng(seed).
+    default_rng(seed), except over a series, which draws nothing.
     Untraced, it visits the out-of-band steps on a side that holds something
     (above y2 while n > 0, below y1 while m > 0); traced, every step.
     """
@@ -315,7 +320,9 @@ def run(
     # else sells, so such a run never jumps.  RollingBand's never is (c >= 0).
     inverted = not adaptive and lo > hi
     jump = not (record or inverted)
-    for prices, clamped in price_blocks(source, np.random.default_rng(seed) if rng is None else rng):
+    if rng is None and not isinstance(source, PriceSeries):  # a series draws nothing
+        rng = np.random.default_rng(seed)
+    for prices, clamped in price_blocks(source, rng):
         block = prices[: config.max_steps - steps]
         if adaptive:
             lo, hi = window.band(block)
@@ -392,14 +399,32 @@ def run(
     )
 
 
+def _trials(config: SimConfig, interval: tuple[float, float] | None, start: int, stop: int) -> Iterator[SimResult]:
+    """Trials start..stop-1 of config, in order.  A series draws nothing, so
+    its trials run without a generator."""
+    seeds = (derive_seed(config.master_seed, idx) for idx in range(start, stop))
+    if isinstance(config.source, PriceSeries):
+        for seed in seeds:
+            yield run(config, seed=seed, interval=interval)
+    else:
+        for seed, rng in seeded_generators(seeds):
+            yield run(config, seed=seed, interval=interval, rng=rng)
+
+
 def monte_carlo(config: SimConfig, trials: int, sink: Callable | None = None) -> MonteCarloSummary:
     """Run independent trials and aggregate streams (order-independent).
 
     Trial seeds are derive_seed(master_seed, index), and each trial draws
-    from one generator set to its seed's PCG64 state (seeded_generators); the
-    waiting interval for analytic mode is computed once and shared
-    read-only.  sink, if given, is called as sink(index, result) after each
-    trial, in trial order; nothing else keeps the result.
+    from one generator set to its seed's PCG64 state (seeded_generators); a
+    series draws nothing and gets none.  The waiting interval for analytic
+    mode is computed once and shared read-only.  Two or more chunks of
+    SEED_CHUNK trials run on the CPUs in the process's affinity mask
+    (parallel.run_chunks): in this process and in forked children, which
+    send their results back.  sink, if given, is called as sink(index,
+    result) in this process, once per trial, in trial order, as each
+    trial's chunk comes in; nothing else keeps the result.  The summary,
+    and what the sink sees, are the same however many processes ran the
+    trials.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -412,19 +437,25 @@ def monte_carlo(config: SimConfig, trials: int, sink: Callable | None = None) ->
     r_min_sum = 0.0
     r_min_min = math.inf
     r_min_max = -math.inf
-    seeds = (derive_seed(config.master_seed, idx) for idx in range(trials))
-    for idx, (seed, rng) in enumerate(seeded_generators(seeds)):
-        res = run(config, seed=seed, interval=interval, rng=rng)
-        if res.depleted:
-            depleted += 1
-            sum_steps += res.depletion_step
-            sumsq_steps += res.depletion_step**2
-            sum_rounds += res.rounds
-        r_min_sum += res.r_min
-        r_min_min = min(r_min_min, res.r_min)
-        r_min_max = max(r_min_max, res.r_min)
-        if sink is not None:
-            sink(idx, res)
+    if trials <= SEED_CHUNK:
+        results = _trials(config, interval, 0, trials)
+    else:  # parallel is imported, and compiled, only for a run it can split
+        from .parallel import run_chunks
+        results = run_chunks(lambda start, stop: _trials(config, interval, start, stop), trials, SEED_CHUNK)
+    try:
+        for idx, res in enumerate(results):
+            if res.depleted:
+                depleted += 1
+                sum_steps += res.depletion_step
+                sumsq_steps += res.depletion_step**2
+                sum_rounds += res.rounds
+            r_min_sum += res.r_min
+            r_min_min = min(r_min_min, res.r_min)
+            r_min_max = max(r_min_max, res.r_min)
+            if sink is not None:
+                sink(idx, res)
+    finally:
+        results.close()
 
     mean = sum_steps / depleted if depleted else None
     std = None

@@ -318,9 +318,9 @@ def series_blocks(series: PriceSeries) -> Iterator[tuple[np.ndarray, None]]:
 
 
 def price_blocks(
-    source: NormalSpec | WalkSpec | PriceSeries, rng: np.random.Generator
+    source: NormalSpec | WalkSpec | PriceSeries, rng: np.random.Generator | None
 ) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
-    """The block generator of the source's price model; a series draws nothing from rng."""
+    """The block generator of the source's price model; a series draws nothing, and takes rng None."""
     if isinstance(source, NormalSpec):
         return iid_blocks(source, rng)
     if isinstance(source, WalkSpec):
@@ -350,13 +350,14 @@ def random_walk(spec: WalkSpec, n: int, seed: int) -> PriceSeries:
 def load_csv(path: str, timestamp_column: str = "timestamp", price_column: str = "price") -> PriceSeries:
     """Load a price series from a CSV file with a header row.
 
+    The file is UTF-8, and a byte-order mark before the header is dropped.
     Rows are kept in file order and blank lines are skipped; timestamps are
     not parsed, only required to be a column.  A column name given twice
     reads its last column.  A missing, non-numeric or non-positive price is
     rejected with its row number (1-based, the header is row 1, blank lines
     are not counted), and a file the csv module cannot parse with its line.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = csv.reader(fh)
         try:
             header = next(rows, None)

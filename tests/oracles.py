@@ -131,7 +131,7 @@ def load_csv_rows(path: str, timestamp_column: str = "timestamp", price_column: 
     """prices.load_csv by csv.DictReader, one row dict at a time: the same
     prices or the same ValueError message, and csv.Error where the file does
     not parse."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ValueError(f"{path}: empty file (missing header row)")

@@ -47,6 +47,13 @@ EX1_CONFIG = {
     "reserves0": 100.0,
     "n0": 1.0,
 }
+# Haircuts and fees, with trials that end both ways within 300 steps.
+FEES_CONFIG = dict(
+    EX1_CONFIG, speculator={"delta": 0.1, "lambda_buy": 0.2, "lambda_sell": 0.1},
+    fees={"eps_alpha": 0.01, "eps_beta": 0.01}, run={"max_steps": 300, "seed": 11},
+)
+# Each side of one, two and three chunks of 512 trials, and ten chunks.
+TRIAL_COUNTS = (1, 511, 512, 513, 1024, 1025, 5000)
 
 
 class TestAnalyze:
@@ -467,6 +474,53 @@ class TestSimulate:
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize(
+        "trials, fmt, traced",
+        [(n, fmt, False) for n in TRIAL_COUNTS for fmt in ("csv", "json")]
+        + [(n, "json", True) for n in TRIAL_COUNTS[:-1]],  # the traced files stay small
+    )
+    def test_forked_trials_write_the_in_process_bytes(self, tmp_path, capsys, monkeypatch, trials, fmt, traced):
+        # Trials run in chunks of 512 on each CPU (three here, so two
+        # children), or all in process on one; --out and the console are
+        # the same bytes.
+        run = {"max_steps": 20 if traced else 300, "seed": 11, "record_traces": traced}
+        cfg = write_config(tmp_path, "fees.json", dict(FEES_CONFIG, run=run))
+        got = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            out = tmp_path / f"cpus{cpus}.{fmt}"
+            argv = ["simulate", "--config", cfg, "--trials", str(trials), "--out", str(out), "--format", fmt]
+            assert main(argv) == 0
+            got.append((out.read_bytes(), capsys.readouterr().out))
+        assert got[0] == got[1]
+        assert f"trials = {trials}\n" in got[0][1]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failed_sink_leaves_no_child_and_no_file(self, tmp_path, capsys, monkeypatch, fmt):
+        # The row of trial 1500 (in the second child's chunk of three
+        # workers) cannot be written: the children are killed and reaped,
+        # and the temporary file is removed.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        record = cli._trial_record
+
+        def failing(n0, idx, res, bools):
+            if idx == 1500:
+                raise OSError("disk full")
+            return record(n0, idx, res, bools)
+
+        monkeypatch.setattr(cli, "_trial_record", failing)
+        cfg = write_config(tmp_path, "fees.json", FEES_CONFIG)
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        argv = ["simulate", "--config", cfg, "--trials", "3000", "--out", str(outdir / f"runs.{fmt}"), "--format", fmt]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert list(outdir.iterdir()) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestTheory:

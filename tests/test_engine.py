@@ -6,12 +6,15 @@ point values, and treat runs that outlive the horizon as censored at it.
 
 import dataclasses
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pegstress import engine
 from pegstress.engine import (
     AdaptiveSpec,
     SWEEP_AXES,
@@ -301,12 +304,152 @@ class TestMonteCarlo:
         assert outer == [run(EX1, seed=derive_seed(EX1.master_seed, idx)) for idx in range(6)]
         assert inner == [monte_carlo(walk, trials=3)] * 6
 
+    def test_series_builds_no_generator(self, monkeypatch):
+        cfg = dataclasses.replace(
+            EX1, source=literal(*[95.0, 104.0, 96.0, 112.0] * 300), adaptive=AdaptiveSpec(c=0.5, window=8)
+        )
+        want = [run(cfg, seed=derive_seed(cfg.master_seed, idx)) for idx in range(3)]
+
+        def refuse(*args):
+            raise AssertionError("a series draws nothing")
+
+        monkeypatch.setattr(engine, "seeded_generators", refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        seen = []
+        monte_carlo(cfg, trials=3, sink=lambda idx, res: seen.append(res))
+        assert seen == want == [run(cfg, seed=res.seed) for res in want]
+        assert want[0].rounds > 0
+
     @pytest.mark.parametrize("seed", [2**64, 2**70])
     def test_direct_run_takes_seeds_past_64_bits(self, seed):
         traced = run(dataclasses.replace(EX1, record_traces=True), seed=seed)
         want = np.random.default_rng(seed).normal(100.0, 10.0, traced.steps)
         assert traced.seed == seed and traced.steps > 100
         assert traced.traces.p == tuple(np.clip(want, EX1.source.support_lo, EX1.source.support_hi).tolist())
+
+
+# A haircut and fee config whose trials end both ways within the horizon.
+FEES = dataclasses.replace(
+    EX1, speculator=SpeculatorParams(delta=0.1, lambda_buy=0.2, lambda_sell=0.1), eps_alpha=0.01,
+    eps_beta=0.01, max_steps=300, master_seed=11,
+)
+# Each side of one, two and three chunks, and ten chunks.
+TRIAL_COUNTS = (1, SEED_CHUNK - 1, SEED_CHUNK, SEED_CHUNK + 1, 2 * SEED_CHUNK, 2 * SEED_CHUNK + 1, 5000)
+
+
+def on_cpus(monkeypatch, cpus):
+    """Let monte_carlo see cpus CPUs; return the list each os.fork call appends to."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+class TestForkedTrials:
+    # Chunks of SEED_CHUNK trials go round-robin to the caller and to a
+    # forked child per other CPU; one CPU runs them all in process.
+
+    def collect(self, monkeypatch, cpus, config, trials):
+        forks = on_cpus(monkeypatch, cpus)
+        seen = []
+        summary = monte_carlo(config, trials, sink=lambda idx, res: seen.append((idx, res)))
+        assert no_child_left()
+        return summary, seen, len(forks)
+
+    @pytest.mark.parametrize(
+        "trials, traced", [(n, False) for n in TRIAL_COUNTS] + [(n, True) for n in TRIAL_COUNTS[:6]]
+    )
+    def test_forked_matches_in_process(self, monkeypatch, trials, traced):
+        config = dataclasses.replace(FEES, record_traces=traced, max_steps=20 if traced else FEES.max_steps)
+        want, want_seen, forks = self.collect(monkeypatch, 1, config, trials)
+        assert forks == 0
+        assert [idx for idx, _ in want_seen] == list(range(trials))
+        got, seen, forks = self.collect(monkeypatch, 3, config, trials)
+        assert forks == min(2, -(-trials // SEED_CHUNK) - 1)
+        assert got == want
+        assert seen == want_seen
+        if not traced and trials == 5000:
+            assert 0 < want.depleted_count < trials and want.std_depletion_steps is not None
+
+    def test_two_cpus_match_three(self, monkeypatch):
+        got = self.collect(monkeypatch, 2, FEES, 2600)
+        want = self.collect(monkeypatch, 3, FEES, 2600)
+        assert got[:2] == want[:2] and (got[2], want[2]) == (1, 2)
+
+    def test_child_error_reraises_with_its_message(self, monkeypatch):
+        caller = os.getpid()
+        bad = derive_seed(FEES.master_seed, SEED_CHUNK + 7)  # in the first child's chunk
+        lone = engine.run
+
+        def failing(config, seed, **kwargs):
+            if seed == bad:
+                raise ValueError(f"trial failed in {'a child' if os.getpid() != caller else 'the caller'}")
+            return lone(config, seed=seed, **kwargs)
+
+        monkeypatch.setattr(engine, "run", failing)
+        on_cpus(monkeypatch, 2)
+        seen = []
+        with pytest.raises(ValueError, match="^trial failed in a child$"):
+            monte_carlo(FEES, 3 * SEED_CHUNK, sink=lambda idx, res: seen.append(idx))
+        assert seen == list(range(SEED_CHUNK))
+        assert no_child_left()
+
+    def test_child_that_dies_is_an_error(self, monkeypatch):
+        caller = os.getpid()
+        lone = engine.run
+
+        def dying(config, seed, **kwargs):
+            if os.getpid() != caller:
+                os._exit(3)
+            return lone(config, seed=seed, **kwargs)
+
+        monkeypatch.setattr(engine, "run", dying)
+        on_cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match=f"exited before sending items {SEED_CHUNK}..{2 * SEED_CHUNK - 1}$"):
+            monte_carlo(FEES, 2 * SEED_CHUNK)
+        assert no_child_left()
+
+    @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+    @pytest.mark.parametrize("at", [3, SEED_CHUNK + 3], ids=["caller_chunk", "child_chunk"])
+    def test_sink_error_leaves_no_child(self, monkeypatch, error, at):
+        def sink(idx, res):
+            if idx == at:
+                raise error("sink failed")
+
+        on_cpus(monkeypatch, 3)
+        with pytest.raises(error, match="sink failed") as caught:
+            monte_carlo(FEES, 6 * SEED_CHUNK, sink=sink)
+        # Reaped by monte_carlo itself, while the traceback still holds its
+        # frame (and so its generator of results).
+        assert no_child_left()
+        assert caught.traceback
+
+    def test_runs_in_process_while_a_thread_runs(self, monkeypatch):
+        forks = on_cpus(monkeypatch, 2)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            summary = monte_carlo(FEES, 2 * SEED_CHUNK)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
+        assert summary == monte_carlo(FEES, 2 * SEED_CHUNK)
+        assert len(forks) == 1
 
 
 @st.composite

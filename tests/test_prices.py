@@ -343,6 +343,23 @@ class TestCsv:
         f.write_text(text)
         assert csv_outcome(load_csv, str(f)) == csv_outcome(load_csv_rows, str(f)) == CSV_OUTCOMES[text]
 
+    @pytest.mark.parametrize(
+        "text, outcome",
+        [("timestamp,price\n1,1.5\n2,2.5\n", (1.5, 2.5)), ("timestamp,price\n1,1.5\n2,-1\n", "row 3")],
+        ids=["loads", "names_bad_row"],
+    )
+    def test_byte_order_mark_is_dropped(self, tmp_path, text, outcome):
+        # A spreadsheet's "CSV UTF-8" export starts with U+FEFF; the second
+        # pass, which names a bad row, reads past it too.
+        f = tmp_path / "p.csv"
+        f.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        if isinstance(outcome, str):
+            with pytest.raises(ValueError, match=f"{outcome}: price must be finite and > 0"):
+                load_csv(str(f))
+        else:
+            assert load_csv(str(f)).prices == outcome
+        assert csv_outcome(load_csv, str(f)) == csv_outcome(load_csv_rows, str(f))
+
     def test_unparsable_field_names_its_line(self, tmp_path):
         f = tmp_path / "p.csv"
         f.write_text(f"timestamp,price\n1,{'1' * 200_000}\n")
