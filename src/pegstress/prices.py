@@ -43,6 +43,7 @@ __all__ = [
     "PriceSeries",
     "cdf",
     "TruncatedNormal",
+    "mean_of",
     "iid_blocks",
     "walk_blocks",
     "series_blocks",
@@ -164,14 +165,10 @@ class PriceSeries:
         return len(self.prices)
 
 
-# The standard-normal formulas behind cdf and TruncatedNormal; z is the
-# standardised price and scale = sigma * sqrt(2 pi).
+# The standard-normal CDF behind cdf and TruncatedNormal; z is the
+# standardised price.
 def _std_cdf(z: float) -> float:
     return 0.5 * (1.0 + math.erf(z / _SQRT2))
-
-
-def _density(z: float, scale: float) -> float:
-    return math.exp(-0.5 * z * z) / scale
 
 
 def cdf(spec: NormalSpec, x: float) -> float:
@@ -184,12 +181,10 @@ def cdf(spec: NormalSpec, x: float) -> float:
 class TruncatedNormal:
     """A non-degenerate NormalSpec on its support, with its constants computed once.
 
-    The support edges' CDF and density and the mass between them are what the
-    truncated CDF and the conditional means need at every x.  A caller (the
-    speculator's optimisations, the round matrix) builds one of these per
-    spec, takes each point's CDF once with ``at`` and hands it to
-    ``prob_below``, ``mean_below`` and ``mean_above``.  This is the one
-    evaluator of the truncated normal; a point mass has none.
+    ``tail`` is the one evaluator of the truncated normal: the speculator's
+    optimisations pass it a whole grid of points, the round matrix one point
+    a side.  The support edges' CDF and density and the mass between them
+    are what it needs at every point.  A point mass has none.
     """
 
     __slots__ = ("mu", "sigma2", "sigma", "lo", "hi", "cdf_lo", "cdf_hi", "mass", "pdf_lo", "pdf_hi", "_pdf_scale")
@@ -202,50 +197,56 @@ class TruncatedNormal:
         self._pdf_scale = self.sigma * _SQRT2PI
         self.cdf_lo, self.cdf_hi = cdf(spec, self.lo), cdf(spec, self.hi)
         self.mass = self.cdf_hi - self.cdf_lo
-        self.pdf_lo, self.pdf_hi = self._pdf(self.lo), self._pdf(self.hi)
+        self.pdf_lo, self.pdf_hi = (math.exp(-0.5 * z * z) / self._pdf_scale
+                                    for z in ((self.lo - self.mu) / self.sigma, (self.hi - self.mu) / self.sigma))
 
-    def _pdf(self, x: float) -> float:
-        return _density((x - self.mu) / self.sigma, self._pdf_scale)
+    def tail(self, xs: list[float], below: bool) -> list[tuple[float, float | ValueError]]:
+        """(P, E[p | event]) at each x, in order, for the event p <= x (below) or p >= x on the support.
 
-    def at(self, x: float) -> tuple[float, float]:
-        """x clamped to the support, and the untruncated CDF there."""
-        if x <= self.lo:
-            return self.lo, self.cdf_lo
-        if x >= self.hi:
-            return self.hi, self.cdf_hi
-        return x, _std_cdf((x - self.mu) / self.sigma)
-
-    def prob_below(self, x: float, c: float) -> float:
-        """P[p <= x] on the support, for (x, c) from ``at``."""
-        if x <= self.lo:
-            return 0.0
-        if x >= self.hi:
-            return 1.0
-        if self.mass <= 0.0:
+        Above, P is 1 - P[p <= x].  A point inside a support with no mass
+        raises; an empty event's mean is the ValueError that says so, for the
+        caller to raise (``mean_of``) where it needs the mean.  Means use the
+        x*f expansion of the module docstring.
+        """
+        mu, sigma, sigma2, lo, hi, scale = self.mu, self.sigma, self.sigma2, self.lo, self.hi, self._pdf_scale
+        cdf_lo, cdf_hi, mass, pdf_lo, pdf_hi = self.cdf_lo, self.cdf_hi, self.mass, self.pdf_lo, self.pdf_hi
+        if mass <= 0.0 and not all(x <= lo or x >= hi for x in xs):
             raise ValueError("truncated support carries no probability mass")
-        return (c - self.cdf_lo) / self.mass
+        erf, exp = math.erf, math.exp
+        out = []
+        for x in xs:
+            if x <= lo:
+                x, c, prob, pdf_x = lo, cdf_lo, 0.0, pdf_lo
+            elif x >= hi:
+                x, c, prob, pdf_x = hi, cdf_hi, 1.0, pdf_hi
+            else:
+                z = (x - mu) / sigma
+                c = 0.5 * (1.0 + erf(z / _SQRT2))
+                prob, pdf_x = (c - cdf_lo) / mass, None
+            if below:
+                df, width = c - cdf_lo, x - lo
+            else:
+                df, width, prob = cdf_hi - c, hi - x, 1.0 - prob
+            if width == 0.0:
+                mean = ValueError("empty conditioning event: {p <= x} has no mass below the support" if below
+                                  else "empty conditioning event: {p >= x} has no mass above the support")
+            elif df <= _MIN_EVENT_PROB:
+                # So thin an event has, to second order, the midpoint as its mean.
+                mean = 0.5 * (lo + x if below else x + hi) if width <= 1e-6 * max(1.0, sigma) else ValueError(
+                    "empty conditioning event (numerically zero probability)")
+            else:
+                if pdf_x is None:
+                    pdf_x = exp(-0.5 * z * z) / scale
+                mean = mu - sigma2 * (pdf_x - pdf_lo if below else pdf_hi - pdf_x) / df
+            out.append((prob, mean))
+        return out
 
-    def mean_below(self, x: float, c: float) -> float:
-        """E[p | p <= x] on the support, for (x, c) from ``at``."""
-        if x <= self.lo:
-            raise ValueError("empty conditioning event: {p <= x} has no mass below the support")
-        return self._mean(self.lo, x, c - self.cdf_lo, self.pdf_lo, self._pdf(x))
 
-    def mean_above(self, x: float, c: float) -> float:
-        """E[p | p >= x] on the support, for (x, c) from ``at``."""
-        if x >= self.hi:
-            raise ValueError("empty conditioning event: {p >= x} has no mass above the support")
-        return self._mean(x, self.hi, self.cdf_hi - c, self._pdf(x), self.pdf_hi)
-
-    def _mean(self, a: float, b: float, df: float, pdf_a: float, pdf_b: float) -> float:
-        """E[p | a <= p <= b] via the x*f expansion, given F(b) - F(a) and f at a, b."""
-        if df <= _MIN_EVENT_PROB:
-            # The interval is so thin that the expansion ratio is pure noise;
-            # to second order the conditional mean is the midpoint.
-            if b - a > 1e-6 * max(1.0, self.sigma):
-                raise ValueError("empty conditioning event (numerically zero probability)")
-            return 0.5 * (a + b)
-        return self.mu - self.sigma2 * (pdf_b - pdf_a) / df
+def mean_of(mean: float | ValueError) -> float:
+    """A mean from TruncatedNormal.tail, raising the error of an empty event."""
+    if isinstance(mean, ValueError):
+        raise mean
+    return mean
 
 
 def _block_sizes() -> Iterator[int]:

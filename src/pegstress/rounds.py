@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .prices import NormalSpec, TruncatedNormal
+from .prices import NormalSpec, TruncatedNormal, mean_of
 from .speculator import SpeculatorParams, WaitingInterval
 
 __all__ = [
@@ -135,17 +135,14 @@ def build_round_matrix(dist: NormalSpec, interval: WaitingInterval, params: Spec
     A point-mass dist has no density, so TruncatedNormal rejects it.
     """
     tn = TruncatedNormal(dist)
-    y1, c1 = tn.at(interval.y1)
-    y2, c2 = tn.at(interval.y2)
-    tail_buy = 1.0 - tn.prob_below(y2, c2)
-    tail_sell = tn.prob_below(y1, c1)
+    (tail_sell, sell_mean), = tn.tail([interval.y1], True)
+    (tail_buy, buy_mean), = tn.tail([interval.y2], False)
     if tail_buy <= 0.0 or tail_sell <= 0.0:
         raise ValueError(
             "trade-triggering prices have zero probability: the trader never "
             "trades on one side, so no round structure exists"
         )
-    sell_mean = tn.mean_below(y1, c1)
-    buy_mean = tn.mean_above(y2, c2)
+    sell_mean, buy_mean = mean_of(sell_mean), mean_of(buy_mean)
     return round_matrix_from_params(
         lambda_buy=params.lambda_buy,
         lambda_sell=params.lambda_sell,
@@ -240,6 +237,13 @@ def _overflows(bases: list[float], k: int) -> bool:
     return False
 
 
+def _turning_point(p: float, x: float, q: float, y: float) -> float:
+    """The m where p ln(x) x^m = -q ln(y) y^m, for x, y > 0 other than 1,
+    whose logs differ; in logs, so that no product underflows."""
+    return (math.log(abs(q)) + math.log(abs(math.log(y))) - math.log(abs(p)) - math.log(abs(math.log(x)))) / (
+        math.log(x) - math.log(y))
+
+
 def _rising_runs(p: float, x: float, q: float, y: float, last: int) -> list[tuple[int, int]]:
     """Runs of m in 0..last where g(m) = p x^m + q y^m may first reach a target.
 
@@ -247,18 +251,24 @@ def _rising_runs(p: float, x: float, q: float, y: float, last: int) -> list[tupl
     turning point m*, where p ln(x) x^m = -q ln(y) y^m.  Where g falls, the
     point before is higher, so a falling run holds no first crossing and is
     left out; rising runs come back whole, and the few m around m* one by
-    one, so an error in m* cannot put a point on the wrong side.
+    one, so an error in m* cannot put a point on the wrong side.  The signs
+    of p ln(x) and q ln(y) are taken from their factors, since a product
+    with a subnormal p or q can round to 0.
     """
-    u = p * math.log(x) if p != 0.0 and x > 0.0 else 0.0
-    v = q * math.log(y) if q != 0.0 and y > 0.0 else 0.0
-    if x == y:
-        u, v = u + v, 0.0
-    if u == 0.0 or v == 0.0 or (u > 0.0) == (v > 0.0):
-        return [(0, last)] if u + v > 0.0 else []
-    # g' = u x^m + v y^m changes sign once: the smaller base's term leads
-    # before m*, the larger one's after it.
-    m_star = (math.log(abs(v)) - math.log(abs(u))) / (math.log(x) - math.log(y))
-    before, after = (v > 0.0, u > 0.0) if x > y else (u > 0.0, v > 0.0)
+
+    def slope(c: float, b: float) -> int:
+        # The sign of c ln(b): 0 for a term that is constant or vanishes.
+        return 0 if c == 0.0 or b <= 0.0 or b == 1.0 else 1 if (c > 0.0) == (b > 1.0) else -1
+
+    u, v = slope(p, x), slope(q, y)
+    if x == y or (u and v and math.log(x) == math.log(y)):
+        u, v = slope(p + q, x), 0
+    if u == 0 or v == 0 or u == v:
+        return [(0, last)] if u + v > 0 else []
+    # g' = p ln(x) x^m + q ln(y) y^m changes sign once: the smaller base's
+    # term leads before m*, the larger one's after it.
+    m_star = _turning_point(p, x, q, y)
+    before, after = (v > 0, u > 0) if x > y else (u > 0, v > 0)
     if not m_star > 0.0:
         # A turn after m = -1 can leave g(0) above g(-1) although g falls from 0.
         return [(0, last)] if after else [(0, 0)] if m_star > -1.0 else []
@@ -272,6 +282,28 @@ def _rising_runs(p: float, x: float, q: float, y: float, last: int) -> list[tupl
     if after and mid_hi < last:
         runs.append((mid_hi + 1, last))
     return runs
+
+
+def _tail_peak(terms: list[tuple[float, float]], k: int) -> float:
+    """A bound on the backing sum of c a^m over (a, c) in terms, as
+    _backing_at evaluates it, at every round m >= k; each base is below 1.
+
+    The closed form's maximum over real m >= k is at k, at its one turning
+    point past k, or its limit 0.  The margin covers the rounding of each
+    evaluation, this one's too: a few ulps of the terms' sizes |c| a^m, at
+    most their sizes at k, and a few subnormal steps.
+    """
+    def backing(m: float) -> float:
+        return sum(c * a**m for a, c in terms)
+
+    peak = max(backing(float(k)), 0.0)
+    if len(terms) == 2:
+        (x, p), (y, q) = terms
+        if x > 0.0 and y > 0.0 and math.log(x) != math.log(y) and (p > 0.0) != (q > 0.0):
+            m = _turning_point(p, x, q, y)
+            if m > k:
+                peak = max(peak, backing(m))
+    return peak + 2e-15 * sum(abs(c) * a ** float(k) for a, c in terms) + 1e-322
 
 
 def _first_crossing(sys: EigenSystem, target: float) -> int | None:
@@ -288,7 +320,8 @@ def _first_crossing(sys: EigenSystem, target: float) -> int | None:
     proven.  When the backing decays to 0, the rounds where every term is
     below _TINY are scanned one by one instead (subnormal rounding, not the
     closed form, orders them), unless the target is above the positive
-    terms' sum at the first of them, which no later one exceeds.
+    terms' sum at the first of them, which no later one exceeds, or above
+    the tail's peak (_tail_peak).
     """
 
     def hits(k: int) -> bool:
@@ -308,8 +341,9 @@ def _first_crossing(sys: EigenSystem, target: float) -> int | None:
     if all(a < 1.0 for a, _ in terms):
         fine = _first_round(lambda k: all(abs(c) * a ** float(k) < _TINY for a, c in terms))
         if fine <= last_k:
-            if target <= sum(max(c, 0.0) * a ** float(fine) for a, c in terms):
-                tail = range(max(fine, _PREFIX + 1), min(last_k, max(underflow, _PREFIX) + 1) + 1)
+            start = max(fine, _PREFIX + 1)
+            if target <= min(sum(max(c, 0.0) * a ** float(fine) for a, c in terms), _tail_peak(terms, start)):
+                tail = range(start, min(last_k, max(underflow, _PREFIX) + 1) + 1)
             last_k = fine - 1
 
     k0 = _PREFIX + 1

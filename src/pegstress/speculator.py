@@ -23,8 +23,10 @@ y1 <= 1/s1 <= y2.  Trade sizes are all-in up to the cash-out haircuts
 lambda_buy, lambda_sell; the thresholds themselves do not depend on the
 holdings or the haircuts (value is linear, so scale drops out).
 
-Maximisation is a deterministic coarse grid (1024 points by default) followed
-by golden-section refinement; ties break toward smaller x.
+Maximisation is a deterministic coarse grid of 1024 points, scored in one
+batched pass of TruncatedNormal.tail, followed by golden-section refinement
+one point at a time; ties break toward smaller x.  A point whose discount
+underflows to 0 scores 0, so an empty event there raises nothing.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .prices import NormalSpec, TruncatedNormal
+from .prices import NormalSpec, TruncatedNormal, mean_of
 
 __all__ = [
     "NoTradeInterval",
@@ -42,6 +44,8 @@ __all__ = [
 ]
 
 GRID_POINTS = 1024
+# The grid's k, converted to float once: the same floats as the int k.
+_GRID_STEPS = [float(k) for k in range(GRID_POINTS)]
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _XTOL = 1e-8
 
@@ -95,38 +99,41 @@ class WaitingInterval:
             raise ValueError("s1 must be finite and positive")
 
 
-def _argmax(f, lo: float, hi: float, grid_points: int) -> tuple[float, float]:
+def _argmax(f, lo: float, hi: float) -> tuple[float, float]:
     """Deterministic grid scan + golden-section polish; ties go left.
 
-    Returns (best_x, f(best_x)).  f must be finite on [lo, hi].
+    f maps a list of points to their values, and must be finite on [lo, hi]:
+    the grid is one call, each golden-section step a one-point call.
+    Returns (best_x, f(best_x)).
     """
     if hi < lo:
         raise ValueError("empty search interval")
     if hi == lo:
-        return lo, f(lo)
-    xs = [lo + (hi - lo) * k / (grid_points - 1) for k in range(grid_points)]
-    vals = [f(x) for x in xs]
+        return lo, f([lo])[0]
+    span, last = hi - lo, GRID_POINTS - 1
+    xs = [lo + span * k / last for k in _GRID_STEPS]
+    vals = f(xs)
     for v in vals:
         if not math.isfinite(v):
             raise ValueError("objective is non-finite on the search interval")
-    best = max(range(len(xs)), key=lambda k: (vals[k], -k))
+    best = vals.index(max(vals))
     a = xs[max(best - 1, 0)]
     b = xs[min(best + 1, len(xs) - 1)]
     # Golden-section on [a, b]; keeps the strictly-better point, prefers left.
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
+    fc, fd = f([c])[0], f([d])[0]
     for _ in range(200):
         if b - a <= _XTOL:
             break
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
-            fc = f(c)
+            fc = f([c])[0]
         else:
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
-            fd = f(d)
+            fd = f([d])[0]
     x_star = c if fc >= fd else d
     v_star = max(fc, fd)
     if vals[best] >= v_star:
@@ -141,10 +148,11 @@ def _discount_pow(one_minus_delta: float, prob: float) -> float:
     return one_minus_delta ** (1.0 / prob)
 
 
-def _sell_mean(tn: TruncatedNormal, x: float, c: float) -> float:
-    """E[p | p <= x], which the trader's objectives divide by; must be > 0."""
-    mean = tn.mean_below(x, c)
-    if mean <= 0.0:
+def _sell_mean(mean: float | ValueError) -> float:
+    """E[p | p <= x] from TruncatedNormal.tail, which the trader's objectives divide by; must be > 0.
+
+    The objectives call this only off a positive float: a call per grid point is ~5% of an analyze."""
+    if mean_of(mean) <= 0.0:
         raise ValueError(
             "conditional mean price below the threshold is not positive: the "
             "support reaches non-positive prices (support_lo must be > 0)"
@@ -156,17 +164,15 @@ def _s1(tn: TruncatedNormal, omd: float) -> float:
     """Present value of one stablecoin in backing coins, for a non-degenerate
     model; omd = 1 - delta."""
 
-    def objective(x: float) -> float:
-        x, c = tn.at(x)
-        disc = _discount_pow(omd, tn.prob_below(x, c))
-        if disc == 0.0:
-            return 0.0
-        return disc / _sell_mean(tn, x, c)
+    def objective(xs: list[float]) -> list[float]:
+        return [0.0 if (disc := _discount_pow(omd, prob)) == 0.0
+                else disc / (mean if mean.__class__ is float and mean > 0.0 else _sell_mean(mean))
+                for prob, mean in tn.tail(xs, True)]
 
     lo, hi = tn.lo, tn.hi
     # Skip the zero-probability edge itself; the grid covers everything else.
     eps = (hi - lo) * 1e-12
-    _, best = _argmax(objective, lo + eps, hi, GRID_POINTS)
+    _, best = _argmax(objective, lo + eps, hi)
     if not (best > 0.0):
         raise ValueError("stablecoin value optimisation failed (nonpositive objective)")
     return best
@@ -183,21 +189,17 @@ def waiting_interval(dist: NormalSpec, params: SpeculatorParams) -> WaitingInter
     pivot = 1.0 / s1
     eps = (hi - lo) * 1e-12
 
-    def gain_selling_at(x: float) -> float:
+    def gain_selling_at(xs: list[float]) -> list[float]:
         # Utility gain per stablecoin of waiting to sell below x.
-        x, c = tn.at(x)
-        disc = _discount_pow(omd, tn.prob_below(x, c))
-        if disc == 0.0:
-            return 0.0
-        return disc * (1.0 / _sell_mean(tn, x, c) - s1)
+        return [0.0 if (disc := _discount_pow(omd, prob)) == 0.0
+                else disc * (1.0 / (mean if mean.__class__ is float and mean > 0.0 else _sell_mean(mean)) - s1)
+                for prob, mean in tn.tail(xs, True)]
 
-    def gain_buying_at(x: float) -> float:
+    def gain_buying_at(xs: list[float]) -> list[float]:
         # Utility gain per backing coin of waiting to buy above x.
-        x, c = tn.at(x)
-        disc = _discount_pow(omd, 1.0 - tn.prob_below(x, c))
-        if disc == 0.0:
-            return 0.0
-        return disc * (tn.mean_above(x, c) * s1 - 1.0)
+        return [0.0 if (disc := _discount_pow(omd, prob)) == 0.0
+                else disc * ((mean if mean.__class__ is float else mean_of(mean)) * s1 - 1.0)
+                for prob, mean in tn.tail(xs, False)]
 
     if pivot <= lo or pivot >= hi:
         raise NoTradeInterval(
@@ -205,15 +207,15 @@ def waiting_interval(dist: NormalSpec, params: SpeculatorParams) -> WaitingInter
             "trade on one side, so no waiting interval exists"
         )
 
-    x1, g1 = _argmax(gain_selling_at, lo + eps, pivot, GRID_POINTS)
-    x2, g2 = _argmax(gain_buying_at, pivot, hi - eps, GRID_POINTS)
+    x1, g1 = _argmax(gain_selling_at, lo + eps, pivot)
+    x2, g2 = _argmax(gain_buying_at, pivot, hi - eps)
     if g1 < 0.0 or g2 < 0.0:
         raise ValueError("waiting-value optimisation failed (negative gain at optimum)")
 
-    at1 = tn.at(x1)
-    d1 = _discount_pow(omd, tn.prob_below(*at1))
-    y1 = 1.0 / ((1.0 - d1) * s1 + d1 / _sell_mean(tn, *at1))
-    at2 = tn.at(x2)
-    d2 = _discount_pow(omd, 1.0 - tn.prob_below(*at2))
-    y2 = d2 * tn.mean_above(*at2) + (1.0 - d2) / s1
+    ((p1, mean1),) = tn.tail([x1], True)
+    d1 = _discount_pow(omd, p1)
+    y1 = 1.0 / ((1.0 - d1) * s1 + d1 / _sell_mean(mean1))
+    ((p2, mean2),) = tn.tail([x2], False)
+    d2 = _discount_pow(omd, p2)
+    y2 = d2 * mean_of(mean2) + (1.0 - d2) / s1
     return WaitingInterval(s1=s1, y1=y1, y2=y2, x1=x1, x2=x2)

@@ -7,12 +7,14 @@ compare a simulated trader's profit against that optimum.  pdf is the normal
 density the quadrature oracles integrate, and y_ratio_normal the untruncated
 closed form of the round matrix's Y.  load_csv_rows reads a price csv row by
 row with csv.DictReader, the reference for prices.load_csv's one csv.reader.
+ScalarTruncatedNormal evaluates the truncated normal one point and one
+quantity at a time, the reference for TruncatedNormal.tail's batched pass.
 """
 
 import csv
 import math
 
-from pegstress.prices import NormalSpec, PriceSeries, cdf
+from pegstress.prices import NormalSpec, PriceSeries, TruncatedNormal, cdf
 from pegstress.theory import _buy_factor, _sell_factor
 
 BRUTEFORCE_MAX_LEN = 14
@@ -100,6 +102,54 @@ def pdf(spec: NormalSpec, x: float) -> float:
         raise ValueError("degenerate distribution: pdf undefined for a point mass (sigma2 == 0)")
     z = (x - spec.mu) / spec.sigma
     return math.exp(-0.5 * z * z) / (spec.sigma * math.sqrt(2.0 * math.pi))
+
+
+class ScalarTruncatedNormal(TruncatedNormal):
+    """TruncatedNormal's constants with its one-point chain: at, then
+    prob_below, mean_below or mean_above at the (x, CDF) that at returns.
+    Each raises its ValueError where TruncatedNormal.tail reports one."""
+
+    def _pdf(self, x: float) -> float:
+        z = (x - self.mu) / self.sigma
+        return math.exp(-0.5 * z * z) / self._pdf_scale
+
+    def at(self, x: float) -> tuple[float, float]:
+        """x clamped to the support, and the untruncated CDF there."""
+        if x <= self.lo:
+            return self.lo, self.cdf_lo
+        if x >= self.hi:
+            return self.hi, self.cdf_hi
+        return x, 0.5 * (1.0 + math.erf(((x - self.mu) / self.sigma) / math.sqrt(2.0)))
+
+    def prob_below(self, x: float, c: float) -> float:
+        """P[p <= x] on the support, for (x, c) from at."""
+        if x <= self.lo:
+            return 0.0
+        if x >= self.hi:
+            return 1.0
+        if self.mass <= 0.0:
+            raise ValueError("truncated support carries no probability mass")
+        return (c - self.cdf_lo) / self.mass
+
+    def mean_below(self, x: float, c: float) -> float:
+        """E[p | p <= x] on the support, for (x, c) from at."""
+        if x <= self.lo:
+            raise ValueError("empty conditioning event: {p <= x} has no mass below the support")
+        return self._mean(self.lo, x, c - self.cdf_lo, self.pdf_lo, self._pdf(x))
+
+    def mean_above(self, x: float, c: float) -> float:
+        """E[p | p >= x] on the support, for (x, c) from at."""
+        if x >= self.hi:
+            raise ValueError("empty conditioning event: {p >= x} has no mass above the support")
+        return self._mean(x, self.hi, self.cdf_hi - c, self._pdf(x), self.pdf_hi)
+
+    def _mean(self, a: float, b: float, df: float, pdf_a: float, pdf_b: float) -> float:
+        """E[p | a <= p <= b] via the x*f expansion, given F(b) - F(a) and f at a, b."""
+        if df <= 1e-13:
+            if b - a > 1e-6 * max(1.0, self.sigma):
+                raise ValueError("empty conditioning event (numerically zero probability)")
+            return 0.5 * (a + b)
+        return self.mu - self.sigma2 * (pdf_b - pdf_a) / df
 
 
 def y_ratio_normal(dist: NormalSpec, y1: float, y2: float) -> float:

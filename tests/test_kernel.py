@@ -60,6 +60,8 @@ ADAPTIVE_WINDOW_600 = dict(ADAPTIVE_WALK, adaptive={"c": 1.0, "window": 600})
 # Long enough to reach the widest walk blocks, and to deplete inside one.
 ADAPTIVE_WINDOW_600_LONG = dict(ADAPTIVE_WALK, adaptive={"c": 1.0, "window": 600}, run={"max_steps": 20000})
 # Smallest window and a zero-width band: nearly every step is a candidate.
+# Trial 43 clamps at the floor; from step 1842 its windows of two floor
+# prices get the band [floor, floor], so it waits there and depletes at 1875.
 ADAPTIVE_WINDOW_2_C_0 = dict(ADAPTIVE_WALK, adaptive={"c": 0.0, "window": 2})
 # A fixed series with fees and haircuts; depletion lands on both sides of
 # the first block edge across the n0 grid.
@@ -90,7 +92,7 @@ HOLDS_BOTH = dict(REFERENCE, m0=1.0, speculator={"delta": 0.1, "lambda_sell": 1.
         (ADAPTIVE_WALK, "960e8a700ecc729cd1c4e59d4b2896e8b9633bf3ecce9fe3e8f43e3942141adc"),
         (ADAPTIVE_WINDOW_600, "6e64d01492419acc198747eb2fe8f4121f0a2e26171697406ee2fb1db916da8d"),
         (ADAPTIVE_WINDOW_600_LONG, "8d195298cb6f2aac1dad2f52d3457087d2ad14908300c6fdfe51beb93d0ce010"),
-        (ADAPTIVE_WINDOW_2_C_0, "d939e9684c6d70f45c8f4ee5683d2ec192bda3e2b75a52ad8ad9932f2c680deb"),
+        (ADAPTIVE_WINDOW_2_C_0, "f444999f20e26fafbab36ec29a2af33cda6e44a99f873f8a56e9541f01f1cd3c"),
         (ADAPTIVE_LITERAL, "f6d48be0857740d6ba6b107bda36deaf4482449824919ddc6c47cdefd26cfdd0"),
         (HOLDS_BOTH, "bab5480374989f7211af65aa280d293074d46042f9d2c473ebb6da704bb60da1"),
     ],
@@ -401,6 +403,10 @@ def adaptive_interval(window, c):
     window=st.sampled_from([2, 3, 168, 511, 512, 513, 1200]),
     c=st.sampled_from([1.0, 3.5]),
 )
+# This walk sits on its floor at step 90322, where windows 2 and 3 hold only
+# floor prices; their band's sums used to round the mean 5.9e-14 off.
+@example(seed=1227, sigma=30.0, window=2, c=1.0)
+@example(seed=1227, sigma=30.0, window=3, c=1.0)
 def test_rolling_band_matches_adaptive_interval(seed, sigma, window, c):
     # The band's sums are of prices less the block's first price and start
     # afresh each block, so their rounding follows the block's spread, not
@@ -419,6 +425,25 @@ def test_rolling_band_matches_adaptive_interval(seed, sigma, window, c):
         mean, std = (lo[t] + hi[t]) / 2, (hi[t] - lo[t]) / (2 * c)
         assert abs(mean - ref_mean) <= 1e-12 * ref_mean
         assert abs(std * std - ref_std * ref_std) <= 1e-12 * ref_mean * ref_mean
+
+
+@pytest.mark.parametrize("window, flat_windows", [(2, 32), (3, 15)])
+def test_all_floor_windows_get_the_floor_band(window, flat_windows):
+    # A walk on its floor: a window of floor prices has the band [floor,
+    # floor], so the trader waits there.  Its sums are of prices less the
+    # segment's first price, far above the floor, and rounded the band's top
+    # edge below the floor at 24 of these 32 steps (window 2) and 14 of 15
+    # (window 3); the band is now the repeated price itself.
+    walk = WalkSpec(0.0, 30.0, 3e4)
+    prices = np.array(random_walk(walk, 200_000, 1227).prices)
+    band = RollingBand(AdaptiveSpec(c=1.0, window=window))
+    lo, hi = zip(*(band.band(prices[s : s + BLOCK]) for s in range(0, len(prices), BLOCK)))
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    # Floor prices in the window before step t: entry t - window of the count.
+    on_floor = np.convolve(prices == walk.floor, np.ones(window, dtype=int), "valid")
+    steps = np.flatnonzero(on_floor[:-1] == window) + window
+    assert len(steps) == flat_windows
+    assert (lo[steps] == walk.floor).all() and (hi[steps] == walk.floor).all()
 
 
 @settings(deadline=None)

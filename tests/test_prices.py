@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -28,13 +28,16 @@ from pegstress.prices import (
     derive_seed,
     iid_blocks,
     load_csv,
+    mean_of,
     pcg64_states,
     random_walk,
     series_blocks,
     step_stats,
     walk_blocks,
 )
-from oracles import load_csv_rows, pdf
+from pegstress.speculator import SpeculatorParams, _discount_pow, _s1, waiting_interval
+
+from oracles import ScalarTruncatedNormal, load_csv_rows, pdf
 
 STD = NormalSpec(mu=0.0, sigma2=1.0, support_lo=-40.0, support_hi=40.0)
 EX1 = NormalSpec(mu=100.0, sigma2=100.0)
@@ -109,25 +112,23 @@ class TestDensity:
 
     def test_trunc_cdf_clamps_and_renormalises(self):
         spec = NormalSpec(mu=100.0, sigma2=100.0, support_lo=90.0, support_hi=110.0)
-        tn = TruncatedNormal(spec)
-        assert tn.prob_below(*tn.at(80.0)) == 0.0
-        assert tn.prob_below(*tn.at(120.0)) == 1.0
-        assert tn.prob_below(*tn.at(100.0)) == pytest.approx(0.5, abs=1e-12)
+        (p80, _), (p120, _), (p100, _), (p105, _) = TruncatedNormal(spec).tail([80.0, 120.0, 100.0, 105.0], True)
+        assert p80 == 0.0
+        assert p120 == 1.0
+        assert p100 == pytest.approx(0.5, abs=1e-12)
         # Renormalisation pushes mass inward relative to the raw cdf.
-        assert tn.prob_below(*tn.at(105.0)) > cdf(spec, 105.0)
+        assert p105 > cdf(spec, 105.0)
 
 
 class TestConditionalMeans:
-    # TruncatedNormal's mean_below / mean_above at a point's (x, CDF) from at.
+    # TruncatedNormal.tail's conditional mean at one point, below or above it.
     @staticmethod
     def below(spec, x):
-        tn = TruncatedNormal(spec)
-        return tn.mean_below(*tn.at(x))
+        return mean_of(TruncatedNormal(spec).tail([x], True)[0][1])
 
     @staticmethod
     def above(spec, x):
-        tn = TruncatedNormal(spec)
-        return tn.mean_above(*tn.at(x))
+        return mean_of(TruncatedNormal(spec).tail([x], False)[0][1])
 
     def test_half_normal_below(self):
         # E[x | x <= 0] for the standard normal is -sqrt(2/pi).
@@ -187,6 +188,103 @@ class TestConditionalMeans:
             mass = quad_mass(spec, spec.support_lo, x)
             oracle = quad_moment(spec, spec.support_lo, x) / mass
             assert self.below(spec, x) == pytest.approx(oracle, rel=1e-9)
+
+
+def oracle_tail(spec, xs, below):
+    """TruncatedNormal.tail by the scalar chain, point by point: (P, mean or
+    the mean's error message) up to the first point whose probability
+    raises, and that point's index and message (None, None if none does)."""
+    tn = ScalarTruncatedNormal(spec)
+    out = []
+    for idx, x in enumerate(xs):
+        x, c = tn.at(x)
+        try:
+            prob = tn.prob_below(x, c)
+        except ValueError as exc:
+            return out, idx, str(exc)
+        if not below:
+            prob = 1.0 - prob
+        try:
+            mean = tn.mean_below(x, c) if below else tn.mean_above(x, c)
+        except ValueError as exc:
+            mean = str(exc)
+        out.append((prob, mean))
+    return out, None, None
+
+
+@st.composite
+def tail_cases(draw):
+    """A spec (default or explicit support, up to far-tail supports with no
+    mass), and points: a grid, both edges, points beyond them, and points a
+    hair inside each edge, where the thin-event midpoint branch fires."""
+    mu = draw(st.floats(-50.0, 300.0))
+    sigma = math.sqrt(draw(st.one_of(st.floats(1e-6, 1e4), st.sampled_from([1e-12, 1e-8, 100.0]))))
+    kind = draw(st.sampled_from(["default", "explicit", "far"]))
+    if kind == "default":
+        assume(mu + 6.0 * sigma > 1e-6)  # the default support's floored lower edge
+        spec = NormalSpec(mu=mu, sigma2=sigma * sigma)
+    else:
+        start = draw(st.floats(-12.0, 6.0) if kind == "explicit" else st.floats(40.0, 60.0))
+        lo = mu + start * sigma
+        hi = lo + draw(st.floats(1e-6, 20.0)) * sigma
+        assume(lo < hi)
+        spec = NormalSpec(mu=mu, sigma2=sigma * sigma, support_lo=lo, support_hi=hi)
+    lo, hi = spec.support_lo, spec.support_hi
+    grid = [lo + (hi - lo) * k / 63 for k in range(64)]
+    hair = [d * max(1.0, sigma) for d in (1e-9, 1e-7, 1e-6, 2e-6, 1e-5, 1e-3)]
+    edges = [lo, hi, lo - 1.0, hi + 1.0, lo - 1e300, hi + 1e300, *(lo + h for h in hair), *(hi - h for h in hair)]
+    xs = draw(st.permutations(grid + edges)) if draw(st.booleans()) else grid + edges
+    return spec, xs
+
+
+# 300 examples, or the profile's count where that is higher (ci: 500).
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(case=tail_cases(), below=st.booleans())
+def test_tail_matches_scalar_oracle(case, below):
+    # The batched evaluator is the scalar chain at, prob_below, mean_below or
+    # mean_above, the same floats point by point, compared with repr.  An
+    # empty event's mean is the ValueError the chain raises; a support with
+    # no mass raises once a point lies inside it, as prob_below does there.
+    spec, xs = case
+    want, stop, message = oracle_tail(spec, xs, below)
+    tn = TruncatedNormal(spec)
+    if stop is None:
+        got = tn.tail(xs, below)
+    else:
+        got = tn.tail(xs[:stop], below)
+        with pytest.raises(ValueError) as raised:
+            tn.tail(xs[: stop + 1], below)
+        assert str(raised.value) == message
+    assert repr([(p, str(m) if isinstance(m, ValueError) else m) for p, m in got]) == repr(want)
+
+
+class TestTailErrors:
+    # Where the trader's objectives meet an empty event: such a mean raises
+    # only where the point's discount is not 0.0.
+    SPEC = NormalSpec(mu=100.0, sigma2=100.0, support_lo=10.0, support_hi=160.0)
+
+    def test_thin_event_behind_a_zero_discount_is_skipped(self):
+        # Grid point 96 of the s1 scan holds 1.6e-14 of mass below it, over
+        # 1.4 sigma: its mean is an error.  At delta 0.1 its discount
+        # 0.9^(1/P) underflows to 0.0, so the scan passes it and returns the
+        # interval of the default support (which starts at 40, where the
+        # normal has ~1e-9 of mass below).
+        tn = TruncatedNormal(self.SPEC)
+        lo = 10.0 + 150.0 * 1e-12
+        x = lo + (160.0 - lo) * 96 / 1023
+        ((prob, mean),) = tn.tail([x], True)
+        assert 0.0 < prob < 1e-13
+        assert isinstance(mean, ValueError) and "numerically zero probability" in str(mean)
+        assert _discount_pow(0.9, prob) == 0.0
+        wi = waiting_interval(self.SPEC, SpeculatorParams(delta=0.1))
+        ref = waiting_interval(NormalSpec(mu=100.0, sigma2=100.0), SpeculatorParams(delta=0.1))
+        assert (wi.s1, wi.y1, wi.y2) == pytest.approx((ref.s1, ref.y1, ref.y2), rel=1e-8)
+
+    def test_thin_event_with_a_discount_raises(self):
+        # With no discount (1 - delta = 1) every point is weighed, and the
+        # first empty event in grid order raises.
+        with pytest.raises(ValueError, match="numerically zero probability"):
+            _s1(TruncatedNormal(self.SPEC), 1.0)
 
 
 class TestSampling:

@@ -8,6 +8,7 @@ that must agree with the matrix formula to within Monte Carlo error.
 import dataclasses
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from pegstress.rounds import (
     round_matrix_from_params,
     rounds_to_timesteps,
 )
+from pegstress.rounds import _first_crossing
 from pegstress.speculator import SpeculatorParams, WaitingInterval, waiting_interval
 
 from oracles import y_ratio_normal
@@ -491,6 +493,22 @@ class TestDepletion:
         mat = round_matrix_from_params(lambda_buy=0.5, lambda_sell=0.5, i=2.0, j=2.0, y_ratio=0.999999)
         assert expected_depletion_rounds(eigen(mat, (1e-305, 1e-305)), reserves0=1e-305, n0=1e-305) == math.inf
 
+    def test_tail_peaking_below_target_is_not_scanned(self):
+        # n_k = 1e-305 (a1^k - a2^k) rises to 2.5e-306 near round 6.9e6 and
+        # decays; every term is under _TINY from round 1, and the bases
+        # underflow only after ~7e9 rounds.  The target 5e-306 is below the
+        # positive term but above the peak, so the tail's ~7e9 rounds are not
+        # scanned one by one: the answer comes at once.
+        sys_ = EigenSystem(a1=0.9999999, a2=0.9999998, c1=(0.0, 1e-305), c2=(0.0, -1e-305))
+        start = time.perf_counter()
+        assert _first_crossing(sys_, 5e-306) is None
+        assert expected_depletion_rounds(sys_, reserves0=5e-306, n0=0.0) == math.inf
+        assert time.perf_counter() - start < 1.0
+        # A target the tail reaches is still found there, round by round.
+        target = backing(sys_, 1000.0)
+        want = scan_depletion_rounds(sys_, target, 0.0, 2000)
+        assert expected_depletion_rounds(sys_, reserves0=target, n0=0.0) == want
+
     @pytest.mark.parametrize("y_ratio", [1e35, 1e36, 1e38])
     def test_overflow_round_right_after_the_prefix(self, y_ratio):
         # a1 = y_ratio, so a1^9 overflows: round 9, the first past the
@@ -506,6 +524,12 @@ class TestDepletion:
     # 300 examples, or the profile's count where that is higher (ci: 500).
     @settings(max_examples=max(300, settings.default.max_examples), deadline=None)
     @example(a1=0.75, a2=0.75, c1n=1.5, c2n=-1.625, at=114, nudge=1.0, reserves0=8.0)
+    # Two bases one ulp apart whose logs round to one value: a turning point
+    # found by dividing by the logs' difference used to raise ZeroDivisionError.
+    @example(a1=0.2, a2=0.20000000000000004, c1n=0.5, c2n=-1.0, at=8, nudge=1.0, reserves0=1.0)
+    # A subnormal coefficient times ln(1.0001) rounds to 0: the rising
+    # backing was taken for a flat one, and its crossing at round 247 missed.
+    @example(a1=1.0001, a2=0.0, c1n=1e-322, c2n=0.0, at=247, nudge=1.0, reserves0=0.0)
     @given(
         a1=st.one_of(st.floats(0.2, 1.6), st.sampled_from([1.0, 1.0 + 1e-4])),
         a2=st.one_of(st.floats(0.0, 1.2), st.sampled_from([0.0, 0.999, 1.0])),

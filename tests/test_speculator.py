@@ -55,17 +55,12 @@ def brute_force_s1(dist, delta, points):
     xs = np.linspace(lo + (hi - lo) * 1e-9, hi, points)
     tn = TruncatedNormal(dist)
     best = -math.inf
-    for x in xs:
-        x, c = tn.at(float(x))
-        prob = tn.prob_below(x, c)
-        if prob <= 0.0:
-            continue
-        try:
-            mean = tn.mean_below(x, c)
-        except ValueError:
-            continue  # conditioning mass below float resolution
-        val = (1.0 - delta) ** (1.0 / prob) / mean
-        best = max(best, val)
+    for start in range(0, points, 10_000):
+        for prob, mean in tn.tail(xs[start : start + 10_000].tolist(), True):
+            if prob <= 0.0 or isinstance(mean, ValueError):
+                continue  # conditioning mass below float resolution
+            val = (1.0 - delta) ** (1.0 / prob) / mean
+            best = max(best, val)
     return best
 
 
