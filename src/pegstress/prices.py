@@ -155,11 +155,14 @@ class PriceSeries:
     clamp_count: int = 0
 
     def __post_init__(self) -> None:
-        if len(self.prices) == 0:
+        prices = self.prices
+        if len(prices) == 0:
             raise ValueError("price series must contain at least one price")
-        for idx, p in enumerate(self.prices):
-            if not (math.isfinite(p) and p > 0.0):
-                raise ValueError(f"price at index {idx} must be finite and > 0, got {p!r}")
+        # One pass in C for the usual all-valid series; the loop only names the first bad price.
+        if not (all(map(math.isfinite, prices)) and min(prices) > 0.0):
+            for idx, p in enumerate(prices):
+                if not (math.isfinite(p) and p > 0.0):
+                    raise ValueError(f"price at index {idx} must be finite and > 0, got {p!r}")
 
     def __len__(self) -> int:
         return len(self.prices)

@@ -192,10 +192,14 @@ def expected_portfolio(sys: EigenSystem, k: float) -> tuple[float, float]:
 
 
 def _backing_at(sys: EigenSystem, k: float) -> float:
+    """Expected backing after k rounds; once a power overflows, +-inf with the
+    sign of the larger base's coefficient (their sum for equal bases), whose
+    term dominates."""
     try:
         return expected_portfolio(sys, k)[1]
     except OverflowError:
-        return math.inf
+        a1, a2, c1n, c2n = sys.a1, sys.a2, sys.c1[1], sys.c2[1]
+        return math.copysign(math.inf, c1n + c2n if a1 == a2 else c1n if a1 > a2 else c2n)
 
 
 def _first_true(pred, lo: int, hi: int) -> int | None:
@@ -314,10 +318,10 @@ def _first_crossing(sys: EigenSystem, target: float) -> int | None:
     round, the backing from round k0 on is p a1^m + q a2^m at k = k0 + m,
     with a1, a2 >= 0, and only its rising runs can hold the first crossing,
     found there by galloping bisection.  The runs end the round before a
-    base's power overflows (the backing is inf there: the answer if no round
-    before it crosses), or one past the round where every decaying power has
-    underflowed to 0.0, after which the backing repeats one value, so None is
-    proven.  When the backing decays to 0, the rounds where every term is
+    base's power overflows (the backing is +-inf there: the answer if +inf
+    and no round before it crosses), or one past the round where every
+    decaying power has underflowed to 0.0, after which the backing repeats
+    one value, so None is proven.  When the backing decays to 0, the rounds where every term is
     below _TINY are scanned one by one instead (subnormal rounding, not the
     closed form, orders them), unless the target is above the positive
     terms' sum at the first of them, which no later one exceeds, or above
@@ -352,7 +356,10 @@ def _first_crossing(sys: EigenSystem, target: float) -> int | None:
             m = _first_true(lambda m: hits(k0 + m), first, stop)
             if m is not None:
                 return k0 + m
-    return next((k for k in tail if hits(k)), overflow)
+    for k in tail:
+        if hits(k):
+            return k
+    return overflow if overflow is not None and hits(overflow) else None
 
 
 def expected_depletion_rounds(sys: EigenSystem, reserves0: float, n0: float) -> float:
@@ -363,8 +370,11 @@ def expected_depletion_rounds(sys: EigenSystem, reserves0: float, n0: float) -> 
     round-by-round scan would compute, then the fraction of the last round
     by bisection on the closed form.  math.inf comes only from that search,
     when the trajectory settles (every decaying term underflowed) below the
-    target.  A base above 1 with a non-zero coefficient always crosses: by
-    the round where its power overflows at the latest.
+    target, or when the backing falls to -inf.  Where the larger base is
+    above 1, its term decides where the backing ends: a positive
+    coefficient crosses by the round where its power overflows at the
+    latest, and a negative one drives the backing to -inf there, so only an
+    earlier round can cross.
     """
     if not (math.isfinite(reserves0) and reserves0 >= 0.0):
         raise ValueError("reserves0 must be finite and >= 0")

@@ -23,10 +23,12 @@ y1 <= 1/s1 <= y2.  Trade sizes are all-in up to the cash-out haircuts
 lambda_buy, lambda_sell; the thresholds themselves do not depend on the
 holdings or the haircuts (value is linear, so scale drops out).
 
-Maximisation is a deterministic coarse grid of 1024 points, scored in one
-batched pass of TruncatedNormal.tail, followed by golden-section refinement
-one point at a time; ties break toward smaller x.  A point whose discount
-underflows to 0 scores 0, so an empty event there raises nothing.
+Maximisation is a deterministic coarse grid of 1024 points followed by
+golden-section refinement one point at a time; ties break toward smaller x.
+The grid is scored at 33 knots, then only in the cells between knots that
+can beat the best of them (_argmax), which finds a full scan's best point.
+A point whose discount underflows to 0 scores 0, so an empty event there
+raises nothing.
 """
 
 from __future__ import annotations
@@ -46,6 +48,13 @@ __all__ = [
 GRID_POINTS = 1024
 # The grid's k, converted to float once: the same floats as the int k.
 _GRID_STEPS = [float(k) for k in range(GRID_POINTS)]
+# Every 32nd grid index and the last: scored first, to bound the cells between.
+_KNOTS = [*range(0, GRID_POINTS - 1, 32), GRID_POINTS - 1]
+# A cell is skipped when its bound is below the best knot by this relative
+# margin and both its end events hold this much mass; tail's cancellation
+# noise in thinner events can exceed the margin.
+_PRUNE_MARGIN = 1e-6
+_PRUNE_MASS = 1e-6
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _XTOL = 1e-8
 
@@ -99,45 +108,83 @@ class WaitingInterval:
             raise ValueError("s1 must be finite and positive")
 
 
-def _argmax(f, lo: float, hi: float) -> tuple[float, float]:
+def _argmax(tn: TruncatedNormal, below: bool, value, lo: float, hi: float) -> tuple[float, float]:
     """Deterministic grid scan + golden-section polish; ties go left.
 
-    f maps a list of points to their values, and must be finite on [lo, hi]:
-    the grid is one call, each golden-section step a one-point call.
-    Returns (best_x, f(best_x)).
+    value(prob, mean) scores a pair of tn.tail(xs, below), or raises the
+    point's ValueError, and must be finite on [lo, hi].  Where positive it
+    does not fall as prob rises, nor rise with the mean below x (fall with
+    it above), so no point of a cell between knots beats max(0, value(its
+    larger prob, its mean on value's side)).  Cells whose bound is below the
+    best knot are not scored: the result, and the first error in grid order,
+    are a full scan's.  Returns (best_x, value there).
     """
     if hi < lo:
         raise ValueError("empty search interval")
+
+    def f(x: float) -> float:
+        return value(*tn.tail([x], below)[0])
+
     if hi == lo:
-        return lo, f([lo])[0]
+        return lo, f(lo)
     span, last = hi - lo, GRID_POINTS - 1
     xs = [lo + span * k / last for k in _GRID_STEPS]
-    vals = f(xs)
+    ends = tn.tail([xs[k] for k in _KNOTS], below)
+    knots: list[float | ValueError] = []
+    for prob, mean in ends:
+        try:
+            knots.append(value(prob, mean))
+        except ValueError as exc:
+            knots.append(exc)
+    scores = [v for v in knots if not isinstance(v, ValueError)]
+    cut = max(scores) if scores else math.nan
+    cut -= _PRUNE_MARGIN * abs(cut)
+    vals: list[float] = []
+    at: list[int] = []
+    for i, (k, v) in enumerate(zip(_KNOTS, knots)):
+        if isinstance(v, ValueError):
+            raise v
+        vals.append(v)
+        at.append(k)
+        if k == last:
+            break
+        (p0, m0), (p1, m1) = ends[i], ends[i + 1]
+        if min(p0, p1) * tn.mass >= _PRUNE_MASS:
+            try:
+                bound = max(0.0, value(p1, m0) if below else value(p0, m1))
+            except ValueError:
+                bound = math.inf
+            if bound < cut:
+                continue
+        end = _KNOTS[i + 1]
+        vals += [value(prob, mean) for prob, mean in tn.tail(xs[k + 1 : end], below)]
+        at += range(k + 1, end)
     for v in vals:
         if not math.isfinite(v):
             raise ValueError("objective is non-finite on the search interval")
-    best = vals.index(max(vals))
+    j = vals.index(max(vals))
+    best = at[j]
     a = xs[max(best - 1, 0)]
-    b = xs[min(best + 1, len(xs) - 1)]
+    b = xs[min(best + 1, last)]
     # Golden-section on [a, b]; keeps the strictly-better point, prefers left.
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = f([c])[0], f([d])[0]
+    fc, fd = f(c), f(d)
     for _ in range(200):
         if b - a <= _XTOL:
             break
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
-            fc = f([c])[0]
+            fc = f(c)
         else:
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
-            fd = f([d])[0]
+            fd = f(d)
     x_star = c if fc >= fd else d
     v_star = max(fc, fd)
-    if vals[best] >= v_star:
-        return xs[best], vals[best]
+    if vals[j] >= v_star:
+        return xs[best], vals[j]
     return x_star, v_star
 
 
@@ -149,9 +196,7 @@ def _discount_pow(one_minus_delta: float, prob: float) -> float:
 
 
 def _sell_mean(mean: float | ValueError) -> float:
-    """E[p | p <= x] from TruncatedNormal.tail, which the trader's objectives divide by; must be > 0.
-
-    The objectives call this only off a positive float: a call per grid point is ~5% of an analyze."""
+    """E[p | p <= x] from TruncatedNormal.tail, which the trader's objectives divide by; must be > 0."""
     if mean_of(mean) <= 0.0:
         raise ValueError(
             "conditional mean price below the threshold is not positive: the "
@@ -164,15 +209,14 @@ def _s1(tn: TruncatedNormal, omd: float) -> float:
     """Present value of one stablecoin in backing coins, for a non-degenerate
     model; omd = 1 - delta."""
 
-    def objective(xs: list[float]) -> list[float]:
-        return [0.0 if (disc := _discount_pow(omd, prob)) == 0.0
-                else disc / (mean if mean.__class__ is float and mean > 0.0 else _sell_mean(mean))
-                for prob, mean in tn.tail(xs, True)]
+    def value(prob: float, mean: float | ValueError) -> float:
+        disc = _discount_pow(omd, prob)
+        return 0.0 if disc == 0.0 else disc / _sell_mean(mean)
 
     lo, hi = tn.lo, tn.hi
     # Skip the zero-probability edge itself; the grid covers everything else.
     eps = (hi - lo) * 1e-12
-    _, best = _argmax(objective, lo + eps, hi)
+    _, best = _argmax(tn, True, value, lo + eps, hi)
     if not (best > 0.0):
         raise ValueError("stablecoin value optimisation failed (nonpositive objective)")
     return best
@@ -189,17 +233,15 @@ def waiting_interval(dist: NormalSpec, params: SpeculatorParams) -> WaitingInter
     pivot = 1.0 / s1
     eps = (hi - lo) * 1e-12
 
-    def gain_selling_at(xs: list[float]) -> list[float]:
+    def gain_selling(prob: float, mean: float | ValueError) -> float:
         # Utility gain per stablecoin of waiting to sell below x.
-        return [0.0 if (disc := _discount_pow(omd, prob)) == 0.0
-                else disc * (1.0 / (mean if mean.__class__ is float and mean > 0.0 else _sell_mean(mean)) - s1)
-                for prob, mean in tn.tail(xs, True)]
+        disc = _discount_pow(omd, prob)
+        return 0.0 if disc == 0.0 else disc * (1.0 / _sell_mean(mean) - s1)
 
-    def gain_buying_at(xs: list[float]) -> list[float]:
+    def gain_buying(prob: float, mean: float | ValueError) -> float:
         # Utility gain per backing coin of waiting to buy above x.
-        return [0.0 if (disc := _discount_pow(omd, prob)) == 0.0
-                else disc * ((mean if mean.__class__ is float else mean_of(mean)) * s1 - 1.0)
-                for prob, mean in tn.tail(xs, False)]
+        disc = _discount_pow(omd, prob)
+        return 0.0 if disc == 0.0 else disc * (mean_of(mean) * s1 - 1.0)
 
     if pivot <= lo or pivot >= hi:
         raise NoTradeInterval(
@@ -207,8 +249,8 @@ def waiting_interval(dist: NormalSpec, params: SpeculatorParams) -> WaitingInter
             "trade on one side, so no waiting interval exists"
         )
 
-    x1, g1 = _argmax(gain_selling_at, lo + eps, pivot)
-    x2, g2 = _argmax(gain_buying_at, pivot, hi - eps)
+    x1, g1 = _argmax(tn, True, gain_selling, lo + eps, pivot)
+    x2, g2 = _argmax(tn, False, gain_buying, pivot, hi - eps)
     if g1 < 0.0 or g2 < 0.0:
         raise ValueError("waiting-value optimisation failed (negative gain at optimum)")
 

@@ -9,12 +9,15 @@ closed form of the round matrix's Y.  load_csv_rows reads a price csv row by
 row with csv.DictReader, the reference for prices.load_csv's one csv.reader.
 ScalarTruncatedNormal evaluates the truncated normal one point and one
 quantity at a time, the reference for TruncatedNormal.tail's batched pass.
+full_scan_argmax scores every point of speculator._argmax's grid, the
+reference for its pruned scan.
 """
 
 import csv
 import math
 
 from pegstress.prices import NormalSpec, PriceSeries, TruncatedNormal, cdf
+from pegstress.speculator import _GOLDEN, _GRID_STEPS, _XTOL, GRID_POINTS
 from pegstress.theory import _buy_factor, _sell_factor
 
 BRUTEFORCE_MAX_LEN = 14
@@ -150,6 +153,47 @@ class ScalarTruncatedNormal(TruncatedNormal):
                 raise ValueError("empty conditioning event (numerically zero probability)")
             return 0.5 * (a + b)
         return self.mu - self.sigma2 * (pdf_b - pdf_a) / df
+
+
+def full_scan_argmax(tn: TruncatedNormal, below: bool, value, lo: float, hi: float) -> tuple[float, float]:
+    """speculator._argmax scoring all GRID_POINTS points in one tail call,
+    then raising the first point's error, then any non-finite value."""
+    if hi < lo:
+        raise ValueError("empty search interval")
+
+    def f(x: float) -> float:
+        return value(*tn.tail([x], below)[0])
+
+    if hi == lo:
+        return lo, f(lo)
+    span, last = hi - lo, GRID_POINTS - 1
+    xs = [lo + span * k / last for k in _GRID_STEPS]
+    vals = [value(prob, mean) for prob, mean in tn.tail(xs, below)]
+    for v in vals:
+        if not math.isfinite(v):
+            raise ValueError("objective is non-finite on the search interval")
+    best = vals.index(max(vals))
+    a = xs[max(best - 1, 0)]
+    b = xs[min(best + 1, last)]
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(200):
+        if b - a <= _XTOL:
+            break
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+    x_star = c if fc >= fd else d
+    v_star = max(fc, fd)
+    if vals[best] >= v_star:
+        return xs[best], vals[best]
+    return x_star, v_star
 
 
 def y_ratio_normal(dist: NormalSpec, y1: float, y2: float) -> float:

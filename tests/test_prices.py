@@ -631,6 +631,11 @@ class TestSpecValidation:
     def test_series_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             PriceSeries(prices=(1.0, 0.0), source="literal")
+        # The message names the first bad price, whatever comes after it.
+        for prices, idx, bad in [((2.0, -1.0, math.nan), 1, "-1.0"), ((2.0, 3.0, math.inf, 0.0), 2, "inf"),
+                                 ((math.nan, -1.0), 0, "nan"), ((1.0, -0.0), 1, "-0.0")]:
+            with pytest.raises(ValueError, match=rf"^price at index {idx} must be finite and > 0, got {bad}$"):
+                PriceSeries(prices=prices, source="literal")
 
     def test_series_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -41,14 +41,18 @@ EX1_MATRIX = build_round_matrix(EX1_DIST, EX1_INTERVAL, EX1_PARAMS)
 
 
 def backing(sys_, k):
-    """Expected backing after k rounds; an overflowing power counts as inf,
-    unless its coefficient is 0: that term is 0 whatever its power."""
+    """Expected backing after k rounds; an overflowing power makes it +-inf,
+    the sign of the term with the larger base (of both terms' sum when the
+    bases are equal), unless its coefficient is 0: that term is 0 whatever
+    its power."""
     c1n, c2n = sys_.c1[1], sys_.c2[1]
     sys_ = dataclasses.replace(sys_, a1=sys_.a1 if c1n != 0.0 else 0.0, a2=sys_.a2 if c2n != 0.0 else 0.0)
     try:
         return expected_portfolio(sys_, k)[1]
     except OverflowError:
-        return math.inf
+        if sys_.a1 == sys_.a2:
+            return math.copysign(math.inf, c1n + c2n)
+        return math.copysign(math.inf, max((sys_.a1, c1n), (sys_.a2, c2n))[1])
 
 
 def scan_depletion_rounds(sys_, reserves0, n0, horizon):
@@ -444,14 +448,18 @@ class TestDepletion:
 
     def test_negative_base_and_overflow_crossings(self):
         # A negative base (a1 = -0.9) is refused as the system is built.
-        # a1 = 2 with c1n < 0: n_k falls without bound, and the first
-        # crossing is where 2**k overflows (the backing reads inf).
+        # a1 = 2 with c1n < 0: n_k falls without bound, to -inf where 2**k
+        # overflows, so it never crosses (it used to read +inf there).
         with pytest.raises(ValueError, match=">= 0"):
             EigenSystem(a1=-0.9, a2=0.0, c1=(0.0, -2.0), c2=(0.0, 0.0))
         falling = EigenSystem(a1=2.0, a2=0.5, c1=(0.0, -1.0), c2=(0.0, 3.0))
-        k = expected_depletion_rounds(falling, 8.0, 2.0)
-        assert math.isfinite(k)
-        assert k == scan_depletion_rounds(falling, 8.0, 2.0, 2000)
+        assert backing(falling, 1024.0) == -math.inf
+        assert scan_depletion_rounds(falling, 8.0, 2.0, 2000) is None
+        assert expected_depletion_rounds(falling, 8.0, 2.0) == math.inf
+        # A base just above 1 overflows past round 7e6; the backing was read
+        # as crossing 101 there.
+        slow = EigenSystem(a1=1.0001, a2=0.5, c1=(0.0, -0.70), c2=(0.0, 1.70))
+        assert expected_depletion_rounds(slow, 100.0, 1.0) == math.inf
 
     def test_zero_coefficient_power_never_crosses(self):
         # 2**k overflows near round 1024, but c1n is 0: that term adds

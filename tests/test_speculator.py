@@ -7,12 +7,14 @@ so they get dense-grid oracles here in addition to the spot values.
 import functools
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from pegstress import speculator
 from pegstress.engine import AdaptiveSpec, RollingBand, SimConfig, run
 from pegstress.prices import NormalSpec, TruncatedNormal
 from pegstress.rounds import build_round_matrix
@@ -23,6 +25,8 @@ from pegstress.speculator import (
     _s1,
     waiting_interval,
 )
+
+from oracles import full_scan_argmax
 
 EX1_DIST = NormalSpec(mu=100.0, sigma2=100.0)
 EX1_PARAMS = SpeculatorParams(delta=0.1)
@@ -62,6 +66,74 @@ def brute_force_s1(dist, delta, points):
             val = (1.0 - delta) ** (1.0 / prob) / mean
             best = max(best, val)
     return best
+
+
+def interval_or_error(dist, params):
+    """repr of waiting_interval's result, or the type and message of its error."""
+    try:
+        return repr(waiting_interval(dist, params))
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def full_scan(fn, *args):
+    """fn(*args) with every _argmax scoring its whole grid."""
+    with mock.patch.object(speculator, "_argmax", full_scan_argmax):
+        return fn(*args)
+
+
+def tail_points(fn, *args):
+    """How many points fn(*args) passes to TruncatedNormal.tail."""
+    tail, count = TruncatedNormal.tail, [0]
+
+    def counted(self, xs, below):
+        count[0] += len(xs)
+        return tail(self, xs, below)
+
+    with mock.patch.object(TruncatedNormal, "tail", counted):
+        fn(*args)
+    return count[0]
+
+
+@st.composite
+def interval_specs(draw):
+    """Default supports, explicit ones around mu, supports floored at 1e-6,
+    and thin ones 3 to 9 sigma out in either tail; spreads from 1e-12 of
+    mu up to 3 mu."""
+    mu = draw(st.floats(1e-3, 1e4))
+    sigma = mu * 10.0 ** draw(st.floats(-12.0, 0.5))
+    kind = draw(st.sampled_from(["default", "explicit", "floored", "far"]))
+    if kind == "default":
+        return NormalSpec(mu=mu, sigma2=sigma * sigma)
+    if kind == "floored":
+        lo = 1e-6
+    elif kind == "explicit":
+        lo = max(mu + draw(st.floats(-9.0, 3.0)) * sigma, 1e-6)
+    else:
+        lo = max(mu + draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(3.0, 9.0)) * sigma, 1e-6)
+    hi = lo + draw(st.floats(1e-7, 16.0)) * sigma
+    assume(lo < hi)
+    return NormalSpec(mu=mu, sigma2=sigma * sigma, support_lo=lo, support_hi=hi)
+
+
+# 300 examples, or the profile's count where that is higher (ci: 500).
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+# Thin explicit supports, a floored default support whose sell mean
+# cancels to <= 0, and a floored one where a point's event is numerically
+# empty: the first error in grid order is the one raised.
+@example(dist=NormalSpec(49.83867942597917, 0.0004961265538543992, 49.70886609302683, 49.717090870220346),
+         delta=1.5771585124797902e-09)
+@example(dist=NormalSpec(21.564606730662394, 22.461286580359065), delta=2.179337705097475e-09)
+@example(dist=NormalSpec(164.2011103839079, 1.6980167743857009, 170.93367497478434, 172.45520439774197),
+         delta=8.122830915725e-09)
+@example(dist=NormalSpec(2.6627974536924315, 0.21301184542210197, 1e-06, 5.431989833285383),
+         delta=4.566376962493798e-12)
+@given(dist=interval_specs(), delta=st.floats(-12.0, -1e-3).map(lambda e: 10.0**e))
+def test_waiting_interval_matches_full_scan_oracle(dist, delta):
+    # The pruned grid scan skips only cells that cannot hold the maximum:
+    # the same floats, or the same error, as scoring every grid point.
+    params = SpeculatorParams(delta=delta)
+    assert interval_or_error(dist, params) == full_scan(interval_or_error, dist, params)
 
 
 class TestStablecoinValue:
@@ -169,6 +241,15 @@ class TestWaitingInterval:
         for dist, params, wi in acceptance_intervals():
             digest.update(repr(build_round_matrix(dist, wi, params)).encode())
         assert digest.hexdigest() == "f2b6b94f07d4de5754d2e6f7f2b693dba6604d5c2d52db3e3ea3a5d700b1527d"
+
+    def test_reference_config_skips_most_of_the_grid(self):
+        # The three scans score under 40% of the points a full scan scores
+        # (each scan's 33 knots, the cells that can beat the best knot,
+        # and the golden-section steps).
+        pruned = tail_points(waiting_interval, EX1_DIST, EX1_PARAMS)
+        full = tail_points(full_scan, waiting_interval, EX1_DIST, EX1_PARAMS)
+        assert full > 3 * speculator.GRID_POINTS
+        assert pruned < 0.4 * full
 
     def test_nonpositive_sell_mean_is_a_value_error(self):
         # Below x = 0 the conditional mean of a support reaching -4 is <= 0;
