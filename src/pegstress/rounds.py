@@ -24,13 +24,16 @@ also equals sqrt((A + D)^2 - 4 L1^i L2^j).  Every entry of M is >= 0, so
 R is real, trace M >= 0 and det M >= 0: hence 0 <= a2 <= a1.  Decomposing
 x_0 into eigen components c1 + c2 = x_0 gives x_k = a1^k c1 + a2^k c2 in
 closed form, hence expected depletion times without simulation: reserves
-are exhausted when the trader's backing holdings reach n_0 + R_0.
+are exhausted when the trader's backing holdings reach n_0 + R_0.  The
+depletion round is that of the exact closed form of the given floats, each
+round decided from the terms' logs: no crossing is made or missed by a
+power's overflow or underflow, or by rounding on the subnormal grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .prices import NormalSpec, TruncatedNormal, mean_of
 from .speculator import SpeculatorParams, WaitingInterval
@@ -42,16 +45,11 @@ __all__ = [
     "round_matrix_from_params",
     "discriminant",
     "eigen",
-    "expected_portfolio",
     "expected_depletion_rounds",
     "rounds_to_timesteps",
     "divergence_check",
 ]
 
-# Rounds checked one by one before the shape of the trajectory is used.
-_PREFIX = 8
-# Terms below this sit near the subnormal range, where rounding is coarse.
-_TINY = 2.0**-1000
 _R_TOL = 1e-14
 
 
@@ -182,24 +180,11 @@ def eigen(mat: RoundMatrix, x0: tuple[float, float]) -> EigenSystem:
     return EigenSystem(a1=a1, a2=a2, c1=c1, c2=c2)
 
 
-def expected_portfolio(sys: EigenSystem, k: float) -> tuple[float, float]:
-    """Closed-form expected holdings after k rounds: a1^k c1 + a2^k c2."""
-    if k < 0.0:
-        raise ValueError("k must be >= 0")
-    w1 = sys.a1**k
-    w2 = sys.a2**k
-    return (w1 * sys.c1[0] + w2 * sys.c2[0], w1 * sys.c1[1] + w2 * sys.c2[1])
-
-
-def _backing_at(sys: EigenSystem, k: float) -> float:
-    """Expected backing after k rounds; once a power overflows, +-inf with the
-    sign of the larger base's coefficient (their sum for equal bases), whose
-    term dominates."""
-    try:
-        return expected_portfolio(sys, k)[1]
-    except OverflowError:
-        a1, a2, c1n, c2n = sys.a1, sys.a2, sys.c1[1], sys.c2[1]
-        return math.copysign(math.inf, c1n + c2n if a1 == a2 else c1n if a1 > a2 else c2n)
+# The depletion search's gallops stop here.  A term's log at round 0 (of
+# |c|, or of |c (a - 1)| for the step from one round to the next) lies in
+# [-800, 1420], and the logs of two distinct bases differ by 1e-16 or more,
+# so by this round one term leads every other by far more than 1e16.
+_LAST = 2**70
 
 
 def _first_true(pred, lo: int, hi: int) -> int | None:
@@ -227,170 +212,102 @@ def _first_true(pred, lo: int, hi: int) -> int | None:
     return lo
 
 
-def _first_round(pred) -> int:
-    """First round k >= 1 with pred(k), for pred that turns true and stays true."""
-    return _first_true(pred, 1, 2**64)
+def _log_terms(sys: EigenSystem, target: float) -> list[tuple[float, float, float]]:
+    """The terms c a^k of g(k) = n_k - target for k > 0, as (ln a, ln|c|,
+    sign of c) by ascending base; the target is the term of base 1.
 
-
-def _overflows(bases: list[float], k: int) -> bool:
-    try:
-        for b in bases:
-            b ** float(k)
-    except OverflowError:
-        return True
-    return False
-
-
-def _turning_point(p: float, x: float, q: float, y: float) -> float:
-    """The m where p ln(x) x^m = -q ln(y) y^m, for x, y > 0 other than 1,
-    whose logs differ; in logs, so that no product underflows."""
-    return (math.log(abs(q)) + math.log(abs(math.log(y))) - math.log(abs(p)) - math.log(abs(math.log(x)))) / (
-        math.log(x) - math.log(y))
-
-
-def _rising_runs(p: float, x: float, q: float, y: float, last: int) -> list[tuple[int, int]]:
-    """Runs of m in 0..last where g(m) = p x^m + q y^m may first reach a target.
-
-    x, y >= 0, and g(-1) is known to miss the target.  g has at most one
-    turning point m*, where p ln(x) x^m = -q ln(y) y^m.  Where g falls, the
-    point before is higher, so a falling run holds no first crossing and is
-    left out; rising runs come back whole, and the few m around m* one by
-    one, so an error in m* cannot put a point on the wrong side.  The signs
-    of p ln(x) and q ln(y) are taken from their factors, since a product
-    with a subnormal p or q can round to 0.
+    Terms of equal ln a are merged, their coefficients summed.  A term with
+    base 0 or (merged) coefficient 0 is 0 at every k > 0 and is left out.
     """
-
-    def slope(c: float, b: float) -> int:
-        # The sign of c ln(b): 0 for a term that is constant or vanishes.
-        return 0 if c == 0.0 or b <= 0.0 or b == 1.0 else 1 if (c > 0.0) == (b > 1.0) else -1
-
-    u, v = slope(p, x), slope(q, y)
-    if x == y or (u and v and math.log(x) == math.log(y)):
-        u, v = slope(p + q, x), 0
-    if u == 0 or v == 0 or u == v:
-        return [(0, last)] if u + v > 0 else []
-    # g' = p ln(x) x^m + q ln(y) y^m changes sign once: the smaller base's
-    # term leads before m*, the larger one's after it.
-    m_star = _turning_point(p, x, q, y)
-    before, after = (v > 0, u > 0) if x > y else (u > 0, v > 0)
-    if not m_star > 0.0:
-        # A turn after m = -1 can leave g(0) above g(-1) although g falls from 0.
-        return [(0, last)] if after else [(0, 0)] if m_star > -1.0 else []
-    if m_star >= last:
-        return [(0, last)] if before else []
-    margin = 2 + int(m_star * 1e-9)
-    mid_lo = max(0, int(m_star) - margin)
-    mid_hi = min(last, int(m_star) + 1 + margin)
-    runs = [(0, mid_lo - 1)] if before and mid_lo > 0 else []
-    runs += [(m, m) for m in range(mid_lo, mid_hi + 1)]
-    if after and mid_hi < last:
-        runs.append((mid_hi + 1, last))
-    return runs
+    merged: dict[float, float] = {}
+    for a, c in ((sys.a1, sys.c1[1]), (sys.a2, sys.c2[1]), (1.0, -target)):
+        if a > 0.0:
+            la = math.log(a)
+            merged[la] = merged.get(la, 0.0) + c
+    return [(la, math.log(abs(c)), math.copysign(1.0, c)) for la, c in sorted(merged.items()) if c != 0.0]
 
 
-def _tail_peak(terms: list[tuple[float, float]], k: int) -> float:
-    """A bound on the backing sum of c a^m over (a, c) in terms, as
-    _backing_at evaluates it, at every round m >= k; each base is below 1.
+def _nonnegative(terms: list[tuple[float, float, float]]):
+    """The test k -> (sum of s e^(lc + k la) over (la, lc, s) in terms) >= 0,
+    for at most three terms.
 
-    The closed form's maximum over real m >= k is at k, at its one turning
-    point past k, or its limit 0.  The margin covers the rounding of each
-    evaluation, this one's too: a few ulps of the terms' sizes |c| a^m, at
-    most their sizes at k, and a few subnormal steps.
+    Each term is scaled by the largest, to e^(l - top) <= 1, so no power
+    overflows or underflows, and math.fsum gives the same sum in any order.
+    A term's relative error is about 1e-16 (|lc| + |k la|).  Missing terms
+    are filled with zeros (s = 0, e^lc = 0); with no term at all, the sum is
+    0.
     """
-    def backing(m: float) -> float:
-        return sum(c * a**m for a, c in terms)
+    if not terms:
+        return lambda k: True
+    (la1, lc1, s1), (la2, lc2, s2), (la3, lc3, s3) = terms + [(0.0, -math.inf, 0.0)] * (3 - len(terms))
+    exp, fsum = math.exp, math.fsum
 
-    peak = max(backing(float(k)), 0.0)
-    if len(terms) == 2:
-        (x, p), (y, q) = terms
-        if x > 0.0 and y > 0.0 and math.log(x) != math.log(y) and (p > 0.0) != (q > 0.0):
-            m = _turning_point(p, x, q, y)
-            if m > k:
-                peak = max(peak, backing(m))
-    return peak + 2e-15 * sum(abs(c) * a ** float(k) for a, c in terms) + 1e-322
+    def test(k: float) -> bool:
+        l1 = lc1 + k * la1
+        l2 = lc2 + k * la2
+        l3 = lc3 + k * la3
+        top = max(l1, l2, l3)
+        return fsum((s1 * exp(l1 - top), s2 * exp(l2 - top), s3 * exp(l3 - top))) >= 0.0
+
+    return test
 
 
-def _first_crossing(sys: EigenSystem, target: float) -> int | None:
-    """Smallest integer k >= 1 with _backing_at(sys, k) >= target, or None.
+def _first_crossing(terms: list[tuple[float, float, float]], reaches) -> int | None:
+    """Smallest round k >= 1 with reaches(k), or None, where reaches tests
+    g(k) >= 0 for g's terms from _log_terms.
 
-    n_k = c1n a1^k + c2n a2^k, and every round is evaluated exactly as a
-    unit-step scan would evaluate it.  Past a short prefix checked round by
-    round, the backing from round k0 on is p a1^m + q a2^m at k = k0 + m,
-    with a1, a2 >= 0, and only its rising runs can hold the first crossing,
-    found there by galloping bisection.  The runs end the round before a
-    base's power overflows (the backing is +-inf there: the answer if +inf
-    and no round before it crosses), or one past the round where every
-    decaying power has underflowed to 0.0, after which the backing repeats
-    one value, so None is proven.  When the backing decays to 0, the rounds where every term is
-    below _TINY are scanned one by one instead (subnormal rounding, not the
-    closed form, orders them), unless the target is above the positive
-    terms' sum at the first of them, which no later one exceeds, or above
-    the tail's peak (_tail_peak).
+    Besides the constant, at most two terms move with k, so g has at most
+    one turning point: k >= 1 splits into at most two monotone pieces.  The
+    larger base's term leads as k grows, and when it rises, g rises to its
+    limit: +inf for a base above 1, else the constant term.  If that limit
+    is > 0, reaches is false, then true, on all of [1, inf), and galloping
+    finds the crossing.  A rise, then a fall (a hill) peaks at the first
+    round k with g(k + 1) < g(k), which galloping finds too, as g(k + 1) -
+    g(k), the sum of c (a - 1) a^k, is a sum of the same form; the first
+    crossing, if any, is at or before the peak.  In every other shape,
+    each round past the first is below round 1 or below a limit of at most
+    0, so only round 1 can cross.
     """
-
-    def hits(k: int) -> bool:
-        return _backing_at(sys, float(k)) >= target
-
-    for k in range(1, _PREFIX + 1):
-        if hits(k):
-            return k
-    a1, a2, c1n, c2n = sys.a1, sys.a2, sys.c1[1], sys.c2[1]
-    big = [b for b in (a1, a2) if b > 1.0]
-    small = [b for b in (a1, a2) if b < 1.0]
-    overflow = _first_round(lambda k: _overflows(big, k)) if big else None
-    underflow = _first_round(lambda k: all(b ** float(k) == 0.0 for b in small))
-    last_k = overflow - 1 if overflow is not None else max(underflow, _PREFIX) + 1
-    tail = range(0)
-    terms = [(a, c) for a, c in ((a1, c1n), (a2, c2n)) if c != 0.0]
-    if all(a < 1.0 for a, _ in terms):
-        fine = _first_round(lambda k: all(abs(c) * a ** float(k) < _TINY for a, c in terms))
-        if fine <= last_k:
-            start = max(fine, _PREFIX + 1)
-            if target <= min(sum(max(c, 0.0) * a ** float(fine) for a, c in terms), _tail_peak(terms, start)):
-                tail = range(start, min(last_k, max(underflow, _PREFIX) + 1) + 1)
-            last_k = fine - 1
-
-    k0 = _PREFIX + 1
-    if last_k >= k0:
-        for first, stop in _rising_runs(c1n * a1**k0, a1, c2n * a2**k0, a2, last_k - k0):
-            m = _first_true(lambda m: hits(k0 + m), first, stop)
-            if m is not None:
-                return k0 + m
-    for k in tail:
-        if hits(k):
-            return k
-    return overflow if overflow is not None and hits(overflow) else None
+    moving = [t for t in terms if t[0] != 0.0]
+    rises = [(la > 0.0) == (s > 0.0) for la, _, s in moving]
+    if len(moving) == 2 and rises[0] and not rises[1]:
+        steps = _nonnegative([(la, lc + math.log(abs(math.expm1(la))), s * math.copysign(1.0, la))
+                              for la, lc, s in moving])
+        peak = _first_true(lambda k: not steps(k), 1, _LAST)
+        return _first_true(reaches, 1, peak or _LAST)
+    if rises and rises[-1] and (moving[-1][0] > 0.0 or any(la == 0.0 and s > 0.0 for la, _, s in terms)):
+        return _first_true(reaches, 1, _LAST)
+    return 1 if reaches(1) else None
 
 
 def expected_depletion_rounds(sys: EigenSystem, reserves0: float, n0: float) -> float:
     """Smallest k >= 0 with expected backing holdings n_k = n0 + reserves0.
 
-    There is no horizon: the first whole round at or past the target is
-    found by _first_crossing in O(log k) evaluations, each the same float a
-    round-by-round scan would compute, then the fraction of the last round
-    by bisection on the closed form.  math.inf comes only from that search,
-    when the trajectory settles (every decaying term underflowed) below the
-    target, or when the backing falls to -inf.  Where the larger base is
-    above 1, its term decides where the backing ends: a positive
-    coefficient crosses by the round where its power overflows at the
-    latest, and a negative one drives the backing to -inf there, so only an
-    earlier round can cross.
+    n_k = c1n a1^k + c2n a2^k is read as the exact closed form of the given
+    floats: round 0 is the float sum c1n + c2n, and every later round is
+    decided from the terms' logs (_nonnegative), so no power overflows or
+    underflows, and a round whose gap to the target is within that test's
+    rounding may go either way.  There is no horizon: _first_crossing finds
+    the first whole round at or past the target in O(log k) tests, then the
+    fraction of the last round is bisected with the same test.  math.inf
+    means the closed form never reaches the target; a crossing that only
+    float rounding would make does not count.
     """
     if not (math.isfinite(reserves0) and reserves0 >= 0.0):
         raise ValueError("reserves0 must be finite and >= 0")
     if not math.isfinite(n0):
         raise ValueError("n0 must be finite")
-    a1, a2, c1n, c2n = sys.a1, sys.a2, sys.c1[1], sys.c2[1]
-    if not all(math.isfinite(v) for v in (a1, a2, c1n, c2n)):
+    c1n, c2n = sys.c1[1], sys.c2[1]
+    if not all(math.isfinite(v) for v in (sys.a1, sys.a2, c1n, c2n)):
         raise ValueError("eigen system is not finite: the round matrix overflowed")
-    # A term whose coefficient is 0 adds nothing, however far its power
-    # would overflow: its base becomes 0, whose powers never do.
-    a1, a2 = (a if c != 0.0 else 0.0 for a, c in ((a1, c1n), (a2, c2n)))
-    sys = replace(sys, a1=a1, a2=a2)
     target = n0 + reserves0
-    if _backing_at(sys, 0.0) >= target:
+    if not math.isfinite(target):
+        raise ValueError("n0 + reserves0 must be finite")
+    if c1n + c2n >= target:
         return 0.0
-    k = _first_crossing(sys, target)
+    terms = _log_terms(sys, target)
+    reaches = _nonnegative(terms)
+    k = _first_crossing(terms, reaches)
     if k is None:
         return math.inf
     lo, hi = float(k - 1), float(k)
@@ -398,7 +315,7 @@ def expected_depletion_rounds(sys: EigenSystem, reserves0: float, n0: float) -> 
         if hi - lo <= 1e-12 * max(1.0, hi):
             break
         mid = 0.5 * (lo + hi)
-        if _backing_at(sys, mid) >= target:
+        if reaches(mid):
             hi = mid
         else:
             lo = mid

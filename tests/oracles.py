@@ -10,13 +10,19 @@ row with csv.DictReader, the reference for prices.load_csv's one csv.reader.
 ScalarTruncatedNormal evaluates the truncated normal one point and one
 quantity at a time, the reference for TruncatedNormal.tail's batched pass.
 full_scan_argmax scores every point of speculator._argmax's grid, the
-reference for its pruned scan.
+reference for its pruned scan.  expected_portfolio is the closed form's
+holdings in plain floats, and depletion_gap_states the exact sign of each
+round's gap to a depletion target, the reference for
+rounds.expected_depletion_rounds.
 """
 
 import csv
+import decimal
 import math
+from fractions import Fraction
 
 from pegstress.prices import NormalSpec, PriceSeries, TruncatedNormal, cdf
+from pegstress.rounds import EigenSystem
 from pegstress.speculator import _GOLDEN, _GRID_STEPS, _XTOL, GRID_POINTS
 from pegstress.theory import _buy_factor, _sell_factor
 
@@ -247,3 +253,49 @@ def load_csv_rows(path: str, timestamp_column: str = "timestamp", price_column: 
     if not prices:
         raise ValueError(f"{path}: no data rows")
     return PriceSeries(prices=tuple(prices), source="csv")
+
+
+def expected_portfolio(sys: EigenSystem, k: float) -> tuple[float, float]:
+    """Closed-form expected holdings after k rounds: a1^k c1 + a2^k c2."""
+    if k < 0.0:
+        raise ValueError("k must be >= 0")
+    w1 = sys.a1**k
+    w2 = sys.a2**k
+    return (w1 * sys.c1[0] + w2 * sys.c2[0], w1 * sys.c1[1] + w2 * sys.c2[1])
+
+
+_WIDE = decimal.Context(prec=60, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
+def depletion_gap_states(sys: EigenSystem, target: float, last: int, first: int = 0, tol: float = 1e-12) -> list[int]:
+    """For each round k = first..last, where the gap c1n a1^k + c2n a2^k - target
+    lies against the round's largest term B (|c1n| a1^k, |c2n| a2^k or
+    |target|, with 0^0 = 1): 1 above tol B, -1 below -tol B, 0 between.
+
+    Rounds are scanned in 60-digit decimals, whose exponents hold any float
+    and its powers without overflow or underflow, each power one product
+    from the last.  That leaves an error near 1e-55 B, so a gap within
+    1e-40 B of a bound is settled again in exact rationals: floats are
+    dyadic.
+    """
+
+    def side(gap, big, bound):
+        return 1 if gap > bound * big else -1 if gap < -bound * big else 0
+
+    pairs = ((sys.a1, sys.c1[1]), (sys.a2, sys.c2[1]))
+    states = []
+    with decimal.localcontext(_WIDE):
+        bases = [decimal.Decimal(a) for a, _ in pairs]
+        coefs = [decimal.Decimal(c) for _, c in pairs]
+        goal, bound, near = decimal.Decimal(target), decimal.Decimal(tol), decimal.Decimal("1e-40")
+        powers = [b**first if first else decimal.Decimal(1) for b in bases]  # Decimal 0**0 raises
+        for k in range(first, last + 1):
+            terms = [c * w for c, w in zip(coefs, powers)] + [-goal]
+            gap, big = sum(terms), max(map(abs, terms))
+            if abs(abs(gap) - bound * big) > near * big:
+                states.append(side(gap, big, bound))
+            else:
+                exact = [Fraction(c) * Fraction(a) ** k for a, c in pairs] + [-Fraction(target)]
+                states.append(side(sum(exact), max(map(abs, exact)), Fraction(tol)))
+            powers = [w * b for w, b in zip(powers, bases)]
+    return states

@@ -30,7 +30,6 @@ from pegstress.rounds import (
     discriminant,
     divergence_check,
     eigen,
-    expected_portfolio,
     round_matrix_from_params,
 )
 from pegstress.speculator import NoTradeInterval, SpeculatorParams, WaitingInterval, waiting_interval
@@ -41,7 +40,7 @@ from pegstress.theory import (
     run_omniscient,
 )
 
-from oracles import optimal_profit_bruteforce, pdf, y_ratio_normal
+from oracles import expected_portfolio, optimal_profit_bruteforce, pdf, y_ratio_normal
 
 
 @contextmanager

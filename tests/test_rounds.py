@@ -9,6 +9,8 @@ import dataclasses
 import hashlib
 import math
 import time
+import timeit
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,14 +27,13 @@ from pegstress.rounds import (
     divergence_check,
     eigen,
     expected_depletion_rounds,
-    expected_portfolio,
     round_matrix_from_params,
     rounds_to_timesteps,
 )
-from pegstress.rounds import _first_crossing
+from pegstress.rounds import _log_terms, _nonnegative
 from pegstress.speculator import SpeculatorParams, WaitingInterval, waiting_interval
 
-from oracles import y_ratio_normal
+from oracles import depletion_gap_states, expected_portfolio, y_ratio_normal
 
 EX1_DIST = NormalSpec(100.0, 100.0)
 EX1_PARAMS = SpeculatorParams(delta=0.1)
@@ -41,40 +42,66 @@ EX1_MATRIX = build_round_matrix(EX1_DIST, EX1_INTERVAL, EX1_PARAMS)
 
 
 def backing(sys_, k):
-    """Expected backing after k rounds; an overflowing power makes it +-inf,
-    the sign of the term with the larger base (of both terms' sum when the
-    bases are equal), unless its coefficient is 0: that term is 0 whatever
-    its power."""
-    c1n, c2n = sys_.c1[1], sys_.c2[1]
-    sys_ = dataclasses.replace(sys_, a1=sys_.a1 if c1n != 0.0 else 0.0, a2=sys_.a2 if c2n != 0.0 else 0.0)
-    try:
-        return expected_portfolio(sys_, k)[1]
-    except OverflowError:
-        if sys_.a1 == sys_.a2:
-            return math.copysign(math.inf, c1n + c2n)
-        return math.copysign(math.inf, max((sys_.a1, c1n), (sys_.a2, c2n))[1])
+    """Expected backing c1n a1^k + c2n a2^k after k rounds, in floats.  A
+    term with coefficient 0 is 0 whatever its power; where a power
+    overflows, its term is taken from logs, as it may still be in range,
+    and is +-inf past it."""
+    total = 0.0
+    for a, c in ((sys_.a1, sys_.c1[1]), (sys_.a2, sys_.c2[1])):
+        if c != 0.0:
+            try:
+                total += c * a**k
+            except OverflowError:
+                log = math.log(abs(c)) + k * math.log(a)
+                total += math.copysign(math.exp(log) if log < 709.7 else math.inf, c)
+    return total
 
 
 def scan_depletion_rounds(sys_, reserves0, n0, horizon):
     """Unit-step reference: the first whole round at or past the target,
-    found round by round up to horizon (None past it), then the last round
-    bisected to 1e-12 relative."""
+    found round by round in floats up to horizon (None past it), then the
+    last round bisected to 1e-12 relative with the search's own test."""
     target = n0 + reserves0
     if backing(sys_, 0.0) >= target:
         return 0.0
     for k in range(1, horizon + 1):
         if backing(sys_, float(k)) >= target:
+            reaches = _nonnegative(_log_terms(sys_, target))
             lo, hi = float(k - 1), float(k)
             for _ in range(200):
                 if hi - lo <= 1e-12 * max(1.0, hi):
                     break
                 mid = 0.5 * (lo + hi)
-                if backing(sys_, mid) >= target:
+                if reaches(mid):
                     hi = mid
                 else:
                     lo = mid
             return hi
     return None
+
+
+def check_first_crossing(sys_, target, got, last=4000):
+    """The exact gap of every round up to got's (or to last): no earlier
+    round is above the target, and got's round is not below it, each by
+    more than 1e-12 of the round's largest term.  Returns the rounds'
+    states (depletion_gap_states)."""
+    first = math.ceil(got) if got <= last else last + 1
+    states = depletion_gap_states(sys_, target, min(first, last))
+    assert max(states[:first], default=0) <= 0
+    if first <= last:
+        assert states[first] >= 0
+    return states
+
+
+def scan_rounding_covers(sys_, target, k):
+    """Whether the unit-step scan's verdict at round k may be its rounding's:
+    the exact gap c1n a1^k + c2n a2^k - target is within 1e-12 of the
+    round's largest term (as depletion_gap_states' ties), or within a few
+    steps of the subnormal grid, 2^-1074, per unit of the coefficients."""
+    pairs = ((sys_.a1, sys_.c1[1]), (sys_.a2, sys_.c2[1]))
+    terms = [Fraction(c) * Fraction(a) ** k for a, c in pairs] + [-Fraction(target)]
+    slack = Fraction(1e-12) * max(map(abs, terms)) + (1 + sum(abs(Fraction(c)) for _, c in pairs)) / 2**1072
+    return abs(sum(terms)) <= slack
 
 
 def slowly_diverging_matrix(eps, lam=0.25, i=10.0, j=4.0):
@@ -423,6 +450,8 @@ class TestDepletion:
             expected_depletion_rounds(sys_, reserves0=value, n0=1.0)
         with pytest.raises(ValueError, match="n0"):
             expected_depletion_rounds(sys_, reserves0=1.0, n0=value)
+        with pytest.raises(ValueError, match="n0 \\+ reserves0"):
+            expected_depletion_rounds(sys_, reserves0=1e308, n0=1e308)
 
     def test_slowly_diverging_matrix_crosses_far_out(self):
         # a1 - 1 = 3.3e-8 puts the crossing near 1e8 rounds, far past any
@@ -436,11 +465,12 @@ class TestDepletion:
         assert backing(sys_, k) >= 101.0 > backing(sys_, float(math.floor(k)))
 
     def test_bounded_trajectory_that_settles_below_target_never_depletes(self):
-        # n_k = 10 - 5 * 0.5^k rises toward 10 and, in floats, reaches it
-        # once 0.5^k drops below 10's rounding; 10.5 is never reached.
+        # n_k = 10 - 5 * 0.5^k rises toward 10 but never reaches it, though
+        # a float scan sees it there once 0.5^k drops below 10's rounding.
         sys_ = EigenSystem(a1=1.0, a2=0.5, c1=(0.0, 10.0), c2=(0.0, -5.0))
-        assert expected_depletion_rounds(sys_, reserves0=5.0, n0=5.0) == scan_depletion_rounds(sys_, 5.0, 5.0, 200)
-        assert expected_depletion_rounds(sys_, reserves0=0.0, n0=10.0) == scan_depletion_rounds(sys_, 0.0, 10.0, 200)
+        assert backing(sys_, 60.0) == 10.0
+        assert expected_depletion_rounds(sys_, reserves0=5.0, n0=5.0) == math.inf
+        assert expected_depletion_rounds(sys_, reserves0=0.0, n0=10.0) == math.inf
         assert expected_depletion_rounds(sys_, reserves0=0.5, n0=10.0) == math.inf
         # a2 = -1, whose n_k would alternate forever, is no round matrix's.
         with pytest.raises(ValueError, match=">= 0"):
@@ -477,8 +507,8 @@ class TestDepletion:
             (0.9, 0.5, 3.0, -2.0, 5.5),
             (1.0, 0.999, -1.0, 4.0, 4.5),
             (1.0, 0.5, 10.0, -5.0, 15.0 * (1.0 + 1e-15)),
-            # The term is below _TINY from round 1 on, and a base this close
-            # to 1 underflows only after some 7e9 rounds.
+            # A term near the subnormal range, whose power of a base this
+            # close to 1 would underflow only after some 7e9 rounds.
             (0.9999999, 0.0, 1e-305, 0.0, 2e-305),
         ],
     )
@@ -491,10 +521,11 @@ class TestDepletion:
         assert expected_depletion_rounds(sys_, reserves0=0.5 * target, n0=0.5 * target) == math.inf
 
     def test_subnormal_tail_below_target_is_not_scanned(self):
-        # n_k = 1e-305 a1^k - 1e-305 0.5^k peaks below 1e-305; every term is
-        # under _TINY from round 1, and a1 underflows only near round 7e9.
-        # The target is inside c1 +/- |c2| but above the positive term, so
-        # no round of that tail can reach it: it is not scanned one by one.
+        # n_k = 1e-305 a1^k - 1e-305 0.5^k peaks below 1e-305, and its
+        # terms would reach the subnormal range within a few thousand
+        # rounds; a1's power underflows only near round 7e9.  The target is
+        # inside c1 +/- |c2| but above the positive term, so no round
+        # reaches it, and the answer comes without a round-by-round scan.
         sys_ = EigenSystem(a1=0.9999999, a2=0.5, c1=(0.0, 1e-305), c2=(0.0, -1e-305))
         assert expected_depletion_rounds(sys_, reserves0=1.5e-305, n0=0.0) == math.inf
         # Through analyze's path: a raw matrix with tiny holdings.
@@ -503,26 +534,63 @@ class TestDepletion:
 
     def test_tail_peaking_below_target_is_not_scanned(self):
         # n_k = 1e-305 (a1^k - a2^k) rises to 2.5e-306 near round 6.9e6 and
-        # decays; every term is under _TINY from round 1, and the bases
-        # underflow only after ~7e9 rounds.  The target 5e-306 is below the
-        # positive term but above the peak, so the tail's ~7e9 rounds are not
-        # scanned one by one: the answer comes at once.
+        # decays; its terms are near the subnormal range from round 1, and
+        # the bases would underflow only after ~7e9 rounds.  The target
+        # 5e-306 is below the positive term but above the peak, so the answer
+        # comes at once, without a scan of the rounds up to the peak.
         sys_ = EigenSystem(a1=0.9999999, a2=0.9999998, c1=(0.0, 1e-305), c2=(0.0, -1e-305))
         start = time.perf_counter()
-        assert _first_crossing(sys_, 5e-306) is None
         assert expected_depletion_rounds(sys_, reserves0=5e-306, n0=0.0) == math.inf
         assert time.perf_counter() - start < 1.0
-        # A target the tail reaches is still found there, round by round.
+        # A target on the rising side is found there: the float backing at
+        # round 1000, rounded to the subnormal grid.  No round before the
+        # answer's reaches it, and the answer's round does, up to a tie.
         target = backing(sys_, 1000.0)
-        want = scan_depletion_rounds(sys_, target, 0.0, 2000)
-        assert expected_depletion_rounds(sys_, reserves0=target, n0=0.0) == want
+        got = expected_depletion_rounds(sys_, reserves0=target, n0=0.0)
+        assert 990.0 < got < 1010.0
+        check_first_crossing(sys_, target, got)
+
+    def test_hill_that_crosses_only_near_its_peak(self):
+        # The same hill, with a target a hair under its peak: only rounds
+        # within ~5e4 of the peak reach it, and no power of two does, so a
+        # gallop from round 1 would step over them all.  The crossing is on
+        # the rising side, where round K - 1 missing and K reaching is proof.
+        a1, a2 = 0.9999999, 0.9999998
+        sys_ = EigenSystem(a1=a1, a2=a2, c1=(0.0, 1e-305), c2=(0.0, -1e-305))
+        peak = math.log(math.log(a2) / math.log(a1)) / (math.log(a1) - math.log(a2))
+        target = backing(sys_, float(round(peak))) * (1.0 - 1e-5)
+        got = expected_depletion_rounds(sys_, reserves0=target, n0=0.0)
+        assert peak - 1e5 < got < peak - 1e4
+        assert depletion_gap_states(sys_, target, math.ceil(got), first=math.ceil(got) - 1) == [-1, 1]
+
+    @pytest.mark.parametrize(
+        "a1, a2, c1n, c2n, reserves0, n0, want",
+        [
+            # 2^k overflows at round 1024, but 1e-300 2^k reaches 1e10 only
+            # past round 1029 (the overflow round used to be the answer).
+            (2.0, 0.5, 1e-300, 3.0, 1e10, 0.0, 1029.7977094150823),
+            # Subnormal terms whose crossing is 7.4e6 rounds out (these used
+            # to be scanned round by round, for 3-5 s, and the subnormal
+            # rounding put the answer 7550 rounds early).
+            (0.9999999, 0.0, -6.887e-321, -5.667e-321, 1.941e-320, -2.2683e-320, 7446669.985420684),
+        ],
+        ids=["overflowing-power", "subnormal-terms"],
+    )
+    def test_crossing_is_the_exact_closed_form(self, a1, a2, c1n, c2n, reserves0, n0, want):
+        # want is the exact crossing of the given floats, from 50-digit
+        # logs; the answer must be within the bisection's 1e-12 of it, and
+        # come at once.
+        sys_ = EigenSystem(a1=a1, a2=a2, c1=(0.0, c1n), c2=(0.0, c2n))
+        got = expected_depletion_rounds(sys_, reserves0, n0)
+        assert abs(got - want) <= 1e-12 * want
+        assert min(timeit.repeat(lambda: expected_depletion_rounds(sys_, reserves0, n0), number=1, repeat=3)) < 0.05
 
     @pytest.mark.parametrize("y_ratio", [1e35, 1e36, 1e38])
     def test_overflow_round_right_after_the_prefix(self, y_ratio):
-        # a1 = y_ratio, so a1^9 overflows: round 9, the first past the
-        # prefix, is the overflow round.  At 1e35 and 1e36 the tiny n0
-        # crosses no round before it, and evaluating a1^9 to shape the
-        # search used to raise; at 1e38 round 8 already crosses.
+        # a1 = y_ratio, so a1^9 overflows a float.  At 1e35 and 1e36 the
+        # tiny n0 crosses no round before round 9, which a search that
+        # checked the first 8 rounds one by one and then evaluated a1^9 to
+        # shape the rest used to raise on; at 1e38 round 8 already crosses.
         sys_ = eigen(round_matrix_from_params(i=2.0, j=2.0, y_ratio=y_ratio), (0.0, 1e-300))
         want = scan_depletion_rounds(sys_, 100.0, 1e-300, 20)
         assert expected_depletion_rounds(sys_, reserves0=100.0, n0=1e-300) == want
@@ -531,12 +599,17 @@ class TestDepletion:
 
     # 300 examples, or the profile's count where that is higher (ci: 500).
     @settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+    # The target rounds to 0, which n_k = -0.125 0.75^k approaches from
+    # below and never reaches (a float scan reached it at round 2582, where
+    # n_k underflows to -0.0).
     @example(a1=0.75, a2=0.75, c1n=1.5, c2n=-1.625, at=114, nudge=1.0, reserves0=8.0)
-    # Two bases one ulp apart whose logs round to one value: a turning point
-    # found by dividing by the logs' difference used to raise ZeroDivisionError.
+    # Two bases one ulp apart whose logs round to one value; round 8 is a
+    # tie.  A turning point found by dividing by the logs' difference used
+    # to raise ZeroDivisionError.
     @example(a1=0.2, a2=0.20000000000000004, c1n=0.5, c2n=-1.0, at=8, nudge=1.0, reserves0=1.0)
-    # A subnormal coefficient times ln(1.0001) rounds to 0: the rising
-    # backing was taken for a flat one, and its crossing at round 247 missed.
+    # A subnormal coefficient: the target is 1e-322 1.0001^247 rounded up
+    # to 21 units of 2^-1074, which 20 units times 1.0001^k first reach
+    # near round 487.9 (a float scan crossed at 246.9, by rounding).
     @example(a1=1.0001, a2=0.0, c1n=1e-322, c2n=0.0, at=247, nudge=1.0, reserves0=0.0)
     @given(
         a1=st.one_of(st.floats(0.2, 1.6), st.sampled_from([1.0, 1.0 + 1e-4])),
@@ -550,22 +623,26 @@ class TestDepletion:
     def test_matches_unit_step_scan(self, a1, a2, c1n, c2n, at, nudge, reserves0):
         # Targets are the trajectory's own value at some round (nudged), so
         # most cases cross within a few thousand rounds: hills, valleys and
-        # overflow included.  The example's target rounds to 0, which the
-        # backing reaches through subnormal values.
+        # overflowing powers included.  The exact gap of every round up to
+        # the answer's (or to 4000) decides.
         sys_ = EigenSystem(a1=a1, a2=a2, c1=(0.0, c1n), c2=(0.0, c2n))
         n0 = backing(sys_, float(at)) * nudge - reserves0
         assume(math.isfinite(n0))
-        want = scan_depletion_rounds(sys_, reserves0, n0, 4000)
-        got = expected_depletion_rounds(sys_, reserves0, n0)
-        if want is None:
-            assert got > 4000.0
-        else:
-            assert got == want
+        check_first_crossing(sys_, n0 + reserves0, expected_depletion_rounds(sys_, reserves0, n0))
 
     @settings(deadline=None)
     # Rounding used to leave a2 = -1.1e-16 here, where det M is exactly 0.
     @example(lambda_buy=0.0, lambda_sell=0.3125, i=2.0, j=1.5, y_ratio=2.0, sell_mean=1.0, m0=0.0, n0=1.0,
              reserves0=1.0)
+    # A tie at round 2: M^2 (1, 0) has backing Y, the target, but c1n =
+    # fl(1 / Y) puts the closed form's n_2 an ulp below it.  The float scan
+    # crosses at 2.0, the exact closed form in round 3.
+    @example(lambda_buy=0.0, lambda_sell=0.0, i=2.0, j=2.0, y_ratio=2.078125, sell_mean=1.0, m0=1.0, n0=0.0,
+             reserves0=2.078125)
+    # Subnormal holdings: 5e-324 1.5^k reaches 1e-323 (two units of 2^-1074)
+    # at round 1.71, but the float scan's n_1 = 7.5e-324 rounds up to it.
+    @example(lambda_buy=0.0, lambda_sell=0.0, i=2.0, j=2.0, y_ratio=1.5, sell_mean=1.0, m0=0.0, n0=5e-324,
+             reserves0=5e-324)
     @given(
         lambda_buy=st.one_of(st.sampled_from([0.0, 1e-3, 0.3]), st.floats(0.0, 1.0)),
         lambda_sell=st.one_of(st.sampled_from([0.0, 1e-3, 0.3]), st.floats(0.0, 1.0)),
@@ -581,7 +658,10 @@ class TestDepletion:
         self, lambda_buy, lambda_sell, i, j, y_ratio, sell_mean, m0, n0, reserves0
     ):
         # Every round matrix has 0 <= a2 <= a1, and its depletion round is
-        # the unit-step scan's.
+        # the unit-step scan's, unless the two whole rounds differ where the
+        # scan's rounding can decide: then the earlier one's exact gap is a
+        # tie or within the subnormal grid's steps (scan_rounding_covers),
+        # and the search's answer holds against every round's exact gap.
         mat = round_matrix_from_params(
             i=i, j=j, y_ratio=y_ratio, sell_mean=sell_mean, lambda_buy=lambda_buy, lambda_sell=lambda_sell
         )
@@ -590,7 +670,11 @@ class TestDepletion:
         assert sys_.a1 >= sys_.a2 >= 0.0
         want = scan_depletion_rounds(sys_, reserves0, n0, 4000)
         got = expected_depletion_rounds(sys_, reserves0, n0)
-        if want is None:
+        first, scanned = math.ceil(min(got, 4001.0)), 4001 if want is None else math.ceil(want)
+        if first != scanned:
+            check_first_crossing(sys_, n0 + reserves0, got)
+            assert scan_rounding_covers(sys_, n0 + reserves0, min(first, scanned))
+        elif want is None:
             assert got > 4000.0
         else:
             assert got == want
