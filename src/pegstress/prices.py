@@ -35,6 +35,8 @@ from itertools import islice
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from typing import TextIO
+
     import numpy as np
 
 __all__ = [
@@ -351,6 +353,28 @@ def random_walk(spec: WalkSpec, n: int, seed: int) -> PriceSeries:
     return PriceSeries(prices=tuple(prices), source="walk", seed=seed, clamp_count=clamps)
 
 
+def _split_prices(fh: TextIO, col: int) -> list[float] | None:
+    """Field col of each non-blank line left in fh, as floats, or None at
+    the first chunk that csv.reader might read otherwise.
+
+    The lines come in ~64 KiB chunks.  In a chunk with no quote, no NUL, no
+    carriage return outside a CRLF and no line longer than the csv field
+    limit, csv.reader's row is the line split at commas, less its line end
+    (which float() strips), and the blank lines it skips are those that
+    hold a line end alone.  A short row raises IndexError, a bad price
+    ValueError.
+    """
+    limit = csv.field_size_limit()
+    prices: list[float] = []
+    while lines := fh.readlines(65536):
+        text = "".join(lines)
+        if ('"' in text or "\0" in text or text.count("\r") != text.count("\r\n")
+                or (len(text) > limit and max(map(len, lines)) > limit)):
+            return None
+        prices += map(float, [line.split(",")[col] for line in lines if line != "\n" and line != "\r\n"])
+    return prices
+
+
 def load_csv(path: str, timestamp_column: str = "timestamp", price_column: str = "price") -> PriceSeries:
     """Load a price series from a CSV file with a header row.
 
@@ -360,6 +384,12 @@ def load_csv(path: str, timestamp_column: str = "timestamp", price_column: str =
     reads its last column.  A missing, non-numeric or non-positive price is
     rejected with its row number (1-based, the header is row 1, blank lines
     are not counted), and a file the csv module cannot parse with its line.
+
+    csv.reader reads the header.  A body with nothing to unquote is read by
+    _split_prices; a file it cannot take (a quote, a NUL, a lone carriage
+    return, an over-long line or a bad price anywhere) is read again from
+    the start by csv.reader, and, if that fails too, a third time to name
+    the first bad row or line.  Each pass gives the same prices.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = csv.reader(fh)
@@ -371,6 +401,15 @@ def load_csv(path: str, timestamp_column: str = "timestamp", price_column: str =
                 if name not in header:
                     raise ValueError(f"{path}: missing column {name!r} (header has {header})")
             col = max(idx for idx, name in enumerate(header) if name == price_column)
+            try:
+                split = _split_prices(fh, col)
+                if split is not None:
+                    return PriceSeries(prices=tuple(split), source="csv")
+            except (IndexError, ValueError):
+                pass
+            fh.seek(0)
+            rows = csv.reader(fh)
+            next(rows)
             try:
                 return PriceSeries(prices=tuple([float(row[col]) for row in filter(None, rows)]), source="csv")
             except (IndexError, ValueError, csv.Error):

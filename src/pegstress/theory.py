@@ -77,9 +77,9 @@ def tail_spread(series: PriceSeries, tail_fraction: float = 0.5) -> TailSpread:
     tail = series.prices[len(series) - count :]
     if not tail:
         raise ValueError("empty tail")
-    invs = [1.0 / p for p in tail]
+    # Division rounds monotonically, so 1/max and 1/min are the min and max of 1/p.
     return TailSpread(
-        inv_liminf_est=min(invs), inv_limsup_est=max(invs), tail_fraction=tail_fraction
+        inv_liminf_est=1.0 / max(tail), inv_limsup_est=1.0 / min(tail), tail_fraction=tail_fraction
     )
 
 

@@ -229,27 +229,34 @@ def y_ratio_normal(dist: NormalSpec, y1: float, y2: float) -> float:
 
 def load_csv_rows(path: str, timestamp_column: str = "timestamp", price_column: str = "price") -> PriceSeries:
     """prices.load_csv by csv.DictReader, one row dict at a time: the same
-    prices or the same ValueError message, and csv.Error where the file does
-    not parse."""
+    prices or the same ValueError message, also where the file does not
+    parse."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValueError(f"{path}: empty file (missing header row)")
-        for col in (timestamp_column, price_column):
-            if col not in reader.fieldnames:
-                raise ValueError(f"{path}: missing column {col!r} (header has {reader.fieldnames})")
-        prices: list[float] = []
-        for row_no, row in enumerate(reader, start=2):
-            raw = row.get(price_column)
-            if raw is None or raw.strip() == "":
-                raise ValueError(f"{path}: row {row_no}: missing price value")
-            try:
-                p = float(raw)
-            except ValueError:
-                raise ValueError(f"{path}: row {row_no}: non-numeric price {raw!r}") from None
-            if not (math.isfinite(p) and p > 0.0):
-                raise ValueError(f"{path}: row {row_no}: price must be finite and > 0, got {raw!r}")
-            prices.append(p)
+        try:
+            return _dict_rows_series(path, reader, timestamp_column, price_column)
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def _dict_rows_series(path: str, reader: csv.DictReader, timestamp_column: str, price_column: str) -> PriceSeries:
+    if reader.fieldnames is None:
+        raise ValueError(f"{path}: empty file (missing header row)")
+    for col in (timestamp_column, price_column):
+        if col not in reader.fieldnames:
+            raise ValueError(f"{path}: missing column {col!r} (header has {reader.fieldnames})")
+    prices: list[float] = []
+    for row_no, row in enumerate(reader, start=2):
+        raw = row.get(price_column)
+        if raw is None or raw.strip() == "":
+            raise ValueError(f"{path}: row {row_no}: missing price value")
+        try:
+            p = float(raw)
+        except ValueError:
+            raise ValueError(f"{path}: row {row_no}: non-numeric price {raw!r}") from None
+        if not (math.isfinite(p) and p > 0.0):
+            raise ValueError(f"{path}: row {row_no}: price must be finite and > 0, got {raw!r}")
+        prices.append(p)
     if not prices:
         raise ValueError(f"{path}: no data rows")
     return PriceSeries(prices=tuple(prices), source="csv")

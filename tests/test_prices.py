@@ -9,6 +9,7 @@ values.
 import csv
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -57,6 +58,17 @@ CSV_OUTCOMES = {
     "price\n1.0\n": "<path>: missing column 'timestamp' (header has ['price'])",
     "\ntimestamp,price\n1,1.0\n": "<path>: missing column 'timestamp' (header has [])",
     "": "<path>: empty file (missing header row)",
+    # The split pass's guard cases.  csv.reader has read a NUL since Python
+    # 3.11 and refused it before, so that guard sends the file to it.
+    "timestamp,price\n1\0,1.5\n": (1.5,) if sys.version_info >= (3, 11) else "<path>: line 2: line contains NUL",
+    "timestamp,price\n1,1.5\r2,2.5\n": (1.5, 2.5),
+    "timestamp,price\r\n1,1.0\r\n\r\n2,2.0\r\n": (1.0, 2.0),
+    "timestamp,price\n1,1.0\n \n2,2.0\n": "<path>: row 3: missing price value",
+    "timestamp,price\n1,1.0\n2,2.0": (1.0, 2.0),
+    '"timestamp","price"\n1,1.5\n2,2.5\n': (1.5, 2.5),
+    # Split at commas, the quoted row's price column would read 9.5.
+    "timestamp,volume,price\n" + "".join(f"{t},9.5,1.5\n" for t in range(6000)) + '"2024-01-01, 00:00",9.5,2.5\n':
+        (1.5,) * 6000 + (2.5,),
 }
 
 
@@ -433,10 +445,11 @@ class TestCsv:
         f.write_bytes(text.encode())
         assert csv_outcome(load_csv, str(f)) == csv_outcome(load_csv_rows, str(f)) == CSV_OUTCOMES[text]
 
-    @pytest.mark.parametrize("text", list(CSV_OUTCOMES)[3:])
+    @pytest.mark.parametrize("text", list(CSV_OUTCOMES)[3:], ids=lambda text: "quote_after_64KiB" if len(text) > 65536 else None)
     def test_fallback_gives_the_row_reader_result(self, tmp_path, text):
         # Irregular files: the pass that names a bad row, a skipped blank
-        # line, a repeated column, and the header's own errors.
+        # line, a repeated column, the header's own errors, and each guard
+        # that keeps a file from the split pass or lets it through.
         f = tmp_path / "p.csv"
         f.write_text(text)
         assert csv_outcome(load_csv, str(f)) == csv_outcome(load_csv_rows, str(f)) == CSV_OUTCOMES[text]
@@ -458,9 +471,30 @@ class TestCsv:
             assert load_csv(str(f)).prices == outcome
         assert csv_outcome(load_csv, str(f)) == csv_outcome(load_csv_rows, str(f))
 
+    def test_quote_free_body_skips_csv_reader(self, tmp_path, monkeypatch):
+        # Only the header goes through csv.reader.  A guard that tripped by
+        # mistake would send the body there too, with the same prices.
+        f = tmp_path / "p.csv"
+        f.write_text("timestamp,price\n" + "".join(f"{t},{t}.5\n" for t in range(1000)))
+        rows = []
+        reader = csv.reader
+
+        def counting_reader(*args, **kwargs):
+            for row in reader(*args, **kwargs):
+                rows.append(row)
+                yield row
+
+        monkeypatch.setattr(prices.csv, "reader", counting_reader)
+        assert load_csv(str(f)).prices == tuple(t + 0.5 for t in range(1000))
+        assert rows == [["timestamp", "price"]]
+
     def test_unparsable_field_names_its_line(self, tmp_path):
         f = tmp_path / "p.csv"
         f.write_text(f"timestamp,price\n1,{'1' * 200_000}\n")
+        with pytest.raises(ValueError, match=r"p\.csv: line 2: field larger than field limit \(131072\)$"):
+            load_csv(str(f))
+        # A well-formed price does not get the row past an over-long field.
+        f.write_text(f"timestamp,price\n{'1' * 200_000},1.5\n")
         with pytest.raises(ValueError, match=r"p\.csv: line 2: field larger than field limit \(131072\)$"):
             load_csv(str(f))
 

@@ -87,6 +87,21 @@ class TestTailSpread:
         with pytest.raises(ValueError):
             TailSpread(inv_liminf_est=2.0, inv_limsup_est=1.0, tail_fraction=0.5)
 
+    @given(
+        st.lists(
+            st.floats(min_value=5e-324, max_value=1e308) | st.sampled_from([5e-324, 1e-308, 1.0, 1e308]),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_inverse_of_extremes_is_extreme_of_inverses(self, prices):
+        # tail_spread divides only the tail's max and min; 1/p over every
+        # price, the form it replaced, gives the same floats, subnormal
+        # prices (1/p = inf), 1e308 and repeated prices included.
+        spread = tail_spread(series(*prices), tail_fraction=1.0)
+        invs = [1.0 / p for p in prices]
+        assert (spread.inv_liminf_est, spread.inv_limsup_est) == (min(invs), max(invs))
+
 
 class TestLCriterion:
     def test_one_third_fee_on_unit_spread_is_zero(self):
