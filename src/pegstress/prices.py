@@ -31,7 +31,7 @@ import csv
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -353,16 +353,18 @@ def random_walk(spec: WalkSpec, n: int, seed: int) -> PriceSeries:
     return PriceSeries(prices=tuple(prices), source="walk", seed=seed, clamp_count=clamps)
 
 
-def _split_prices(fh: TextIO, col: int) -> list[float] | None:
-    """Field col of each non-blank line left in fh, as floats, or None at
-    the first chunk that csv.reader might read otherwise.
+def _split_prices(fh: TextIO, col: int) -> list[float]:
+    """Field col of each non-blank row left in fh, as floats.
 
     The lines come in ~64 KiB chunks.  In a chunk with no quote, no NUL, no
     carriage return outside a CRLF and no line longer than the csv field
     limit, csv.reader's row is the line split at commas, less its line end
     (which float() strips), and the blank lines it skips are those that
-    hold a line end alone.  A short row raises IndexError, a bad price
-    ValueError.
+    hold a line end alone.  The first chunk that fails a guard, and the rest
+    of the file, go through csv.reader: every chunk before it ended at a
+    line end outside any quote, where csv.reader starts a row.  A short row
+    raises IndexError, a bad price ValueError, a line csv.reader cannot
+    parse csv.Error.
     """
     limit = csv.field_size_limit()
     prices: list[float] = []
@@ -370,7 +372,8 @@ def _split_prices(fh: TextIO, col: int) -> list[float] | None:
         text = "".join(lines)
         if ('"' in text or "\0" in text or text.count("\r") != text.count("\r\n")
                 or (len(text) > limit and max(map(len, lines)) > limit)):
-            return None
+            prices += [float(row[col]) for row in filter(None, csv.reader(chain(lines, fh)))]
+            break
         prices += map(float, [line.split(",")[col] for line in lines if line != "\n" and line != "\r\n"])
     return prices
 
@@ -383,13 +386,12 @@ def load_csv(path: str, timestamp_column: str = "timestamp", price_column: str =
     not parsed, only required to be a column.  A column name given twice
     reads its last column.  A missing, non-numeric or non-positive price is
     rejected with its row number (1-based, the header is row 1, blank lines
-    are not counted), and a file the csv module cannot parse with its line.
+    are not counted), a file the csv module cannot parse with its line, and
+    a file that is not UTF-8 with its path.
 
-    csv.reader reads the header.  A body with nothing to unquote is read by
-    _split_prices; a file it cannot take (a quote, a NUL, a lone carriage
-    return, an over-long line or a bad price anywhere) is read again from
-    the start by csv.reader, and, if that fails too, a third time to name
-    the first bad row or line.  Each pass gives the same prices.
+    csv.reader reads the header and _split_prices the body, once.  Only a
+    file that read fails on is read again, from the start, to name the first
+    bad row or line.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = csv.reader(fh)
@@ -402,16 +404,7 @@ def load_csv(path: str, timestamp_column: str = "timestamp", price_column: str =
                     raise ValueError(f"{path}: missing column {name!r} (header has {header})")
             col = max(idx for idx, name in enumerate(header) if name == price_column)
             try:
-                split = _split_prices(fh, col)
-                if split is not None:
-                    return PriceSeries(prices=tuple(split), source="csv")
-            except (IndexError, ValueError):
-                pass
-            fh.seek(0)
-            rows = csv.reader(fh)
-            next(rows)
-            try:
-                return PriceSeries(prices=tuple([float(row[col]) for row in filter(None, rows)]), source="csv")
+                return PriceSeries(prices=tuple(_split_prices(fh, col)), source="csv")
             except (IndexError, ValueError, csv.Error):
                 pass
             # Read the file again, counting lines from 1, to name the first bad row.
@@ -430,6 +423,8 @@ def load_csv(path: str, timestamp_column: str = "timestamp", price_column: str =
                     raise ValueError(f"{path}: row {row_no}: price must be finite and > 0, got {raw!r}")
         except csv.Error as exc:
             raise ValueError(f"{path}: line {rows.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 ({exc.reason}: {exc.object[exc.start:exc.end].hex(' ')})") from None
     raise ValueError(f"{path}: no data rows")
 
 

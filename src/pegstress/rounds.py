@@ -15,7 +15,10 @@ x_{k} = M x_{k-1} with
     C = (1 - L2^j) / E[p | p <= y1],
     D = L1^i + (1 - L1^i)(1 - L2^j) Y,      Y = E[p | p >= y2] / E[p | p <= y1],
 
-where L1, L2 are the buy/sell haircuts.  M has eigenvalues
+where L1^i, L2^j are the fractions of the backing and of the stablecoins
+kept over a buy and a sell phase: the paper's powers of the haircuts L1, L2
+in round_matrix_from_params, their mean over the phase's trade count in
+build_round_matrix.  M has eigenvalues
 
     a_{1,2} = (A + D +/- R) / 2,    R = sqrt((A - D)^2 + 4 B C),
 
@@ -130,7 +133,13 @@ def round_matrix_from_params(
 def build_round_matrix(dist: NormalSpec, interval: WaitingInterval, params: SpeculatorParams) -> RoundMatrix:
     """Round matrix for an i.i.d. price model and a trader's waiting interval.
 
-    A point-mass dist has no density, so TruncatedNormal rejects it.
+    The haircut powers are those of the trader the engine runs.  It buys at
+    each price above y2 until the first below y1, so a buy phase holds B
+    buys with P(B = b) = qa^(b-1) qb, qa = j / (i + j), qb = i / (i + j), and
+    keeps E[L1^B] = L1 i / (i + j (1 - L1)) of its backing; a sell phase
+    likewise keeps E[L2^S] = L2 j / (j + i (1 - L2)).  At a haircut of 0 the
+    power is 0.0 and at 1 it is 1.0, as for L1^i and L2^j.  A point-mass
+    dist has no density, so TruncatedNormal rejects it.
     """
     tn = TruncatedNormal(dist)
     (tail_sell, sell_mean), = tn.tail([interval.y1], True)
@@ -141,14 +150,9 @@ def build_round_matrix(dist: NormalSpec, interval: WaitingInterval, params: Spec
             "trades on one side, so no round structure exists"
         )
     sell_mean, buy_mean = mean_of(sell_mean), mean_of(buy_mean)
-    return round_matrix_from_params(
-        lambda_buy=params.lambda_buy,
-        lambda_sell=params.lambda_sell,
-        i=1.0 / tail_buy,
-        j=1.0 / tail_sell,
-        y_ratio=buy_mean / sell_mean,
-        sell_mean=sell_mean,
-    )
+    i, j, l1, l2 = 1.0 / tail_buy, 1.0 / tail_sell, params.lambda_buy, params.lambda_sell
+    return RoundMatrix(y_ratio=buy_mean / sell_mean, i=i, j=j, lam1_i=l1 * i / (i + j * (1.0 - l1)),
+                       lam2_j=l2 * j / (j + i * (1.0 - l2)), sell_mean=sell_mean)
 
 
 def discriminant(mat: RoundMatrix) -> float:

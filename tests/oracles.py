@@ -230,13 +230,15 @@ def y_ratio_normal(dist: NormalSpec, y1: float, y2: float) -> float:
 def load_csv_rows(path: str, timestamp_column: str = "timestamp", price_column: str = "price") -> PriceSeries:
     """prices.load_csv by csv.DictReader, one row dict at a time: the same
     prices or the same ValueError message, also where the file does not
-    parse."""
+    parse or is not UTF-8."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         try:
             return _dict_rows_series(path, reader, timestamp_column, price_column)
         except csv.Error as exc:
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 ({exc.reason}: {exc.object[exc.start:exc.end].hex(' ')})") from None
 
 
 def _dict_rows_series(path: str, reader: csv.DictReader, timestamp_column: str, price_column: str) -> PriceSeries:

@@ -350,3 +350,23 @@ def test_09_trend_reproduction(tmp_path, capsys):
         assert all(a >= b for a, b in zip(r_mins, r_mins[1:]))
         assert rows[-1]["depleted"] == "true"  # n0 = R0 drains the reserve
         assert all(r["depleted"] == "false" for r in rows[:-1])
+
+
+@pytest.mark.parametrize("lambda_buy, lambda_sell", [(0.3, 0.3), (0.3, 0.0), (0.0, 0.3), (0.6, 0.6)])
+def test_10_closed_form_with_haircuts_matches_monte_carlo(tmp_path, capsys, lambda_buy, lambda_sell):
+    with checklist(f"10 closed form within 2% of a 10,000-trial Monte Carlo at haircuts {lambda_buy}/{lambda_sell}"):
+        speculator = {"delta": 0.1, "lambda_buy": lambda_buy, "lambda_sell": lambda_sell}
+        cfg = write_config(tmp_path, dict(REFERENCE_CONFIG, speculator=speculator))
+        assert main(["analyze", "--config", cfg]) == 0
+        closed_form = float(parse_console(capsys.readouterr().out)["depletion_timesteps"])
+        summary = monte_carlo(
+            SimConfig(
+                source=NormalSpec(100.0, 100.0),
+                speculator=SpeculatorParams(**speculator),
+                reserves0=100.0,
+                n0=1.0,
+            ),
+            trials=10_000,
+        )
+        assert summary.fraction_depleted == 1.0
+        assert abs(closed_form / summary.mean_depletion_steps - 1.0) <= 0.02

@@ -43,8 +43,18 @@ from oracles import ScalarTruncatedNormal, load_csv_rows, pdf
 STD = NormalSpec(mu=0.0, sigma2=1.0, support_lo=-40.0, support_hi=40.0)
 EX1 = NormalSpec(mu=100.0, sigma2=100.0)
 
-# Texts and what the row-by-row csv.DictReader loader gave for each: the
-# prices, or the message with the file's path as <path>.
+# Files past the first 64 KiB chunk, by name: 6000 quote-free rows, then
+# the row that matters.
+_CLEAN_ROWS = "timestamp,volume,price\n" + "".join(f"{t},9.5,1.5\n" for t in range(6000))
+LONG_CSV = {
+    "quote_after_64KiB": _CLEAN_ROWS + '"2024-01-01, 00:00",9.5,2.5\n',
+    "bad_row_after_64KiB": _CLEAN_ROWS + "6000,9.5,-1\n",
+    "bad_row_after_quote": _CLEAN_ROWS + '"2024-01-01, 00:00",9.5,2.5\n6001,9.5,x\n',
+    "not_utf8_after_64KiB": _CLEAN_ROWS.encode() + b"6000,9.5,\xff\n",
+}
+
+# Texts (or bytes) and what the row-by-row csv.DictReader loader gave for
+# each: the prices, or the message with the file's path as <path>.
 CSV_OUTCOMES = {
     "open,price,volume,timestamp\n7,1.5,x,1\n8,2.25,y,2,extra\n": (1.5, 2.25),
     'timestamp,price\n"2024-01-01, 00:00","101.5"\n"2024-01-02",\t 99\n': (101.5, 99.0),
@@ -67,9 +77,16 @@ CSV_OUTCOMES = {
     "timestamp,price\n1,1.0\n2,2.0": (1.0, 2.0),
     '"timestamp","price"\n1,1.5\n2,2.5\n': (1.5, 2.5),
     # Split at commas, the quoted row's price column would read 9.5.
-    "timestamp,volume,price\n" + "".join(f"{t},9.5,1.5\n" for t in range(6000)) + '"2024-01-01, 00:00",9.5,2.5\n':
-        (1.5,) * 6000 + (2.5,),
+    LONG_CSV["quote_after_64KiB"]: (1.5,) * 6000 + (2.5,),
+    LONG_CSV["bad_row_after_64KiB"]: "<path>: row 6002: price must be finite and > 0, got '-1'",
+    LONG_CSV["bad_row_after_quote"]: "<path>: row 6003: non-numeric price 'x'",
+    # Not UTF-8, in the header, in a row, and past the first 64 KiB.
+    b"time\xe9stamp,price\n1,1.0\n": "<path>: not UTF-8 (invalid continuation byte: e9)",
+    b"timestamp,price\n1,1.0\n2,\xff\n": "<path>: not UTF-8 (invalid start byte: ff)",
+    LONG_CSV["not_utf8_after_64KiB"]: "<path>: not UTF-8 (invalid start byte: ff)",
 }
+CSV_IDS = {text: name for name, text in LONG_CSV.items()}
+CSV_IDS.update({b"time\xe9stamp,price\n1,1.0\n": "not_utf8_header", b"timestamp,price\n1,1.0\n2,\xff\n": "not_utf8"})
 
 
 def csv_outcome(load, path):
@@ -401,6 +418,21 @@ class TestBlockLayout:
         assert MAX_BLOCK == 8 * BLOCK
 
 
+@pytest.fixture
+def csv_reader_rows(monkeypatch):
+    """The rows that csv.reader yields while the test runs, in order."""
+    rows = []
+    reader = csv.reader
+
+    def counting_reader(*args, **kwargs):
+        for row in reader(*args, **kwargs):
+            rows.append(row)
+            yield row
+
+    monkeypatch.setattr(prices.csv, "reader", counting_reader)
+    return rows
+
+
 class TestCsv:
     def test_loads_in_order(self, tmp_path):
         f = tmp_path / "p.csv"
@@ -445,13 +477,14 @@ class TestCsv:
         f.write_bytes(text.encode())
         assert csv_outcome(load_csv, str(f)) == csv_outcome(load_csv_rows, str(f)) == CSV_OUTCOMES[text]
 
-    @pytest.mark.parametrize("text", list(CSV_OUTCOMES)[3:], ids=lambda text: "quote_after_64KiB" if len(text) > 65536 else None)
+    @pytest.mark.parametrize("text", list(CSV_OUTCOMES)[3:], ids=CSV_IDS.get)
     def test_fallback_gives_the_row_reader_result(self, tmp_path, text):
         # Irregular files: the pass that names a bad row, a skipped blank
-        # line, a repeated column, the header's own errors, and each guard
-        # that keeps a file from the split pass or lets it through.
+        # line, a repeated column, the header's own errors, each guard that
+        # keeps a chunk from the split pass or lets it through, and bytes
+        # that are not UTF-8.
         f = tmp_path / "p.csv"
-        f.write_text(text)
+        f.write_bytes(text if isinstance(text, bytes) else text.encode())
         assert csv_outcome(load_csv, str(f)) == csv_outcome(load_csv_rows, str(f)) == CSV_OUTCOMES[text]
 
     @pytest.mark.parametrize(
@@ -471,22 +504,48 @@ class TestCsv:
             assert load_csv(str(f)).prices == outcome
         assert csv_outcome(load_csv, str(f)) == csv_outcome(load_csv_rows, str(f))
 
-    def test_quote_free_body_skips_csv_reader(self, tmp_path, monkeypatch):
+    def test_quote_free_body_skips_csv_reader(self, tmp_path, csv_reader_rows):
         # Only the header goes through csv.reader.  A guard that tripped by
         # mistake would send the body there too, with the same prices.
         f = tmp_path / "p.csv"
         f.write_text("timestamp,price\n" + "".join(f"{t},{t}.5\n" for t in range(1000)))
-        rows = []
-        reader = csv.reader
-
-        def counting_reader(*args, **kwargs):
-            for row in reader(*args, **kwargs):
-                rows.append(row)
-                yield row
-
-        monkeypatch.setattr(prices.csv, "reader", counting_reader)
         assert load_csv(str(f)).prices == tuple(t + 0.5 for t in range(1000))
-        assert rows == [["timestamp", "price"]]
+        assert csv_reader_rows == [["timestamp", "price"]]
+
+    def test_quote_past_64KiB_sends_only_its_chunk_on_to_csv_reader(self, tmp_path, csv_reader_rows):
+        body = [f"{t},{t}.5\n" for t in range(10_000)]
+        body[8000] = '"8000",8000.5\n'
+        f = tmp_path / "p.csv"
+        f.write_text("timestamp,price\n" + "".join(body))
+        # The first line of the ~64 KiB chunk that holds the quote.
+        lines, start = io.StringIO("".join(body)), 0
+        while start + len(chunk := lines.readlines(65536)) <= 8000:
+            start += len(chunk)
+        assert 0 < start <= 8000
+        assert load_csv(str(f)).prices == tuple(t + 0.5 for t in range(10_000))
+        assert csv_reader_rows == [["timestamp", "price"]] + [[str(t), f"{t}.5"] for t in range(start, 10_000)]
+
+    @pytest.mark.parametrize(
+        "text, seeks",
+        [("timestamp,price\n1,1.5\n2,2.5\n", 0), (LONG_CSV["quote_after_64KiB"], 0),
+         (LONG_CSV["bad_row_after_64KiB"], 1), (LONG_CSV["bad_row_after_quote"], 1),
+         (LONG_CSV["not_utf8_after_64KiB"], 1)],
+        ids=["clean", "quote_after_64KiB", "bad_row_after_64KiB", "bad_row_after_quote", "not_utf8_after_64KiB"],
+    )
+    def test_only_a_failed_read_seeks_once(self, tmp_path, monkeypatch, text, seeks):
+        calls = []
+
+        class SeekCountingFile(io.TextIOWrapper):
+            def seek(self, *args):
+                calls.append(args)
+                return super().seek(*args)
+
+        monkeypatch.setattr(prices, "open", lambda path, **kw: SeekCountingFile(io.open(path, "rb"), **kw),
+                            raising=False)
+        f = tmp_path / "p.csv"
+        f.write_bytes(text if isinstance(text, bytes) else text.encode())
+        assert csv_outcome(load_csv, str(f)) == csv_outcome(load_csv_rows, str(f))
+        assert calls == [(0,)] * seeks
 
     def test_unparsable_field_names_its_line(self, tmp_path):
         f = tmp_path / "p.csv"
@@ -504,19 +563,25 @@ CSV_CELLS = st.sampled_from(["", " ", "nan", "inf", "-3", "0", "abc", "1.5", " 2
 
 @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
-    header=st.none() | st.lists(st.sampled_from(["timestamp", "price", "open", ""]), max_size=5),
+    header=st.none() | st.lists(st.sampled_from(["timestamp", "price", "open", ""]), max_size=5)
+    | st.permutations(["timestamp", "price", "open"]),
     rows=st.lists(st.none() | st.lists(CSV_CELLS, max_size=6), max_size=8),
     quoting=st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]),
     newline=st.sampled_from(["\n", "\r\n"]),
+    long=st.booleans(),
 )
-def test_load_csv_matches_dictreader_oracle(tmp_path, header, rows, quoting, newline):
+@example(header=["timestamp", "price"], rows=[["2", "1.5"]], quoting=csv.QUOTE_ALL, newline="\n", long=True)
+@example(header=["timestamp", "price"], rows=[['"t"', "1.5"]], quoting=csv.QUOTE_MINIMAL, newline="\r\n", long=True)
+def test_load_csv_matches_dictreader_oracle(tmp_path, header, rows, quoting, newline, long):
     # Missing, repeated and reordered columns, blank lines (None), short
     # and long rows, quoted fields and both line ends: load_csv gives the
-    # DictReader reference's prices or its message.
+    # DictReader reference's prices or its message.  A long file puts 72 KB
+    # of valid rows first, so the drawn rows fall past the first 64 KiB chunk.
     text = io.StringIO()
     if header is not None:
         writer = csv.writer(text, quoting=quoting, lineterminator=newline)
-        for row in [header, *rows]:
+        prefix = [["1.000000000000000"] * max(len(header), 1)] * (4000 if long else 0)
+        for row in [header, *prefix, *rows]:
             if row is None:
                 text.write(newline)
             else:

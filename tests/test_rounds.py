@@ -212,7 +212,8 @@ class TestRoundMatrixConstruction:
 
     def test_pinned_round_matrices_with_haircuts(self):
         # repr of build_round_matrix over haircut pairs on normal sources, in
-        # order.  Recorded while RoundMatrix stored its entries as fields.
+        # order, with the haircut powers averaged over each phase's trade
+        # count (the trader the engine runs), not the paper's lambda**i.
         digest = hashlib.sha256()
         for sigma2 in (60.0, 100.0, 400.0):
             for delta in (0.05, 0.1, 0.2):
@@ -221,7 +222,7 @@ class TestRoundMatrixConstruction:
                 for lb in (0.0, 0.001, 0.3, 0.6, 0.9):
                     for ls in (0.0, 0.001, 0.3, 0.6, 0.9):
                         digest.update(repr(build_round_matrix(dist, wi, SpeculatorParams(delta, lb, ls))).encode())
-        assert digest.hexdigest() == "cbe6fbde24dcd61ab4ebdd926418b77ac721c3c6f39f72e97c91376661f7dd4a"
+        assert digest.hexdigest() == "1829bf9724f9867127a806d53050dc52d86ab199f1e8b33792aa7531e38feb28"
 
     def test_replace_recomputes_entries(self):
         kwargs = dict(lambda_buy=0.3, lambda_sell=0.3, i=5.0, j=3.0, y_ratio=1.4, sell_mean=2.0)
