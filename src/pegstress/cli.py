@@ -24,8 +24,8 @@ from typing import NamedTuple
 from .engine import AdaptiveSpec, SimConfig, SimResult, monte_carlo, sweep, sweep_configs
 from .prices import NormalSpec, PriceSeries, WalkSpec, load_csv, step_stats
 from .rounds import (
-    build_round_matrix, discriminant, divergence_check, eigen, expected_depletion_rounds,
-    round_matrix_from_params, rounds_to_timesteps,
+    build_round_matrix, critical_fee, discriminant, divergence_check, eigen, expected_depletion_rounds,
+    round_matrix_from_params, rounds_to_timesteps, with_fees,
 )
 from .speculator import NoTradeInterval, SpeculatorParams, waiting_interval
 from .theory import L_criterion, converging_spread_series, min_fee, stability_label, tail_spread
@@ -347,11 +347,6 @@ def cmd_analyze(cfg: dict, args) -> None:
     sim = cfg["sim"]
     if sim.mode == "adaptive":
         raise ConfigError("analyze models the fixed-band trader: 'mode' adaptive needs simulate")
-    if sim.eps_alpha or sim.eps_beta:
-        raise ConfigError(
-            "analyze: the closed form is fee-free and cannot model non-zero 'fees'; "
-            "use simulate for a fee schedule"
-        )
     report: dict = {}
 
     mat = cfg.get("matrix")
@@ -374,8 +369,11 @@ def cmd_analyze(cfg: dict, args) -> None:
         mat = build_round_matrix(source, interval, params)
         report.update(vars(interval))
 
-    sys_ = eigen(mat, (sim.m0, sim.n0))
-    diverges = divergence_check(mat, (sim.m0, sim.n0))
+    x0 = (sim.m0, sim.n0)
+    fee = critical_fee(mat, x0)
+    mat = with_fees(mat, sim.eps_alpha, sim.eps_beta)
+    sys_ = eigen(mat, x0)
+    diverges = divergence_check(mat, x0)
     k = expected_depletion_rounds(sys_, sim.reserves0, sim.n0)
     report.update(
         i=mat.i,
@@ -393,6 +391,7 @@ def cmd_analyze(cfg: dict, args) -> None:
         c2_m=sys_.c2[0],
         c2_n=sys_.c2[1],
         diverges=diverges,
+        critical_fee=fee,
     )
     if math.isinf(k):
         report["outcome"] = "never depletes"

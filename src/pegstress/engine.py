@@ -22,13 +22,14 @@ Monte Carlo trials are independent: trial seeds derive from
 (master_seed, trial index), so aggregation order cannot change any result.
 Every trial draws from one generator set to its seed's PCG64 state
 (prices.seeded_generators): what default_rng(seed), which a lone run builds,
-would draw, without a generator per trial.  monte_carlo deals the trials in
-chunks of SEED_CHUNK to this process and to one forked child per other CPU
-in its affinity mask (parallel.run_chunks), and folds each trial into
-running sums in trial order, so the sums are the same floats however many
-processes ran.  It keeps no per-trial record; a caller that wants the
-records (the CLI's --out) passes a sink, which runs in the calling process
-and sees each SimResult once, in trial order, as its chunk comes in.
+would draw, without a generator per trial.  monte_carlo cuts every run
+into chunks of SEED_CHUNK trials, each seeded in one bulk pass, and deals
+them to this process and to one forked child per other CPU in its affinity
+mask (parallel.run_chunks).  It folds each trial into running sums in trial
+order, so the sums are the same floats however many processes ran.  It
+keeps no per-trial record; a caller that wants the records (the CLI's
+--out) passes a sink, which runs in the calling process and sees each
+SimResult once, in trial order, as its chunk comes in.
 
 numpy is imported inside the functions that scan price blocks (RollingBand,
 _running_sums, run), not at module level: importing this module, and with
@@ -45,7 +46,7 @@ from typing import TYPE_CHECKING
 
 from .mechanism import apply_trade, check_schedule
 from .prices import (
-    BLOCK, SEED_CHUNK, NormalSpec, PriceSeries, WalkSpec, derive_seed, price_blocks, seeded_generators,
+    BLOCK, NormalSpec, PriceSeries, WalkSpec, derive_seed, price_blocks, seeded_generators,
 )
 from .speculator import NoTradeInterval, SpeculatorParams, waiting_interval
 
@@ -69,6 +70,7 @@ __all__ = [
 
 SWEEP_AXES = ("sigma2", "delta", "lambda", "sigma_step", "n0", "eps", "reserves0")
 MODES = ("auto", "analytic", "adaptive")
+SEED_CHUNK = 512  # trials per chunk of a Monte Carlo run, seeded in one pcg64_states call
 
 
 def _check_count(name: str, value, least: int) -> None:
@@ -422,7 +424,7 @@ def run(
 def _trials(config: SimConfig, interval: tuple[float, float] | None, start: int, stop: int) -> Iterator[SimResult]:
     """Trials start..stop-1 of config, in order.  A series draws nothing, so
     its trials run without a generator."""
-    seeds = (derive_seed(config.master_seed, idx) for idx in range(start, stop))
+    seeds = [derive_seed(config.master_seed, idx) for idx in range(start, stop)]
     if isinstance(config.source, PriceSeries):
         for seed in seeds:
             yield run(config, seed=seed, interval=interval)
@@ -437,10 +439,11 @@ def monte_carlo(config: SimConfig, trials: int, sink: Callable | None = None) ->
     Trial seeds are derive_seed(master_seed, index), and each trial draws
     from one generator set to its seed's PCG64 state (seeded_generators); a
     series draws nothing and gets none.  The waiting interval for analytic
-    mode is computed once and shared read-only.  Two or more chunks of
-    SEED_CHUNK trials run on the CPUs in the process's affinity mask
-    (parallel.run_chunks): in this process and in forked children, which
-    send their results back.  sink, if given, is called as sink(index,
+    mode is computed once and shared read-only.  The trials go in chunks
+    of SEED_CHUNK to parallel.run_chunks, which runs them on the CPUs in the
+    process's affinity mask: in this process and in forked children, which
+    send their results back, or all in this process for a run of one chunk
+    or on one CPU.  sink, if given, is called as sink(index,
     result) in this process, once per trial, in trial order, as each
     trial's chunk comes in; nothing else keeps the result.  The summary,
     and what the sink sees, are the same however many processes ran the
@@ -457,11 +460,8 @@ def monte_carlo(config: SimConfig, trials: int, sink: Callable | None = None) ->
     r_min_sum = 0.0
     r_min_min = math.inf
     r_min_max = -math.inf
-    if trials <= SEED_CHUNK:
-        results = _trials(config, interval, 0, trials)
-    else:  # parallel is imported, and compiled, only for a run it can split
-        from .parallel import run_chunks
-        results = run_chunks(lambda start, stop: _trials(config, interval, start, stop), trials, SEED_CHUNK)
+    from .parallel import run_chunks  # here, so importing the package compiles none of it
+    results = run_chunks(lambda start, stop: _trials(config, interval, start, stop), trials, SEED_CHUNK)
     try:
         for idx, res in enumerate(results):
             if res.depleted:

@@ -12,9 +12,10 @@ The children are os.fork'ed, not fresh interpreters: a child starts with
 the job and its inputs (and any wrapper installed on the job's names) in
 place, with no pickling of the job and no import of the package.  A fork
 is unsafe while another Python thread runs, as that thread could hold a
-lock the child needs, so then every chunk runs in this process.  The
-engine imports this module only for a Monte Carlo run of two or more
-chunks, so importing the package compiles none of it.
+lock the child needs, so then every chunk runs in this process.  With one
+worker (one chunk or one CPU) the same loop runs every chunk here and forks
+nothing.  The engine imports this module inside monte_carlo, so importing
+the package, or a closed-form run, compiles none of it.
 """
 
 from __future__ import annotations
@@ -32,9 +33,10 @@ __all__ = ["run_chunks"]
 
 def _workers(chunks: int) -> int:
     """Processes to deal chunks to: this one, plus a child per other CPU in
-    its affinity mask.  1 (all in process) for a single chunk or CPU, where
-    os.fork or the mask is missing, or while another Python thread runs."""
-    if chunks < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+    its affinity mask, and no more than there are chunks.  1 (all in
+    process) where os.fork or the mask is missing, or while another Python
+    thread runs."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
         return 1
     return min(len(os.sched_getaffinity(0)), chunks)
 
@@ -83,9 +85,6 @@ def run_chunks(job: Callable[[int, int], Iterable], total: int, size: int) -> It
     """
     chunks = [(start, min(start + size, total)) for start in range(0, total, size)]
     workers = _workers(len(chunks))
-    if workers == 1:
-        yield from job(0, total)
-        return
     children: list[tuple[int, BinaryIO]] = []
     try:
         for w in range(1, workers):

@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -454,10 +454,6 @@ def derive_seed(master_seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & mask
 
 
-SEED_CHUNK = 512  # seeds per pcg64_states call in seeded_generators
-# The array pass costs ~150 numpy calls whatever the batch (~0.3 ms), so a
-# batch smaller than this takes numpy's own PCG64(seed) (~25 us a seed).
-_ARRAY_BATCH = 16
 # numpy's SeedSequence hash works in 32-bit words; PCG64 steps a 128-bit LCG.
 _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
@@ -468,11 +464,12 @@ def pcg64_states(seeds: list[int]) -> list[dict]:
     """The (state, inc) pair np.random.PCG64(seed) starts in, per seed, as
     PCG64's ``state["state"]`` dict.
 
-    A batch of _ARRAY_BATCH or more seeds in [0, 2**64) (derive_seed's
-    range) runs numpy's SeedSequence hash as uint32 array arithmetic, ~2 us
-    a seed at 512 seeds.  Any other batch takes numpy's states, or its error."""
+    A batch of seeds in [0, 2**64) (derive_seed's range) runs numpy's
+    SeedSequence hash as uint32 array arithmetic: ~150 numpy calls whatever
+    its size, ~0.1 ms for one seed and ~2 us a seed at 512.  A batch with a
+    seed outside that range takes numpy's states, or its error."""
     import numpy as np
-    if len(seeds) < _ARRAY_BATCH or not all(type(s) is int and 0 <= s <= 2**64 - 1 for s in seeds):
+    if not all(type(s) is int and 0 <= s <= 2**64 - 1 for s in seeds):
         return [np.random.PCG64(s).state["state"] for s in seeds]
     seeds = np.array(seeds, dtype=np.uint64)
     const = 0x43B0D7E5
@@ -505,13 +502,13 @@ def pcg64_states(seeds: list[int]) -> list[dict]:
     return pairs
 
 
-def seeded_generators(seeds: Iterable[int]) -> Iterator[tuple[int, np.random.Generator]]:
-    """(seed, generator) per seed: one Generator set to each seed's state in turn."""
+def seeded_generators(seeds: list[int]) -> Iterator[tuple[int, np.random.Generator]]:
+    """(seed, generator) per seed: one Generator set to each seed's state in
+    turn.  The states come from one pcg64_states call, so a caller passes a
+    chunk of seeds (the engine's is at most 512), not a whole run's."""
     import numpy as np
     rng = np.random.Generator(np.random.PCG64())
-    seeds = iter(seeds)
-    while chunk := list(islice(seeds, SEED_CHUNK)):
-        for seed, pair in zip(chunk, pcg64_states(chunk)):
-            rng.bit_generator.state = {"bit_generator": "PCG64", "state": pair, "has_uint32": 0, "uinteger": 0}
-            yield seed, rng
+    for seed, pair in zip(seeds, pcg64_states(seeds)):
+        rng.bit_generator.state = {"bit_generator": "PCG64", "state": pair, "has_uint32": 0, "uinteger": 0}
+        yield seed, rng
 

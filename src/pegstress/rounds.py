@@ -18,7 +18,8 @@ x_{k} = M x_{k-1} with
 where L1^i, L2^j are the fractions of the backing and of the stablecoins
 kept over a buy and a sell phase: the paper's powers of the haircuts L1, L2
 in round_matrix_from_params, their mean over the phase's trade count in
-build_round_matrix.  M has eigenvalues
+build_round_matrix.  Fees (with_fees) scale B by 1 / (1 + eps_alpha), C by
+1 - eps_beta and Y by f = (1 - eps_beta) / (1 + eps_alpha).  M has eigenvalues
 
     a_{1,2} = (A + D +/- R) / 2,    R = sqrt((A - D)^2 + 4 B C),
 
@@ -36,8 +37,9 @@ power's overflow or underflow, or by rounding on the subnormal grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
+from .mechanism import check_schedule
 from .prices import NormalSpec, TruncatedNormal, mean_of
 from .speculator import SpeculatorParams, WaitingInterval
 
@@ -46,6 +48,8 @@ __all__ = [
     "EigenSystem",
     "build_round_matrix",
     "round_matrix_from_params",
+    "with_fees",
+    "critical_fee",
     "discriminant",
     "eigen",
     "expected_depletion_rounds",
@@ -153,6 +157,31 @@ def build_round_matrix(dist: NormalSpec, interval: WaitingInterval, params: Spec
     i, j, l1, l2 = 1.0 / tail_buy, 1.0 / tail_sell, params.lambda_buy, params.lambda_sell
     return RoundMatrix(y_ratio=buy_mean / sell_mean, i=i, j=j, lam1_i=l1 * i / (i + j * (1.0 - l1)),
                        lam2_j=l2 * j / (j + i * (1.0 - l2)), sell_mean=sell_mean)
+
+
+def with_fees(mat: RoundMatrix, eps_alpha: float, eps_beta: float) -> RoundMatrix:
+    """mat for a trader who pays a mint fee eps_alpha and a redeem fee eps_beta.
+
+    A mint gives p / (1 + eps_alpha) stablecoins per backing coin and a
+    redemption pays (1 - eps_beta) / p, so B scales by 1 / (1 + eps_alpha),
+    C by 1 - eps_beta and Y by f = (1 - eps_beta) / (1 + eps_alpha): the
+    matrix of y_ratio * f and sell_mean / (1 - eps_beta).  At zero fees it
+    equals mat.
+    """
+    check_schedule(0.0, eps_alpha, eps_beta)  # the fees' rules; a matrix has no reserves
+    f = (1.0 - eps_beta) / (1.0 + eps_alpha)
+    return replace(mat, y_ratio=mat.y_ratio * f, sell_mean=mat.sell_mean / (1.0 - eps_beta))
+
+
+def critical_fee(mat: RoundMatrix, x0: tuple[float, float]) -> float:
+    """The symmetric fee eps = eps_alpha = eps_beta at which the fee-free mat
+    stops diverging from x0: with_fees scales Y by (1 - eps) / (1 + eps),
+    which is 1 / Y at eps = (Y - 1) / (Y + 1).  0.0 when mat does not
+    diverge at zero fees (divergence_check).
+    """
+    if not divergence_check(mat, x0):
+        return 0.0
+    return (mat.y_ratio - 1.0) / (mat.y_ratio + 1.0)
 
 
 def discriminant(mat: RoundMatrix) -> float:

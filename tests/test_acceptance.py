@@ -7,6 +7,7 @@ the shipped tolerances and sample sizes.
 """
 
 import dataclasses
+import itertools
 import json
 import time
 from contextlib import contextmanager
@@ -23,6 +24,7 @@ from pegstress.prices import (
     PriceSeries,
     WalkSpec,
     cdf,
+    iid_blocks,
     random_walk,
 )
 from pegstress.rounds import (
@@ -38,6 +40,7 @@ from pegstress.theory import (
     greedy_threshold_profit,
     min_fee,
     run_omniscient,
+    tail_spread,
 )
 
 from oracles import expected_portfolio, optimal_profit_bruteforce, pdf, y_ratio_normal
@@ -370,3 +373,61 @@ def test_10_closed_form_with_haircuts_matches_monte_carlo(tmp_path, capsys, lamb
         )
         assert summary.fraction_depleted == 1.0
         assert abs(closed_form / summary.mean_depletion_steps - 1.0) <= 0.02
+
+
+@pytest.mark.parametrize("eps_alpha, eps_beta", [(0.05, 0.0), (0.0, 0.05), (0.05, 0.05), (0.1, 0.1)])
+def test_11_closed_form_with_fees_matches_monte_carlo(tmp_path, capsys, eps_alpha, eps_beta):
+    with checklist(f"11 closed form within 2% of a 10,000-trial Monte Carlo at fees {eps_alpha}/{eps_beta}"):
+        fees = {"eps_alpha": eps_alpha, "eps_beta": eps_beta}
+        cfg = write_config(tmp_path, dict(REFERENCE_CONFIG, fees=fees))
+        assert main(["analyze", "--config", cfg]) == 0
+        closed_form = float(parse_console(capsys.readouterr().out)["depletion_timesteps"])
+        summary = monte_carlo(
+            SimConfig(
+                source=NormalSpec(100.0, 100.0),
+                speculator=SpeculatorParams(delta=0.1),
+                reserves0=100.0,
+                n0=1.0,
+                **fees,
+            ),
+            trials=10_000,
+        )
+        assert summary.fraction_depleted == 1.0
+        assert abs(closed_form / summary.mean_depletion_steps - 1.0) <= 0.02
+
+
+@pytest.mark.parametrize("sigma2", [25.0, 100.0, 225.0])
+def test_11_critical_fee_brackets_depletion(tmp_path, capsys, sigma2):
+    # sigma / mu stays <= 1/6, where the support's clipping (at 100 - 6 sigma)
+    # leaves the trader's tails as the closed form has them.
+    with checklist(f"11 critical fee brackets simulated depletion at sigma2 {sigma2}"):
+        source = {"kind": "normal", "mu": 100.0, "sigma2": sigma2}
+        assert main(["analyze", "--config", write_config(tmp_path, dict(REFERENCE_CONFIG, source=source))]) == 0
+        report = parse_console(capsys.readouterr().out)
+        assert report["diverges"] == "true"
+        eps = float(report["critical_fee"])
+        assert 0.0 < eps < 1.0
+        trials, horizon = 200, 100_000
+        depleted = []
+        for scale in (0.9, 1.1):
+            config = SimConfig(
+                source=NormalSpec(100.0, sigma2),
+                speculator=SpeculatorParams(delta=0.1),
+                reserves0=100.0,
+                n0=1.0,
+                eps_alpha=scale * eps,
+                eps_beta=scale * eps,
+                max_steps=horizon,
+                master_seed=7,
+            )
+            depleted.append(monte_carlo(config, trials).depleted_count)
+        assert depleted[0] == trials
+        assert depleted[1] <= trials // 100
+
+        # The omniscient trader, on a long sample of the same law, is
+        # stopped only by a fee at least as high as this trader's.
+        prices = np.concatenate([block for block, _ in itertools.islice(
+            iid_blocks(NormalSpec(100.0, sigma2), np.random.default_rng(7)), 30)])
+        assert len(prices) > 100_000
+        series = PriceSeries(prices=tuple(prices.tolist()), source="normal draws")
+        assert min_fee(tail_spread(series)) >= eps

@@ -111,12 +111,30 @@ class TestAnalyze:
         assert main(["analyze", "--config", cfg]) == 1
         assert "distribution" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fees", [{"eps_alpha": 0.05}, {"eps_beta": 0.01}])
-    def test_nonzero_fees_rejected(self, tmp_path, capsys, fees):
-        cfg = write_config(tmp_path, "fees.json", dict(EX1_CONFIG, fees=fees))
-        assert main(["analyze", "--config", cfg]) == 1
-        err = capsys.readouterr().err
-        assert "fee-free" in err and "simulate" in err
+    @pytest.mark.parametrize(
+        "payload",
+        [EX1_CONFIG, {"matrix": {"lambda_buy": 0.3, "lambda_sell": 0.3, "i": 5.0, "j": 3.0, "y_ratio": 1.4},
+                      "reserves0": 100.0, "n0": 1.0}],
+        ids=["normal", "matrix"],
+    )
+    @pytest.mark.parametrize("fees", [{"eps_alpha": 0.05}, {"eps_beta": 0.01}, {"eps_alpha": 0.1, "eps_beta": 0.1}])
+    def test_nonzero_fees_honoured(self, tmp_path, capsys, payload, fees):
+        # The report is that of the fee-adjusted matrix; critical_fee is the
+        # fee-free matrix's, so the fees leave it as it was.
+        cfg = write_config(tmp_path, "free.json", payload)
+        assert main(["analyze", "--config", cfg]) == 0
+        free = parse_console(capsys.readouterr().out)
+        cfg = write_config(tmp_path, "fees.json", dict(payload, fees=fees))
+        assert main(["analyze", "--config", cfg]) == 0
+        report = parse_console(capsys.readouterr().out)
+        f = (1.0 - fees.get("eps_beta", 0.0)) / (1.0 + fees.get("eps_alpha", 0.0))
+        assert float(report["y_ratio"]) == float(free["y_ratio"]) * f
+        assert float(report["critical_fee"]) == float(free["critical_fee"]) > 0.0
+        assert float(report["depletion_timesteps"]) > float(free["depletion_timesteps"])
+        fee = float(free["critical_fee"])
+        above = {"eps_alpha": 1.01 * fee, "eps_beta": 1.01 * fee}
+        assert main(["analyze", "--config", write_config(tmp_path, "above.json", dict(payload, fees=above))]) == 0
+        assert parse_console(capsys.readouterr().out)["diverges"] == "false"
 
     def test_zero_fees_accepted(self, tmp_path, capsys):
         fees = {"eps_alpha": 0.0, "eps_beta": 0.0}
@@ -932,16 +950,18 @@ class TestConfigSchema:
 
 
 # --out of the closed-form and series subcommands, recorded before numpy left
-# their import path; they must keep these bytes.
+# their import path; they must keep these bytes.  The two analyze reports
+# that reach the round matrix were re-pinned when critical_fee joined them:
+# the new bytes are the old ones with that one column added.
 @pytest.mark.parametrize(
     "command, payload, digest",
     [
-        ("analyze", EX1_CONFIG, "cdede932db94ca0d6e0032c98ecc5b0b0a1823012e0d7c7e0f0b2392104d6dda"),
+        ("analyze", EX1_CONFIG, "ee564f6801b08bb0b692cab3a38e7af686b78015f26e69cf9a47ba012f519358"),
         (
             "analyze",
             {"matrix": {"lambda_buy": 0.3, "lambda_sell": 0.3, "i": 5.0, "j": 3.0, "y_ratio": 1.4},
              "reserves0": 100.0, "n0": 1.0},
-            "ff3c972e53a60f42ce42844c8def26dcef617f552b4b02eaf29bf141eba9ce55",
+            "1178d277e5c38d2f8e3fb5c656ad6042a8c70f709b71be60b65dbf93095dd32c",
         ),
         ("analyze", dict(EX1_CONFIG, speculator={}), "a04ab1071d425e4f65d85d337fb557c0d5b573913e3a3e7ca408148d104a1cd6"),
         (
@@ -969,21 +989,28 @@ def test_report_out_is_pinned(tmp_path, capsys, command, payload, digest):
 COLD_START = """
 import json, sys
 loaded = {}
+
+def seen():
+    return [name for name in ("numpy", "pegstress.parallel") if name in sys.modules]
+
 import pegstress
-loaded["import pegstress"] = "numpy" in sys.modules
+loaded["import pegstress"] = seen()
 from pegstress import cli
-loaded["import pegstress.cli"] = "numpy" in sys.modules
+loaded["import pegstress.cli"] = seen()
 for argv in (["analyze", "--config", "reference.json"], ["analyze", "--config", "matrix.json"],
              ["theory", "--config", "theory.json"], ["simulate", "--config", "reference.json", "--trials", "2"]):
     assert cli.main(argv) == 0, argv
-    loaded[" ".join(argv[:3])] = "numpy" in sys.modules
+    loaded[" ".join(argv[:3])] = seen()
 print(json.dumps(loaded))
 """
 
 
 def test_closed_form_runs_without_numpy(tmp_path):
     # A fresh interpreter: analyze and theory run on the standard library
-    # alone; numpy loads with the first block of prices simulate draws.
+    # alone; numpy loads with the first block of prices simulate draws.  A
+    # process compiles each module it imports (no bytecode is written where
+    # PYTHONDONTWRITEBYTECODE is set), so pegstress.parallel, which only
+    # monte_carlo imports, must not load before a simulate.
     write_config(tmp_path, "reference.json", EX1_CONFIG)
     write_config(tmp_path, "matrix.json", {"matrix": MATRIX, "reserves0": 100.0, "n0": 1.0})
     write_config(tmp_path, "theory.json", {"source": LITERAL, "fees": {"eps_alpha": 0.04, "eps_beta": 0.04}})
@@ -994,10 +1021,10 @@ def test_closed_form_runs_without_numpy(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1]) == {
-        "import pegstress": False,
-        "import pegstress.cli": False,
-        "analyze --config reference.json": False,
-        "analyze --config matrix.json": False,
-        "theory --config theory.json": False,
-        "simulate --config reference.json": True,
+        "import pegstress": [],
+        "import pegstress.cli": [],
+        "analyze --config reference.json": [],
+        "analyze --config matrix.json": [],
+        "theory --config theory.json": [],
+        "simulate --config reference.json": ["numpy", "pegstress.parallel"],
     }

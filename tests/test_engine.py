@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from pegstress import engine
 from pegstress.engine import (
     AdaptiveSpec,
+    SEED_CHUNK,
     SWEEP_AXES,
     SimConfig,
     monte_carlo,
@@ -24,7 +25,7 @@ from pegstress.engine import (
     sweep,
     sweep_configs,
 )
-from pegstress.prices import _ARRAY_BATCH, SEED_CHUNK, NormalSpec, PriceSeries, WalkSpec, derive_seed, random_walk
+from pegstress.prices import NormalSpec, PriceSeries, WalkSpec, derive_seed, random_walk
 from pegstress.speculator import SpeculatorParams
 
 EX1 = SimConfig(
@@ -471,11 +472,10 @@ def seeding_cases(draw):
         max_steps=draw(st.integers(1, 1500)),
         master_seed=draw(st.integers(0, 2**64 + 5)),
     )
-    # Each side of the edges where seeded_generators' last chunk of states
-    # changes route: numpy's own seeding below _ARRAY_BATCH seeds, the array
-    # pass from there, and a new chunk every SEED_CHUNK trials.
-    edges = [1, _ARRAY_BATCH, SEED_CHUNK, SEED_CHUNK + _ARRAY_BATCH]
-    trials = draw(st.sampled_from(sorted({n + d for n in edges for d in (-1, 0, 1)} - {0})))
+    # Every run takes one route: chunks of 512 trials, each seeded in one
+    # array pass.  The counts lie each side of 1, 16, one chunk and one
+    # chunk plus 16, so the last chunk is one trial, a few, or full.
+    trials = draw(st.sampled_from([1, 2, 15, 16, 17, 511, 512, 513, 527, 528, 529]))
     return config, trials, {0, trials - 1, draw(st.integers(0, trials - 1))}
 
 

@@ -23,12 +23,14 @@ from pegstress.rounds import (
     EigenSystem,
     RoundMatrix,
     build_round_matrix,
+    critical_fee,
     discriminant,
     divergence_check,
     eigen,
     expected_depletion_rounds,
     round_matrix_from_params,
     rounds_to_timesteps,
+    with_fees,
 )
 from pegstress.rounds import _log_terms, _nonnegative
 from pegstress.speculator import SpeculatorParams, WaitingInterval, waiting_interval
@@ -765,6 +767,57 @@ class TestDivergenceCheck:
         mat = round_matrix_from_params(lambda_buy=0.5, lambda_sell=0.5, i=2.0, j=2.0, y_ratio=1.2)
         with pytest.raises(ValueError, match="nonnegative"):
             divergence_check(mat, (-1.0, 1.0))
+
+
+class TestFees:
+    MATS = [
+        build_round_matrix(EX1_DIST, EX1_INTERVAL, EX1_PARAMS),
+        build_round_matrix(EX1_DIST, EX1_INTERVAL, SpeculatorParams(delta=0.1, lambda_buy=0.3, lambda_sell=0.6)),
+        round_matrix_from_params(lambda_buy=0.3, lambda_sell=0.3, i=5.0, j=3.0, y_ratio=1.4, sell_mean=90.0),
+    ]
+
+    @pytest.mark.parametrize("mat", MATS)
+    def test_zero_fees_leave_the_matrix(self, mat):
+        assert with_fees(mat, 0.0, 0.0) == mat
+        assert repr(with_fees(mat, 0.0, 0.0)) == repr(mat)
+
+    @pytest.mark.parametrize("mat", MATS)
+    @pytest.mark.parametrize("eps_alpha, eps_beta", [(0.05, 0.0), (0.0, 0.05), (0.1, 0.2)])
+    def test_fees_scale_b_c_and_y(self, mat, eps_alpha, eps_beta):
+        got = with_fees(mat, eps_alpha, eps_beta)
+        assert (got.A, got.i, got.j, got.lam1_i, got.lam2_j) == (mat.A, mat.i, mat.j, mat.lam1_i, mat.lam2_j)
+        assert got.B == pytest.approx(mat.B / (1.0 + eps_alpha), rel=1e-14)
+        assert got.C == pytest.approx(mat.C * (1.0 - eps_beta), rel=1e-14)
+        f = (1.0 - eps_beta) / (1.0 + eps_alpha)
+        assert got.y_ratio == pytest.approx(mat.y_ratio * f, rel=1e-15)
+        y = got.y_ratio
+        assert got.D == pytest.approx(mat.lam1_i + (1.0 - mat.lam1_i) * (1.0 - mat.lam2_j) * y, rel=1e-14)
+
+    @pytest.mark.parametrize("eps_alpha, eps_beta", [(-0.01, 0.0), (math.inf, 0.0), (math.nan, 0.0),
+                                                     (0.0, 1.0), (0.0, -0.01), (0.0, math.nan)])
+    def test_bad_fees_rejected(self, eps_alpha, eps_beta):
+        with pytest.raises(ValueError, match="^eps_(alpha|beta) must"):
+            with_fees(self.MATS[0], eps_alpha, eps_beta)
+
+    @pytest.mark.parametrize("sigma2, want", [(25.0, 0.0860), (100.0, 0.1451), (225.0, 0.2139)])
+    def test_critical_fee_over_sigma2(self, sigma2, want):
+        dist = NormalSpec(100.0, sigma2)
+        mat = build_round_matrix(dist, waiting_interval(dist, EX1_PARAMS), EX1_PARAMS)
+        assert critical_fee(mat, (0.0, 1.0)) == pytest.approx(want, abs=5e-5)
+
+    @pytest.mark.parametrize("mat", MATS)
+    def test_critical_fee_is_where_divergence_stops(self, mat):
+        x0 = (0.0, 1.0)
+        eps = critical_fee(mat, x0)
+        y = mat.y_ratio
+        assert eps == (y - 1.0) / (y + 1.0) > 0.0
+        assert divergence_check(with_fees(mat, 0.99 * eps, 0.99 * eps), x0)
+        assert not divergence_check(with_fees(mat, 1.01 * eps, 1.01 * eps), x0)
+
+    def test_critical_fee_is_zero_without_divergence(self):
+        bounded = round_matrix_from_params(lambda_buy=0.5, lambda_sell=0.5, i=2.0, j=2.0, y_ratio=0.9)
+        assert critical_fee(bounded, (0.0, 1.0)) == 0.0
+        assert critical_fee(self.MATS[0], (0.0, 0.0)) == 0.0
 
 
 class TestClosedFormAgainstSimulation:
