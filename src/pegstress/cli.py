@@ -205,9 +205,9 @@ def _parse_config(raw: dict, args) -> dict:
 
     A key left out stays out, so the model it feeds applies its default.
     Every section given is checked, also for a subcommand that does not use
-    it.  speculator, matrix and n0_grid (a SimConfig per entry) come back as
-    model objects; cfg["sim"] is the run's SimConfig, with unit reserves
-    standing in for a missing reserves0, which _sim_config keeps from a run.
+    it.  speculator and matrix come back as model objects; cfg["sim"] is the
+    run's SimConfig, with unit reserves standing in for a missing reserves0,
+    which _sim_config keeps from a run.
     """
     cfg = _section(raw, "config", _CONFIG)
     run, sw, t = cfg.setdefault("run", {}), cfg.get("sweep"), cfg.get("theory", {})
@@ -236,7 +236,7 @@ def _parse_config(raw: dict, args) -> dict:
         raise ConfigError("boundary_tol must be finite and >= 0")
     if "n0_grid" in cfg:
         try:
-            cfg["n0_grid"] = sweep_configs(cfg["sim"], "n0", cfg["n0_grid"])
+            sweep_configs(cfg["sim"], "n0", cfg["n0_grid"])
         except ValueError as exc:
             raise ConfigError(f"bad value for 'n0_grid' in config: {exc}") from None
     if sw is not None:
@@ -274,8 +274,7 @@ def _fmt(v) -> str:
 
 
 def _print_report(report: dict) -> None:
-    for k, v in report.items():
-        print(f"{k} = {_fmt(v)}")
+    print("\n".join(f"{k} = {_fmt(v)}" for k, v in report.items()))  # one write, not one a line
 
 
 @contextmanager
@@ -348,6 +347,7 @@ def cmd_analyze(cfg: dict, args) -> None:
     if sim.mode == "adaptive":
         raise ConfigError("analyze models the fixed-band trader: 'mode' adaptive needs simulate")
     report: dict = {}
+    passage: dict = {}  # the first passage's fields, which need a price law
 
     mat = cfg.get("matrix")
     if mat is None:
@@ -368,6 +368,14 @@ def cmd_analyze(cfg: dict, args) -> None:
             return
         mat = build_round_matrix(source, interval, params)
         report.update(vars(interval))
+        passage = dict.fromkeys(("log_drift", "first_passage_outcome", "first_passage_rounds",
+                                 "first_passage_timesteps"))
+        if params.lambda_buy == params.lambda_sell == 0.0 and sim.m0 == 0.0 < sim.n0:  # the all-in trader
+            from .renewal import first_passage  # here, so importing the package compiles none of it
+            fp = first_passage(source, interval, sim.n0, sim.reserves0, sim.eps_alpha, sim.eps_beta)
+            outcome = "not certain" if fp.rounds is None else "depletes"  # log_drift <= 0: no mean time
+            passage.update(log_drift=fp.log_drift, first_passage_outcome=outcome, first_passage_rounds=fp.rounds,
+                           first_passage_timesteps=fp.timesteps)
 
     x0 = (sim.m0, sim.n0)
     fee = critical_fee(mat, x0)
@@ -401,6 +409,7 @@ def cmd_analyze(cfg: dict, args) -> None:
         report["outcome"] = "depletes"
         report["depletion_rounds"] = k
         report["depletion_timesteps"] = rounds_to_timesteps(k, mat.i, mat.j)
+    report.update(passage)
     _emit([report], args)
 
 
@@ -424,18 +433,22 @@ def _trial_record(n0: float, idx: int, res: SimResult, bools) -> tuple[tuple, tu
 
 
 def cmd_simulate(cfg: dict, args) -> None:
+    """monte_carlo at the config's n0, or a sweep over n0_grid as one job:
+    a summary per n0 on the console, and --out's rows n0 by n0."""
     config = _sim_config(cfg)
-    trials = cfg["run"]["trials"]
+    trials, n0s = cfg["run"]["trials"], cfg.get("n0_grid") or [config.n0]
     if config.record_traces and not (args.out and args.format == "json"):
         raise ConfigError("record_traces output requires --out with --format json")
     bools = ("false", "true") if args.format == "csv" else (False, True)
     with _out_records(args) as write:
-        for point in cfg.get("n0_grid") or [config]:
-            # Each trial's row is written as the trial comes in; without
-            # --out there is no sink, and no per-trial record is made.
-            sink = None if write is None else lambda idx, res: write(*_trial_record(point.n0, idx, res, bools))
-            summary = monte_carlo(point, trials, sink=sink)
-            _print_report({"n0": point.n0, **vars(summary)})
+        # Each trial's row is written as it comes in; without --out there is
+        # no sink and no per-trial record.  A grid is one sweep over n0; one
+        # point stays monte_carlo's, which perfbench/tracing.py times by name.
+        sink = write and (lambda p, idx, res: write(*_trial_record(n0s[p], idx, res, bools)))
+        summaries = sweep(config, "n0", n0s, trials, sink) if "n0_grid" in cfg else [
+            monte_carlo(config, trials, sink and (lambda idx, res: sink(0, idx, res)))]
+        for n0, summary in zip(n0s, summaries):
+            _print_report({"n0": n0, **vars(summary)})
 
 
 def cmd_theory(cfg: dict, args) -> None:

@@ -22,14 +22,14 @@ Monte Carlo trials are independent: trial seeds derive from
 (master_seed, trial index), so aggregation order cannot change any result.
 Every trial draws from one generator set to its seed's PCG64 state
 (prices.seeded_generators): what default_rng(seed), which a lone run builds,
-would draw, without a generator per trial.  monte_carlo cuts every run
-into chunks of SEED_CHUNK trials, each seeded in one bulk pass, and deals
-them to this process and to one forked child per other CPU in its affinity
-mask (parallel.run_chunks).  It folds each trial into running sums in trial
-order, so the sums are the same floats however many processes ran.  It
-keeps no per-trial record; a caller that wants the records (the CLI's
---out) passes a sink, which runs in the calling process and sees each
-SimResult once, in trial order, as its chunk comes in.
+would draw, without a generator per trial.  A Monte Carlo job (one point,
+or one per sweep value) cuts each point's trials into chunks of SEED_CHUNK,
+each seeded in one bulk pass, and deals all its chunks to this process and
+to one forked child per other CPU in its affinity mask (parallel.run_chunks).
+It folds each point's trials in trial order, so its sums are the same floats
+however many processes ran.  It keeps no per-trial record; a caller that
+wants the records (the CLI's --out) passes a sink, which runs in the calling
+process and sees each SimResult once, in order, as its chunk comes in.
 
 numpy is imported inside the functions that scan price blocks (RollingBand,
 _running_sums, run), not at module level: importing this module, and with
@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import TYPE_CHECKING
 
 from .mechanism import apply_trade, check_schedule
@@ -433,55 +434,41 @@ def _trials(config: SimConfig, interval: tuple[float, float] | None, start: int,
             yield run(config, seed=seed, interval=interval, rng=rng)
 
 
-def monte_carlo(config: SimConfig, trials: int, sink: Callable | None = None) -> MonteCarloSummary:
-    """Run independent trials and aggregate streams (order-independent).
-
-    Trial seeds are derive_seed(master_seed, index), and each trial draws
-    from one generator set to its seed's PCG64 state (seeded_generators); a
-    series draws nothing and gets none.  The waiting interval for analytic
-    mode is computed once and shared read-only.  The trials go in chunks
-    of SEED_CHUNK to parallel.run_chunks, which runs them on the CPUs in the
-    process's affinity mask: in this process and in forked children, which
-    send their results back, or all in this process for a run of one chunk
-    or on one CPU.  sink, if given, is called as sink(index,
-    result) in this process, once per trial, in trial order, as each
-    trial's chunk comes in; nothing else keeps the result.  The summary,
-    and what the sink sees, are the same however many processes ran the
-    trials.
-    """
+def _monte_carlo(points: list[SimConfig], trials: int, sink: Callable | None) -> tuple[MonteCarloSummary, ...]:
+    """A summary per point of trials trials at each of points, as one job of
+    (point, start, stop) chunks, each point's band computed once; sink, if
+    given, sees (point, index, result) in point order, then trial order."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    interval = _analytic_band(config) if config.resolved_mode() == "analytic" else None
-
-    depleted = 0
-    sum_steps = 0.0
-    sumsq_steps = 0.0
-    sum_rounds = 0.0
-    r_min_sum = 0.0
-    r_min_min = math.inf
-    r_min_max = -math.inf
+    bands = [_analytic_band(point) if point.resolved_mode() == "analytic" else None for point in points]
+    chunks = [(p, start, min(start + SEED_CHUNK, trials)) for p in range(len(points))
+              for start in range(0, trials, SEED_CHUNK)]
     from .parallel import run_chunks  # here, so importing the package compiles none of it
-    results = run_chunks(lambda start, stop: _trials(config, interval, start, stop), trials, SEED_CHUNK)
+    results = run_chunks(lambda p, start, stop: _trials(points[p], bands[p], start, stop), chunks)
     try:
-        for idx, res in enumerate(results):
-            if res.depleted:
-                depleted += 1
-                sum_steps += res.depletion_step
-                sumsq_steps += res.depletion_step**2
-                sum_rounds += res.rounds
-            r_min_sum += res.r_min
-            r_min_min = min(r_min_min, res.r_min)
-            r_min_max = max(r_min_max, res.r_min)
-            if sink is not None:
-                sink(idx, res)
+        return tuple(_summary(p, trials, islice(results, trials), sink) for p in range(len(points)))
     finally:
         results.close()
 
+
+def _summary(point: int, trials: int, results: Iterator[SimResult], sink: Callable | None) -> MonteCarloSummary:
+    """Point point's summary of results, in trial order, each passed to sink(point, index, result)."""
+    depleted, sum_steps, sumsq_steps, sum_rounds, r_min_sum = 0, 0.0, 0.0, 0.0, 0.0
+    r_min_min, r_min_max = math.inf, -math.inf
+    for idx, res in enumerate(results):
+        if res.depleted:
+            depleted += 1
+            sum_steps += res.depletion_step
+            sumsq_steps += res.depletion_step**2
+            sum_rounds += res.rounds
+        r_min_sum += res.r_min
+        r_min_min = min(r_min_min, res.r_min)
+        r_min_max = max(r_min_max, res.r_min)
+        if sink is not None:
+            sink(point, idx, res)
+
     mean = sum_steps / depleted if depleted else None
-    std = None
-    if depleted >= 2:
-        var = max((sumsq_steps - sum_steps**2 / depleted) / (depleted - 1), 0.0)
-        std = math.sqrt(var)
+    std = math.sqrt(max((sumsq_steps - sum_steps**2 / depleted) / (depleted - 1), 0.0)) if depleted >= 2 else None
     return MonteCarloSummary(
         trials=trials,
         depleted_count=depleted,
@@ -493,6 +480,19 @@ def monte_carlo(config: SimConfig, trials: int, sink: Callable | None = None) ->
         r_min_min=r_min_min,
         r_min_max=r_min_max,
     )
+
+
+def monte_carlo(config: SimConfig, trials: int, sink: Callable | None = None) -> MonteCarloSummary:
+    """Run independent trials and aggregate them: a job of one point.
+
+    Trial seeds are derive_seed(master_seed, index).  The trials run on the
+    CPUs in the process's affinity mask, in chunks of SEED_CHUNK (see the
+    module docstring).  sink, if given, is called as sink(index, result) in
+    this process, once per trial, in trial order; nothing else keeps the
+    result.  The summary, and what the sink sees, are the same however many
+    processes ran the trials.
+    """
+    return _monte_carlo([config], trials, sink and (lambda _, idx, res: sink(idx, res)))[0]
 
 
 def _with_axis(config: SimConfig, axis: str, value: float) -> SimConfig:
@@ -528,8 +528,9 @@ def sweep_configs(config: SimConfig, axis: str, values) -> list[SimConfig]:
     return [_with_axis(config, axis, float(v)) for v in values]
 
 
-def sweep(config: SimConfig, axis: str, values, trials: int) -> tuple[MonteCarloSummary, ...]:
-    """Monte Carlo at each axis value, one summary per value in order; the
-    master seed is shared across points so neighbouring points see common
-    random numbers.  Every value is checked before the first trial runs."""
-    return tuple(monte_carlo(point, trials) for point in sweep_configs(config, axis, values))
+def sweep(config: SimConfig, axis: str, values, trials: int, sink: Callable | None = None) -> tuple[MonteCarloSummary, ...]:
+    """Monte Carlo at each axis value as one job, one summary per value in
+    order, each monte_carlo's for that point; the master seed is shared so
+    neighbouring points see common random numbers.  Every value is checked
+    before the first trial runs.  sink sees (value's place, index, result)."""
+    return _monte_carlo(sweep_configs(config, axis, values), trials, sink)

@@ -1,12 +1,12 @@
 """Run a job's chunks on every CPU the process may use, in order.
 
-run_chunks cuts range(total) into chunks and deals them round-robin to this
-process and to one forked child per other CPU in its affinity mask.  This
-process runs its own chunks and reads each child's as their turn comes, so
-the caller gets every item in order, as if one process had run them all.
-A child sends each finished chunk, pickled, over a pipe; a write blocks
-while the pipe is full, so a child finishes at most one chunk ahead of what
-this process has read.
+run_chunks deals a list of chunks, each the arguments of one job call,
+round-robin to this process and to one forked child per other CPU in its
+affinity mask.  This process runs its own chunks and reads each child's as
+their turn comes, so the caller gets every item in order, as if one
+process had run them all.  A child sends each finished chunk, pickled,
+over a pipe; a write blocks while the pipe is full, so a child finishes at
+most one chunk ahead of what this process has read.
 
 The children are os.fork'ed, not fresh interpreters: a child starts with
 the job and its inputs (and any wrapper installed on the job's names) in
@@ -14,8 +14,8 @@ place, with no pickling of the job and no import of the package.  A fork
 is unsafe while another Python thread runs, as that thread could hold a
 lock the child needs, so then every chunk runs in this process.  With one
 worker (one chunk or one CPU) the same loop runs every chunk here and forks
-nothing.  The engine imports this module inside monte_carlo, so importing
-the package, or a closed-form run, compiles none of it.
+nothing.  The engine imports this module inside its Monte Carlo job, so
+importing the package, or a closed-form run, compiles none of it.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ def _workers(chunks: int) -> int:
     return min(len(os.sched_getaffinity(0)), chunks)
 
 
-def _fork(job: Callable[[int, int], Iterable], chunks: list[tuple[int, int]], siblings: list) -> tuple[int, BinaryIO]:
-    """Fork a child that runs job(start, stop) on each of chunks; return
+def _fork(job: Callable[..., Iterable], chunks: list[tuple], siblings: list) -> tuple[int, BinaryIO]:
+    """Fork a child that runs job(*chunk) for each of chunks; return
     (pid, reader), where reader gives each chunk's items, pickled, in turn.
 
     On an error the child sends the exception in place of the chunk.  It
@@ -65,8 +65,8 @@ def _fork(job: Callable[[int, int], Iterable], chunks: list[tuple[int, int]], si
             reader.close()
         out = os.fdopen(write_fd, "wb")
         try:
-            for start, stop in chunks:
-                pickle.dump(list(job(start, stop)), out)
+            for chunk in chunks:
+                pickle.dump(list(job(*chunk)), out)
                 out.flush()
             status = 0
         except BaseException as exc:
@@ -76,28 +76,26 @@ def _fork(job: Callable[[int, int], Iterable], chunks: list[tuple[int, int]], si
         os._exit(status)
 
 
-def run_chunks(job: Callable[[int, int], Iterable], total: int, size: int) -> Iterator:
-    """The items of job(start, stop) for each chunk [start, stop) of
-    range(total) in turn, chunks being size long but the last.
+def run_chunks(job: Callable[..., Iterable], chunks: list[tuple]) -> Iterator:
+    """The items of job(*chunk) for each of chunks in turn.
 
     A child's exception is raised here, with its message.  Closing the
     generator, or an error, kills and reaps the children.
     """
-    chunks = [(start, min(start + size, total)) for start in range(0, total, size)]
     workers = _workers(len(chunks))
     children: list[tuple[int, BinaryIO]] = []
     try:
         for w in range(1, workers):
             children.append(_fork(job, chunks[w::workers], children))
-        for c, (start, stop) in enumerate(chunks):
+        for c, chunk in enumerate(chunks):
             if c % workers == 0:
-                yield from job(start, stop)
+                yield from job(*chunk)
                 continue
             pid, reader = children[c % workers - 1]
             try:
                 items = pickle.load(reader)
             except (EOFError, pickle.UnpicklingError):
-                raise RuntimeError(f"worker {pid} exited before sending items {start}..{stop - 1}") from None
+                raise RuntimeError(f"worker {pid} exited before sending chunk {chunk}") from None
             if isinstance(items, BaseException):
                 raise items
             yield from items

@@ -14,7 +14,9 @@ expansion
 
 which follows from f'(x) = -(x - mu) / sigma^2 * f(x).  Everything downstream
 (waiting intervals, round matrices) leans on that identity, so it is kept in
-one place and tested against quadrature.
+one place and tested against quadrature.  Other tail expectations, such as
+the first passage's moments of ln p, have no such expansion:
+renewal.tail_expect integrates them by Gauss-Legendre quadrature.
 
 Only the block generators (iid_blocks, walk_blocks, series_blocks), the
 bulk seeding (pcg64_states, seeded_generators), random_walk and step_stats
@@ -353,14 +355,25 @@ def random_walk(spec: WalkSpec, n: int, seed: int) -> PriceSeries:
     return PriceSeries(prices=tuple(prices), source="walk", seed=seed, clamp_count=clamps)
 
 
-def _split_prices(fh: TextIO, col: int) -> list[float]:
-    """Field col of each non-blank row left in fh, as floats.
+def _price(raw: str) -> float:
+    """A price field as a float.  float() also reads "1_5" as 15.0 and the
+    digits of other scripts (Arabic-Indic three as 3.0); a price file means
+    neither, so a field that is not ASCII or holds "_" is refused as float()
+    refuses any other text."""
+    if not raw.isascii() or "_" in raw:
+        raise ValueError(f"could not convert string to float: {raw!r}")
+    return float(raw)
 
-    The lines come in ~64 KiB chunks.  In a chunk with no quote, no NUL, no
-    carriage return outside a CRLF and no line longer than the csv field
-    limit, csv.reader's row is the line split at commas, less its line end
-    (which float() strips), and the blank lines it skips are those that
-    hold a line end alone.  The first chunk that fails a guard, and the rest
+
+def _split_prices(fh: TextIO, col: int) -> list[float]:
+    """Field col of each non-blank row left in fh, as floats (_price's).
+
+    The lines come in ~64 KiB chunks.  In a chunk of ASCII with no "_", no
+    quote, no NUL, no carriage return outside a CRLF and no line longer than
+    the csv field limit, csv.reader's row is the line split at commas, less
+    its line end (which float() strips), float() reads a field as _price
+    does, and the blank lines csv.reader skips are those that hold a line
+    end alone.  The first chunk that fails a guard, and the rest
     of the file, go through csv.reader: every chunk before it ended at a
     line end outside any quote, where csv.reader starts a row.  A short row
     raises IndexError, a bad price ValueError, a line csv.reader cannot
@@ -370,9 +383,9 @@ def _split_prices(fh: TextIO, col: int) -> list[float]:
     prices: list[float] = []
     while lines := fh.readlines(65536):
         text = "".join(lines)
-        if ('"' in text or "\0" in text or text.count("\r") != text.count("\r\n")
-                or (len(text) > limit and max(map(len, lines)) > limit)):
-            prices += [float(row[col]) for row in filter(None, csv.reader(chain(lines, fh)))]
+        if ('"' in text or "\0" in text or text.count("\r") != text.count("\r\n") or "_" in text
+                or not text.isascii() or (len(text) > limit and max(map(len, lines)) > limit)):
+            prices += [_price(row[col]) for row in filter(None, csv.reader(chain(lines, fh)))]
             break
         prices += map(float, [line.split(",")[col] for line in lines if line != "\n" and line != "\r\n"])
     return prices
@@ -384,10 +397,11 @@ def load_csv(path: str, timestamp_column: str = "timestamp", price_column: str =
     The file is UTF-8, and a byte-order mark before the header is dropped.
     Rows are kept in file order and blank lines are skipped; timestamps are
     not parsed, only required to be a column.  A column name given twice
-    reads its last column.  A missing, non-numeric or non-positive price is
-    rejected with its row number (1-based, the header is row 1, blank lines
-    are not counted), a file the csv module cannot parse with its line, and
-    a file that is not UTF-8 with its path.
+    reads its last column.  A missing, non-numeric (non-ASCII or holding "_"
+    included) or non-positive price is rejected with its row number
+    (1-based, the header is row 1, blank lines are not counted), a file the
+    csv module cannot parse with its line, and a file that is not UTF-8 with
+    its path.
 
     csv.reader reads the header and _split_prices the body, once.  Only a
     file that read fails on is read again, from the start, to name the first
@@ -416,7 +430,7 @@ def load_csv(path: str, timestamp_column: str = "timestamp", price_column: str =
                 if raw.strip() == "":
                     raise ValueError(f"{path}: row {row_no}: missing price value")
                 try:
-                    p = float(raw)
+                    p = _price(raw)
                 except ValueError:
                     raise ValueError(f"{path}: row {row_no}: non-numeric price {raw!r}") from None
                 if not (math.isfinite(p) and p > 0.0):

@@ -32,6 +32,10 @@ are exhausted when the trader's backing holdings reach n_0 + R_0.  The
 depletion round is that of the exact closed form of the given floats, each
 round decided from the terms' logs: no crossing is made or missed by a
 power's overflow or underflow, or by rounding on the subnormal grid.
+
+That round is when the expected backing crosses the target, not the mean
+round at which a trial's backing first does; for the all-in trader (no
+haircut) renewal.first_passage gives that mean.
 """
 
 from __future__ import annotations

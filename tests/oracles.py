@@ -253,6 +253,8 @@ def _dict_rows_series(path: str, reader: csv.DictReader, timestamp_column: str, 
         if raw is None or raw.strip() == "":
             raise ValueError(f"{path}: row {row_no}: missing price value")
         try:
+            if not raw.isascii() or "_" in raw:  # float() reads "1_5" and other scripts' digits
+                raise ValueError(raw)
             p = float(raw)
         except ValueError:
             raise ValueError(f"{path}: row {row_no}: non-numeric price {raw!r}") from None

@@ -9,6 +9,7 @@ the shipped tolerances and sample sizes.
 import dataclasses
 import itertools
 import json
+import math
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -32,7 +33,9 @@ from pegstress.rounds import (
     discriminant,
     divergence_check,
     eigen,
+    expected_depletion_rounds,
     round_matrix_from_params,
+    rounds_to_timesteps,
 )
 from pegstress.speculator import NoTradeInterval, SpeculatorParams, WaitingInterval, waiting_interval
 from pegstress.theory import (
@@ -431,3 +434,80 @@ def test_11_critical_fee_brackets_depletion(tmp_path, capsys, sigma2):
         assert len(prices) > 100_000
         series = PriceSeries(prices=tuple(prices.tolist()), source="normal draws")
         assert min_fee(tail_spread(series)) >= eps
+
+
+# Acceptance test 12: the first passage against the simulation on a random
+# box of configs.  Its rules were fixed before its first run:
+# - draws: numpy default_rng(BOX_SEED), BOX_DRAWS configs, each drawing in
+#   turn sigma2 uniform on [25, 270] (so sigma / mu < 1/6 and no support is
+#   floored), delta uniform on [0.03, 0.4] and ln(reserves0 / n0) uniform on
+#   [ln 10, ln 1000]; mu 100, n0 1, no haircut, no fee;
+# - skip: a config with no waiting interval, or whose paper matrix puts
+#   depletion past BOX_MAX_STEPS (or never);
+# - trials: BOX_TRIALS a config, BOX_SLICE_TRIALS on the first BOX_SLICE
+#   kept configs in the default run (--full-box runs every kept config),
+#   max_steps 10**7, master seed BOX_MC_SEED;
+# - gate: every trial depletes, and z = (first_passage_rounds - the trials'
+#   mean rounds) / its standard error has |z| <= BOX_Z.  The mean of the
+#   rounds times i + j is the conditional estimator of the mean depletion
+#   step (a round's waits have known means).  The paper matrix's
+#   depletion_* are not gated: they are the crossing of the expected path,
+#   not a mean.
+BOX_SEED, BOX_DRAWS, BOX_MAX_STEPS = 11, 40, 5e4
+BOX_TRIALS, BOX_SLICE, BOX_SLICE_TRIALS, BOX_MC_SEED, BOX_Z = 3000, 10, 1000, 15, 4.0
+
+
+def first_passage_box():
+    """The box's kept configs, as analyze config payloads, in draw order."""
+    rng = np.random.default_rng(BOX_SEED)
+    kept = []
+    for _ in range(BOX_DRAWS):
+        sigma2, delta = rng.uniform(25.0, 270.0), rng.uniform(0.03, 0.4)
+        reserves0 = math.exp(rng.uniform(math.log(10.0), math.log(1000.0)))
+        dist, params = NormalSpec(100.0, sigma2), SpeculatorParams(delta=delta)
+        try:
+            mat = build_round_matrix(dist, waiting_interval(dist, params), params)
+        except NoTradeInterval:
+            continue
+        k = expected_depletion_rounds(eigen(mat, (0.0, 1.0)), reserves0, 1.0)
+        if math.isinf(k) or rounds_to_timesteps(k, mat.i, mat.j) > BOX_MAX_STEPS:
+            continue
+        kept.append({"source": {"kind": "normal", "mu": 100.0, "sigma2": sigma2}, "speculator": {"delta": delta},
+                     "reserves0": reserves0, "n0": 1.0})
+    return kept
+
+
+def box_row(tmp_path, capsys, payload, trials):
+    """analyze's report and a trials-trial simulation of one box config, as
+    (report, mean rounds, its standard error, mean depletion step, its
+    standard error); the test gates the rounds, the README's table prints
+    all five."""
+    assert main(["analyze", "--config", write_config(tmp_path, payload)]) == 0
+    report = parse_console(capsys.readouterr().out)
+    config = SimConfig(source=NormalSpec(100.0, payload["source"]["sigma2"]),
+                       speculator=SpeculatorParams(**payload["speculator"]), reserves0=payload["reserves0"],
+                       n0=1.0, max_steps=10**7, master_seed=BOX_MC_SEED)
+    rounds = []
+    summary = monte_carlo(config, trials, sink=lambda idx, res: rounds.append(res.rounds))
+    assert summary.depleted_count == trials
+    se_rounds = float(np.std(rounds, ddof=1)) / math.sqrt(trials)
+    se_steps = summary.std_depletion_steps / math.sqrt(trials)
+    return report, float(np.mean(rounds)), se_rounds, summary.mean_depletion_steps, se_steps
+
+
+def pytest_generate_tests(metafunc):
+    if "box_case" in metafunc.fixturenames:
+        box = first_passage_box()
+        cases = box if metafunc.config.getoption("full_box") else box[:BOX_SLICE]
+        trials = BOX_TRIALS if metafunc.config.getoption("full_box") else BOX_SLICE_TRIALS
+        metafunc.parametrize("box_case", [(payload, trials) for payload in cases],
+                             ids=[f"box{k:02d}" for k in range(len(cases))])
+
+
+def test_12_first_passage_matches_monte_carlo_on_a_random_box(tmp_path, capsys, box_case):
+    payload, trials = box_case
+    with checklist(f"12 first passage within {BOX_Z} standard errors of a {trials}-trial Monte Carlo"):
+        report, mean, se, _, _ = box_row(tmp_path, capsys, payload, trials)
+        assert report["first_passage_outcome"] == "depletes"
+        z = (float(report["first_passage_rounds"]) - mean) / se
+        assert abs(z) <= BOX_Z, f"z = {z:.2f}"

@@ -18,7 +18,7 @@ import pytest
 
 from pegstress import cli
 from pegstress.cli import main
-from pegstress.engine import monte_carlo, run
+from pegstress.engine import run, sweep
 
 
 def write_config(tmp_path, name, payload):
@@ -71,6 +71,40 @@ class TestAnalyze:
         assert float(report["s1"]) == pytest.approx(0.009085, rel=1e-3)
         assert float(report["a1"]) == pytest.approx(1.3397, rel=1e-3)
         assert report["diverges"] == "true"
+
+    PASSAGE = ("log_drift", "first_passage_outcome", "first_passage_rounds", "first_passage_timesteps")
+
+    @pytest.mark.parametrize(
+        "change, outcome",
+        [({}, "depletes"), ({"fees": {"eps_alpha": 0.1, "eps_beta": 0.1}}, "depletes"),
+         ({"fees": {"eps_alpha": 0.15, "eps_beta": 0.15}}, "not certain"),
+         ({"speculator": {"delta": 0.1, "lambda_sell": 0.3}}, ""), ({"m0": 0.5}, ""), ({"n0": 0.0}, "")],
+        ids=["reference", "fees", "drift_below_zero", "haircut", "stablecoins_held", "no_backing"],
+    )
+    def test_first_passage_fields(self, tmp_path, capsys, change, outcome):
+        # They follow every other field, which they leave as it was.  Only the
+        # all-in trader (no haircut) from backing alone is a first passage;
+        # past the fee where the log drift reaches 0 (0.1457 here) depletion
+        # is not certain and has no mean time.
+        assert main(["analyze", "--config", write_config(tmp_path, "ex1.json", dict(EX1_CONFIG, **change))]) == 0
+        report = parse_console(capsys.readouterr().out)
+        assert tuple(report)[-4:] == self.PASSAGE
+        assert report["first_passage_outcome"] == outcome
+        if outcome == "depletes":
+            rounds, steps = float(report["first_passage_rounds"]), float(report["first_passage_timesteps"])
+            assert float(report["log_drift"]) > 0.0 and rounds > 0.0
+            assert steps == pytest.approx(rounds * (float(report["i"]) + float(report["j"])), rel=1e-14)
+        else:
+            assert report["first_passage_rounds"] == report["first_passage_timesteps"] == ""
+            assert (report["log_drift"] == "") == (outcome == "")
+        if not change:
+            assert float(report["first_passage_timesteps"]) == pytest.approx(223.05, abs=0.01)
+
+    def test_raw_matrix_has_no_first_passage(self, tmp_path, capsys):
+        payload = {"matrix": {"lambda_buy": 0.0, "lambda_sell": 0.0, "i": 5.0, "j": 3.0, "y_ratio": 1.4},
+                   "reserves0": 100.0, "n0": 1.0}
+        assert main(["analyze", "--config", write_config(tmp_path, "matrix.json", payload)]) == 0
+        assert not set(self.PASSAGE) & set(parse_console(capsys.readouterr().out))
 
     def test_unit_y_ratio_never_depletes(self, tmp_path, capsys):
         cfg = write_config(
@@ -414,16 +448,16 @@ class TestSimulate:
         with_out = capsys.readouterr().out
         sinks = []
 
-        def spy(config, trials, sink=None):
+        def spy(config, axis, values, trials, sink=None):
             sinks.append(sink)
-            return monte_carlo(config, trials, sink=sink)
+            return sweep(config, axis, values, trials, sink)
 
-        monkeypatch.setattr(cli, "monte_carlo", spy)
+        monkeypatch.setattr(cli, "sweep", spy)
         assert main(["simulate", "--config", cfg]) == 0
         assert capsys.readouterr().out == with_out
-        # monte_carlo keeps no per-trial record, and without --out nothing
-        # is handed one.
-        assert sinks == [None, None]
+        # The grid is one sweep over n0, which keeps no per-trial record, and
+        # without --out nothing is handed one.
+        assert sinks == [None]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_failed_run_leaves_earlier_out_untouched(self, tmp_path, capsys, monkeypatch, fmt):
@@ -537,6 +571,28 @@ class TestSimulate:
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: disk full\n"
         assert list(outdir.iterdir()) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_grid_writes_the_same_bytes_on_any_cpus(self, tmp_path, capsys, monkeypatch, command, fmt):
+        # Three points of 600 trials are six chunks, dealt over three CPUs
+        # (two children) or all run in process on one: the same --out and
+        # console bytes.
+        grid = {"n0_grid": [0.5, 1.0, 2.0]} if command == "simulate" else {
+            "sweep": {"axis": "eps", "values": [0.0, 0.01, 0.02]}}
+        cfg = write_config(tmp_path, "grid.json", dict(FEES_CONFIG, **grid))
+        got = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            out = tmp_path / f"cpus{cpus}.{fmt}"
+            argv = [command, "--config", cfg, "--trials", "600", "--out", str(out), "--format", fmt]
+            assert main(argv) == 0
+            got.append((out.read_bytes(), capsys.readouterr().out))
+        assert got[0] == got[1]
+        assert got[0][1].count("trials = 600\n") == 3
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -952,11 +1008,14 @@ class TestConfigSchema:
 # --out of the closed-form and series subcommands, recorded before numpy left
 # their import path; they must keep these bytes.  The two analyze reports
 # that reach the round matrix were re-pinned when critical_fee joined them:
-# the new bytes are the old ones with that one column added.
+# the new bytes are the old ones with that one column added.  The reference
+# report was re-pinned again when the first passage's four columns joined
+# it (log_drift ... first_passage_timesteps); the raw matrix has no price
+# law, so no first passage, and kept its bytes.
 @pytest.mark.parametrize(
     "command, payload, digest",
     [
-        ("analyze", EX1_CONFIG, "ee564f6801b08bb0b692cab3a38e7af686b78015f26e69cf9a47ba012f519358"),
+        ("analyze", EX1_CONFIG, "8700940b13c255ec79c595679ba701650440b7ec9aeb3fb27f6d9c1ea4d52a4f"),
         (
             "analyze",
             {"matrix": {"lambda_buy": 0.3, "lambda_sell": 0.3, "i": 5.0, "j": 3.0, "y_ratio": 1.4},
@@ -991,13 +1050,13 @@ import json, sys
 loaded = {}
 
 def seen():
-    return [name for name in ("numpy", "pegstress.parallel") if name in sys.modules]
+    return [name for name in ("numpy", "pegstress.parallel", "pegstress.renewal") if name in sys.modules]
 
 import pegstress
 loaded["import pegstress"] = seen()
 from pegstress import cli
 loaded["import pegstress.cli"] = seen()
-for argv in (["analyze", "--config", "reference.json"], ["analyze", "--config", "matrix.json"],
+for argv in (["analyze", "--config", "matrix.json"], ["analyze", "--config", "reference.json"],
              ["theory", "--config", "theory.json"], ["simulate", "--config", "reference.json", "--trials", "2"]):
     assert cli.main(argv) == 0, argv
     loaded[" ".join(argv[:3])] = seen()
@@ -1010,7 +1069,9 @@ def test_closed_form_runs_without_numpy(tmp_path):
     # alone; numpy loads with the first block of prices simulate draws.  A
     # process compiles each module it imports (no bytecode is written where
     # PYTHONDONTWRITEBYTECODE is set), so pegstress.parallel, which only
-    # monte_carlo imports, must not load before a simulate.
+    # monte_carlo imports, must not load before a simulate, nor
+    # pegstress.renewal before an analyze that reports a first passage (the
+    # raw matrix reports none).
     write_config(tmp_path, "reference.json", EX1_CONFIG)
     write_config(tmp_path, "matrix.json", {"matrix": MATRIX, "reserves0": 100.0, "n0": 1.0})
     write_config(tmp_path, "theory.json", {"source": LITERAL, "fees": {"eps_alpha": 0.04, "eps_beta": 0.04}})
@@ -1023,8 +1084,8 @@ def test_closed_form_runs_without_numpy(tmp_path):
     assert json.loads(done.stdout.splitlines()[-1]) == {
         "import pegstress": [],
         "import pegstress.cli": [],
-        "analyze --config reference.json": [],
         "analyze --config matrix.json": [],
-        "theory --config theory.json": [],
-        "simulate --config reference.json": ["numpy", "pegstress.parallel"],
+        "analyze --config reference.json": ["pegstress.renewal"],
+        "theory --config theory.json": ["pegstress.renewal"],
+        "simulate --config reference.json": ["numpy", "pegstress.parallel", "pegstress.renewal"],
     }

@@ -418,7 +418,7 @@ class TestForkedTrials:
 
         monkeypatch.setattr(engine, "run", dying)
         on_cpus(monkeypatch, 2)
-        with pytest.raises(RuntimeError, match=f"exited before sending items {SEED_CHUNK}..{2 * SEED_CHUNK - 1}$"):
+        with pytest.raises(RuntimeError, match=rf"exited before sending chunk \(0, {SEED_CHUNK}, {2 * SEED_CHUNK}\)$"):
             monte_carlo(FEES, 2 * SEED_CHUNK)
         assert no_child_left()
 
@@ -451,6 +451,72 @@ class TestForkedTrials:
         assert forks == []
         assert summary == monte_carlo(FEES, 2 * SEED_CHUNK)
         assert len(forks) == 1
+
+
+class TestMultiPointJobs:
+    # A sweep's points are one job: three points of 600 trials are six
+    # chunks, (point, start, stop), none across two points.
+    VALUES = [0.5, 1.0, 2.0]
+    TRIALS = 600
+
+    def spy_chunks(self, monkeypatch):
+        from pegstress import parallel
+        dealt = []
+        deal = parallel.run_chunks
+
+        def spy(job, chunks):
+            dealt.append(chunks)
+            return deal(job, chunks)
+
+        monkeypatch.setattr(parallel, "run_chunks", spy)
+        return dealt
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_points_share_one_job(self, monkeypatch, cpus):
+        # Each point alone, in process.
+        want, want_seen = [], []
+        for p, point in enumerate(sweep_configs(FEES, "n0", self.VALUES)):
+            want.append(monte_carlo(point, self.TRIALS, sink=lambda idx, res, p=p: want_seen.append((p, idx, res))))
+        dealt = self.spy_chunks(monkeypatch)
+        forks = on_cpus(monkeypatch, cpus)
+        seen = []
+        got = sweep(FEES, "n0", self.VALUES, self.TRIALS, sink=lambda p, idx, res: seen.append((p, idx, res)))
+        assert no_child_left()
+        assert len(forks) == min(cpus, 6) - 1
+        assert dealt == [[chunk for p in range(3) for chunk in ((p, 0, SEED_CHUNK), (p, SEED_CHUNK, self.TRIALS))]]
+        assert got == tuple(want)
+        assert seen == want_seen
+
+    def test_child_error_in_the_second_point_reraises(self, monkeypatch):
+        # On two CPUs the child runs chunks 1, 3 and 5: trial 520 of point 1
+        # (n0 1.0) is in chunk 3.
+        caller = os.getpid()
+        bad = derive_seed(FEES.master_seed, SEED_CHUNK + 8)
+        lone = engine.run
+
+        def failing(config, seed, **kwargs):
+            if seed == bad and config.n0 == 1.0:
+                raise ValueError(f"trial failed in {'a child' if os.getpid() != caller else 'the caller'}")
+            return lone(config, seed=seed, **kwargs)
+
+        monkeypatch.setattr(engine, "run", failing)
+        on_cpus(monkeypatch, 2)
+        seen = []
+        with pytest.raises(ValueError, match="^trial failed in a child$"):
+            sweep(FEES, "n0", self.VALUES, self.TRIALS, sink=lambda p, idx, res: seen.append((p, idx)))
+        assert seen == [(0, idx) for idx in range(self.TRIALS)] + [(1, idx) for idx in range(SEED_CHUNK)]
+        assert no_child_left()
+
+    @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+    def test_sink_error_in_a_later_point_leaves_no_child(self, monkeypatch, error):
+        def sink(p, idx, res):
+            if (p, idx) == (2, 3):
+                raise error("sink failed")
+
+        on_cpus(monkeypatch, 3)
+        with pytest.raises(error, match="sink failed"):
+            sweep(FEES, "n0", self.VALUES, self.TRIALS, sink=sink)
+        assert no_child_left()
 
 
 @st.composite

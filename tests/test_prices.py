@@ -51,6 +51,7 @@ LONG_CSV = {
     "bad_row_after_64KiB": _CLEAN_ROWS + "6000,9.5,-1\n",
     "bad_row_after_quote": _CLEAN_ROWS + '"2024-01-01, 00:00",9.5,2.5\n6001,9.5,x\n',
     "not_utf8_after_64KiB": _CLEAN_ROWS.encode() + b"6000,9.5,\xff\n",
+    "underscore_after_64KiB": _CLEAN_ROWS + "6000,9.5,1_5\n",
 }
 
 # Texts (or bytes) and what the row-by-row csv.DictReader loader gave for
@@ -84,6 +85,15 @@ CSV_OUTCOMES = {
     b"time\xe9stamp,price\n1,1.0\n": "<path>: not UTF-8 (invalid continuation byte: e9)",
     b"timestamp,price\n1,1.0\n2,\xff\n": "<path>: not UTF-8 (invalid start byte: ff)",
     LONG_CSV["not_utf8_after_64KiB"]: "<path>: not UTF-8 (invalid start byte: ff)",
+    # float() reads "1_5" as 15.0 and an Arabic-Indic three as 3.0; a price
+    # field is ASCII without "_", on the split pass, in csv.reader's quoted
+    # fields, and past the first 64 KiB.  Non-ASCII outside it is text.
+    "timestamp,price\n1,1.5\n2,1_5\n": "<path>: row 3: non-numeric price '1_5'",
+    "timestamp,price\n1,\u0663\n": "<path>: row 2: non-numeric price '\u0663'",
+    'timestamp,price\n"1","1_0"\n': "<path>: row 2: non-numeric price '1_0'",
+    "timestamp,price\n1,\uff11.5\n": "<path>: row 2: non-numeric price '\uff11.5'",
+    LONG_CSV["underscore_after_64KiB"]: "<path>: row 6002: non-numeric price '1_5'",
+    "timestamp,price,note\n1,1.5,caf\u00e9\n2,2.5,_\n": (1.5, 2.5),
 }
 CSV_IDS = {text: name for name, text in LONG_CSV.items()}
 CSV_IDS.update({b"time\xe9stamp,price\n1,1.0\n": "not_utf8_header", b"timestamp,price\n1,1.0\n2,\xff\n": "not_utf8"})
@@ -558,7 +568,9 @@ class TestCsv:
             load_csv(str(f))
 
 
-CSV_CELLS = st.sampled_from(["", " ", "nan", "inf", "-3", "0", "abc", "1.5", " 2 ", "1e3", "7,5", 'q"t', "a\nb"])
+CSV_CELLS = st.sampled_from(
+    ["", " ", "nan", "inf", "-3", "0", "abc", "1.5", " 2 ", "1e3", "7,5", 'q"t', "a\nb", "1_5", "\u0663"]
+)
 
 
 @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

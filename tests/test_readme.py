@@ -17,7 +17,7 @@ import pegstress
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
-MODULES = ["cli", "engine", "mechanism", "parallel", "prices", "rounds", "speculator", "theory"]
+MODULES = ["cli", "engine", "mechanism", "parallel", "prices", "renewal", "rounds", "speculator", "theory"]
 
 
 def library_blocks():
