@@ -31,6 +31,7 @@ built on them.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -388,29 +389,32 @@ def _price(raw: str) -> float:
     return float(raw)
 
 
-def _split_prices(fh: TextIO, col: int) -> list[float]:
+def _split_prices(fh: TextIO, col: int, ncols: int) -> list[float]:
     """Field col of each non-blank row left in fh, as floats (_price's).
 
-    The lines come in ~64 KiB chunks.  In a chunk of ASCII with no "_", no
-    quote, no NUL, no carriage return outside a CRLF and no line longer than
-    the csv field limit, csv.reader's row is the line split at commas, less
-    its line end (which float() strips), float() reads a field as _price
-    does, and the blank lines csv.reader skips are those that hold a line
-    end alone.  The first chunk that fails a guard, and the rest
-    of the file, go through csv.reader: every chunk before it ended at a
-    line end outside any quote, where csv.reader starts a row.  A short row
-    raises IndexError, a bad price ValueError, a line csv.reader cannot
-    parse csv.Error.
+    Chunks are fh.readlines(65536)'s: 64 Ki characters and the rest of the
+    last line.  One that ends at a line end, is ASCII with no "_", quote, NUL
+    or line over the csv field limit, and has ncols - 1 commas and then "\n"
+    or "\r\n" on each line (the structure guard, one bytes comparison, which
+    finds a bare CR too; a one-column file, whose blank lines would pass,
+    never does) is split whole: csv.reader's rows are its lines split at
+    commas, less the line ends float() strips.  The first chunk that fails a
+    guard and the rest of the file go through csv.reader, the chunk split
+    into lines as the file is: every chunk before it ended at a line end
+    outside any quote.  A short row raises IndexError, a bad price
+    ValueError, a line csv.reader cannot parse csv.Error.
     """
-    limit = csv.field_size_limit()
+    limit, others = csv.field_size_limit(), bytes(set(range(256)) - set(b",\r\n"))
     prices: list[float] = []
-    while lines := fh.readlines(65536):
-        text = "".join(lines)
-        if ('"' in text or "\0" in text or text.count("\r") != text.count("\r\n") or "_" in text
-                or not text.isascii() or (len(text) > limit and max(map(len, lines)) > limit)):
-            prices += [_price(row[col]) for row in filter(None, csv.reader(chain(lines, fh)))]
+    while text := fh.read(65536):
+        text += fh.readline() if len(text) == 65536 else ""
+        shape = text.encode().translate(None, others).replace(b"\r\n", b"\n")
+        if (ncols < 2 or text[-1] != "\n" or '"' in text or "\0" in text or "_" in text or not text.isascii()
+                or shape != (b"," * (ncols - 1) + b"\n") * (len(shape) // ncols)
+                or len(text) > limit and max(map(len, text.split("\n"))) > limit):
+            prices += [_price(row[col]) for row in filter(None, csv.reader(chain(io.StringIO(text, newline=""), fh)))]
             break
-        prices += map(float, [line.split(",")[col] for line in lines if line != "\n" and line != "\r\n"])
+        prices += map(float, text.replace("\n", ",").split(",")[col:-1:ncols])
     return prices
 
 
@@ -426,9 +430,9 @@ def load_csv(path: str, timestamp_column: str = "timestamp", price_column: str =
     csv module cannot parse with its line, and a file that is not UTF-8 with
     its path.
 
-    csv.reader reads the header and _split_prices the body, once.  Only a
-    file that read fails on is read again, from the start, to name the first
-    bad row or line.
+    csv.reader reads the header and _split_prices the body, once, in whole
+    chunks where its guards pass.  Only a file that read fails on is read
+    again, from the start, to name the first bad row or line.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = csv.reader(fh)
@@ -441,7 +445,7 @@ def load_csv(path: str, timestamp_column: str = "timestamp", price_column: str =
                     raise ValueError(f"{path}: missing column {name!r} (header has {header})")
             col = max(idx for idx, name in enumerate(header) if name == price_column)
             try:
-                return PriceSeries(prices=tuple(_split_prices(fh, col)), source="csv")
+                return PriceSeries(prices=tuple(_split_prices(fh, col, len(header))), source="csv")
             except (IndexError, ValueError, csv.Error):
                 pass
             # Read the file again, counting lines from 1, to name the first bad row.

@@ -18,10 +18,10 @@ p / (1 + eps_alpha) stablecoins, redeeming turns one stablecoin into
 (1 - eps_beta) / p backing coins, so a buy-sell pair multiplies wealth by
 (p_buy / p_sell) * (1 - eps_beta) / (1 + eps_alpha).  The linear-time
 ledger (best all-out / best all-in wealth so far) attains the maxima of every
-alternating schedule: its trace is greedy_threshold_profit, and
-run_omniscient rebuilds one optimal schedule from the steps where it improved.
-The tests check it against an exhaustive search on short series that builds
-its products from the same per-action factors (_buy_factor, _sell_factor), so
+alternating schedule: greedy_threshold_profit expands the steps where it
+improved into a step-function trace, and run_omniscient rebuilds one optimal
+schedule from them.  The tests check it against an exhaustive search on short
+series built from the same per-action factors (_buy_factor, _sell_factor), so
 the two agree bit for bit.
 """
 
@@ -146,29 +146,33 @@ def _sell_factor(p: float, eps_beta: float) -> float:
     return (1.0 - eps_beta) / p
 
 
-def _ledger(prices, eps_alpha: float, eps_beta: float, n0: float) -> tuple[list[float], list[int], list[int]]:
+def _ledger(prices, eps_alpha: float, eps_beta: float, n0: float) -> tuple[list[int], list[int], list[float]]:
     """The linear-time profit ledger: one forward pass over the prices.
 
     Tracks the best achievable all-out wealth multiple and the best all-in
-    stablecoin multiple; each price may extend either by one action.  Returns
-    the profit trace scaled by n0, the ascending steps where a sell raised the
-    all-out best and those where a buy raised the all-in best.  The step is
-    read off the trace's length when a best improves, which is rare, rather
-    than counted at every price.
+    stablecoin multiple; each price may extend either by one action, whose
+    factor is _buy_factor's or _sell_factor's float.  Returns the ascending
+    steps where a sell raised the all-out best, those where a buy raised the
+    all-in best, and the all-out best after each such sell.  Refuses the
+    fees check_schedule refuses and an n0 SimConfig refuses.
     """
+    check_schedule(0.0, eps_alpha, eps_beta)
+    if not (math.isfinite(n0) and n0 >= 0.0):
+        raise ValueError("n0 must be finite and >= 0")
+    mint, redeem = 1.0 + eps_alpha, 1.0 - eps_beta
     best_out, best_in = 1.0, 0.0
-    trace, sells, buys = [], [], []
-    for p in prices:
-        new_in = best_out * _buy_factor(p, eps_alpha)
-        new_out = best_in * _sell_factor(p, eps_beta)
+    sells, buys, outs = [], [], []
+    for t, p in enumerate(prices):
+        new_in = best_out * (p / mint)
+        new_out = best_in * (redeem / p)
         if new_in > best_in:
             best_in = new_in
-            buys.append(len(trace))
+            buys.append(t)
         if new_out > best_out:
             best_out = new_out
-            sells.append(len(trace))
-        trace.append(n0 * (best_out - 1.0))
-    return trace, sells, buys
+            sells.append(t)
+            outs.append(new_out)
+    return sells, buys, outs
 
 
 def greedy_threshold_profit(
@@ -179,7 +183,11 @@ def greedy_threshold_profit(
     The ledger's dynamic program ranges over exactly the alternating
     schedules an exhaustive search enumerates, so the traces agree exactly.
     """
-    return tuple(_ledger(series.prices, eps_alpha, eps_beta, n0)[0])
+    sells, _, outs = _ledger(series.prices, eps_alpha, eps_beta, n0)
+    trace = [0.0] * (sells[0] if sells else len(series))
+    for best, start, stop in zip(outs, sells, sells[1:] + [len(series)]):
+        trace += [n0 * (best - 1.0)] * (stop - start)
+    return tuple(trace)
 
 
 @dataclass(frozen=True)
@@ -204,7 +212,7 @@ def run_omniscient(
     """
     check_schedule(reserves0, eps_alpha, eps_beta)
     prices = series.prices
-    _, sells, buys = _ledger(prices, eps_alpha, eps_beta, n0)
+    sells, buys, _ = _ledger(prices, eps_alpha, eps_beta, n0)
     # One optimal schedule, rebuilt backwards (all-out at the end): the last
     # sell that raised the all-out best, the last buy before it, and so on.
     schedule = []

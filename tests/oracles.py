@@ -2,8 +2,11 @@
 
 optimal_profit_bruteforce is the exhaustive oracle for theory's linear-time
 profit ledger; it builds its products from theory's own per-action factors,
-so the two agree bit for bit.  sensitivity_check and realized_profit_trace
-compare a simulated trader's profit against that optimum.  pdf is the normal
+so the two agree bit for bit.  ledger_every_step is that ledger as it was
+when it kept a trace entry at every price, the reference for the step
+function that theory's ledger records.  sensitivity_check and
+realized_profit_trace compare a simulated trader's profit against that
+optimum.  pdf is the normal
 density the quadrature oracles integrate, cdf its distribution function,
 and y_ratio_normal the untruncated closed form of the round matrix's Y.
 load_csv_rows reads a price csv row by
@@ -66,6 +69,29 @@ def optimal_profit_bruteforce(
         running = max(running, best_done_at[t])
         trace.append(n0 * (running - 1.0))
     return tuple(trace)
+
+
+def ledger_every_step(prices, eps_alpha: float, eps_beta: float, n0: float) -> tuple[list[float], list[int], list[int]]:
+    """The linear-time profit ledger with a trace entry at every price.
+
+    Tracks the best achievable all-out wealth multiple and the best all-in
+    stablecoin multiple; each price may extend either by one action.  Returns
+    the profit trace scaled by n0, the ascending steps where a sell raised the
+    all-out best and those where a buy raised the all-in best.
+    """
+    best_out, best_in = 1.0, 0.0
+    trace, sells, buys = [], [], []
+    for p in prices:
+        new_in = best_out * _buy_factor(p, eps_alpha)
+        new_out = best_in * _sell_factor(p, eps_beta)
+        if new_in > best_in:
+            best_in = new_in
+            buys.append(len(trace))
+        if new_out > best_out:
+            best_out = new_out
+            sells.append(len(trace))
+        trace.append(n0 * (best_out - 1.0))
+    return trace, sells, buys
 
 
 def sensitivity_check(r_trace, s_trace, n0: float) -> float:
@@ -266,7 +292,8 @@ def load_csv_rows(path: str, timestamp_column: str = "timestamp", price_column: 
         try:
             return _dict_rows_series(path, reader, timestamp_column, price_column)
         except csv.Error as exc:
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+            # DictReader's own line_num is that of the last row it returned.
+            raise ValueError(f"{path}: line {reader.reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: not UTF-8 ({exc.reason}: {exc.object[exc.start:exc.end].hex(' ')})") from None
 

@@ -48,6 +48,11 @@ LONG_CSV = {
     "bad_row_after_quote": _CLEAN_ROWS + '"2024-01-01, 00:00",9.5,2.5\n6001,9.5,x\n',
     "not_utf8_after_64KiB": _CLEAN_ROWS.encode() + b"6000,9.5,\xff\n",
     "underscore_after_64KiB": _CLEAN_ROWS + "6000,9.5,1_5\n",
+    "extra_field_after_64KiB": _CLEAN_ROWS + "6000,9.5,2.5,x\n",
+    "blank_line_after_64KiB": _CLEAN_ROWS + "\n6000,9.5,2.5\n",
+    "short_row_after_64KiB": _CLEAN_ROWS + "6000,2.5\n",
+    "no_line_end_after_64KiB": _CLEAN_ROWS + "6000,9.5,2.5",
+    "quoted_line_separator_after_64KiB": _CLEAN_ROWS + '"6000\u2028",9.5,2.5\n6001,9.5,"3.5\u2028"\n',
 }
 
 # Texts (or bytes) and what the row-by-row csv.DictReader loader gave for
@@ -90,6 +95,25 @@ CSV_OUTCOMES = {
     "timestamp,price\n1,\uff11.5\n": "<path>: row 2: non-numeric price '\uff11.5'",
     LONG_CSV["underscore_after_64KiB"]: "<path>: row 6002: non-numeric price '1_5'",
     "timestamp,price,note\n1,1.5,caf\u00e9\n2,2.5,_\n": (1.5, 2.5),
+    # The structure guard: a chunk whose rows are not all the header's
+    # width, or whose line ends differ, goes to csv.reader.
+    "timestamp,price\n1,1.5,x\n2,2.5\n": (1.5, 2.5),
+    "timestamp,price\n1,1.5\n2\n": "<path>: row 3: missing price value",
+    "timestamp,price\n1,1.5\r\n2,2.5\n": (1.5, 2.5),
+    "timestamp,price\n1,1.5\r\n2,2.5": (1.5, 2.5),
+    "timestamp,price\n1,1.5\n2": "<path>: row 3: missing price value",
+    "price,timestamp,open\n1.5,1,x\r\n2.5,2,y\r\n": (1.5, 2.5),
+    "timestamp,price\n1,1.5\r,2\n": (1.5, 2.0),
+    "timestamp,price\n1\r,1.5\n": "<path>: row 2: missing price value",
+    # csv.reader splits a fallen-back chunk's lines as the file does: at
+    # "\r" and "\n" alone, not at U+0085 or U+2028 (str.splitlines would).
+    'timestamp,price\n"1",1.5\n2\x85,2.5\n': (1.5, 2.5),
+    'timestamp,price\n"1",1.5\n2,"2.5\u2028"\n': "<path>: row 3: non-numeric price '2.5\\u2028'",
+    LONG_CSV["extra_field_after_64KiB"]: (1.5,) * 6000 + (2.5,),
+    LONG_CSV["blank_line_after_64KiB"]: (1.5,) * 6000 + (2.5,),
+    LONG_CSV["short_row_after_64KiB"]: "<path>: row 6002: missing price value",
+    LONG_CSV["no_line_end_after_64KiB"]: (1.5,) * 6000 + (2.5,),
+    LONG_CSV["quoted_line_separator_after_64KiB"]: "<path>: row 6003: non-numeric price '3.5\\u2028'",
 }
 CSV_IDS = {text: name for name, text in LONG_CSV.items()}
 CSV_IDS.update({b"time\xe9stamp,price\n1,1.0\n": "not_utf8_header", b"timestamp,price\n1,1.0\n2,\xff\n": "not_utf8"})
@@ -637,6 +661,37 @@ class TestCsv:
         assert load_csv(str(f)).prices == tuple(t + 0.5 for t in range(10_000))
         assert csv_reader_rows == [["timestamp", "price"]] + [[str(t), f"{t}.5"] for t in range(start, 10_000)]
 
+    @pytest.mark.parametrize("odd", ["8000,8000.5,x\n", "\n8000,8000.5\n", "8000,8000.5"],
+                             ids=["extra_field", "blank_line", "no_line_end"])
+    def test_ragged_chunk_past_64KiB_sends_only_its_chunk_on_to_csv_reader(self, tmp_path, csv_reader_rows, odd):
+        # The structure guard sends a chunk to csv.reader that holds a row
+        # of another width than the header's, a blank line, or the file's
+        # last line without its line end; the chunks before it are split.
+        body = [f"{t},{t}.5\n" for t in range(8000)] + [odd]
+        f = tmp_path / "p.csv"
+        f.write_text("timestamp,price\n" + "".join(body))
+        lines, start = io.StringIO("".join(body)), 0
+        while start + len(chunk := lines.readlines(65536)) <= 8000:
+            start += len(chunk)
+        assert 0 < start <= 8000
+        assert load_csv(str(f)).prices == tuple(t + 0.5 for t in range(8001))
+        rows = [line.rstrip("\n").split(",") if line != "\n" else [] for line in io.StringIO("".join(body[start:]))]
+        assert csv_reader_rows == [["timestamp", "price"]] + rows
+
+    def test_clean_crlf_file_with_price_inside_skips_csv_reader(self, tmp_path, csv_reader_rows, monkeypatch):
+        # 100k CRLF rows, the price column between two others: every chunk
+        # is split, and the prices are the DictReader reference's.
+        rng = np.random.default_rng(4)
+        ps = rng.uniform(0.5, 2e4, 100_000).tolist()
+        f = tmp_path / "p.csv"
+        f.write_text("timestamp,price,volume\r\n" + "".join(
+            f"{t},{p!r},{v}\r\n" for t, p, v in zip(range(100_000), ps, rng.integers(0, 10**6, 100_000).tolist())),
+            newline="")
+        assert load_csv(str(f)).prices == tuple(ps)
+        assert csv_reader_rows == [["timestamp", "price", "volume"]]
+        monkeypatch.undo()  # the reference reads through csv.reader too
+        assert load_csv_rows(str(f)).prices == tuple(ps)
+
     @pytest.mark.parametrize(
         "text, seeks",
         [("timestamp,price\n1,1.5\n2,2.5\n", 0), (LONG_CSV["quote_after_64KiB"], 0),
@@ -659,6 +714,13 @@ class TestCsv:
         assert csv_outcome(load_csv, str(f)) == csv_outcome(load_csv_rows, str(f))
         assert calls == [(0,)] * seeks
 
+    def test_one_column_file_skips_its_blank_lines(self, tmp_path):
+        # A blank line has the one-column shape, so such a file goes to csv.reader.
+        f = tmp_path / "p.csv"
+        f.write_bytes(b"price\n1.5\n\n2.5\n\n3.5\n")
+        for load in (load_csv, load_csv_rows):
+            assert load(str(f), timestamp_column="price").prices == (1.5, 2.5, 3.5)
+
     def test_unparsable_field_names_its_line(self, tmp_path):
         f = tmp_path / "p.csv"
         f.write_text(f"timestamp,price\n1,{'1' * 200_000}\n")
@@ -671,7 +733,8 @@ class TestCsv:
 
 
 CSV_CELLS = st.sampled_from(
-    ["", " ", "nan", "inf", "-3", "0", "abc", "1.5", " 2 ", "1e3", "7,5", 'q"t', "a\nb", "1_5", "\u0663"]
+    ["", " ", "nan", "inf", "-3", "0", "abc", "1.5", " 2 ", "1e3", "7,5", 'q"t', "a\nb", "1_5", "\u0663", "2\x85",
+     "a\u2028b", "x\ry"]
 )
 
 
@@ -686,6 +749,10 @@ CSV_CELLS = st.sampled_from(
 )
 @example(header=["timestamp", "price"], rows=[["2", "1.5"]], quoting=csv.QUOTE_ALL, newline="\n", long=True)
 @example(header=["timestamp", "price"], rows=[['"t"', "1.5"]], quoting=csv.QUOTE_MINIMAL, newline="\r\n", long=True)
+@example(header=["timestamp", "price"], rows=[["2", "1.5", "x"], None, ["3", "2.5"]], quoting=csv.QUOTE_MINIMAL,
+         newline="\r\n", long=True)
+@example(header=["price", "timestamp"], rows=[["1.5"], ["a\u2028b", "2"]], quoting=csv.QUOTE_MINIMAL, newline="\n",
+         long=True)
 def test_load_csv_matches_dictreader_oracle(tmp_path, header, rows, quoting, newline, long):
     # Missing, repeated and reordered columns, blank lines (None), short
     # and long rows, quoted fields and both line ends: load_csv gives the

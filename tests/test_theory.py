@@ -4,7 +4,9 @@ The exhaustive schedule search is the ground truth here: the linear-time
 ledger must match it exactly, and every closed-form threshold (L, the
 symmetric fee) is checked against what the oracles actually extract.
 run_omniscient_every_step, a copy of run_omniscient from before it settled
-only its schedule's steps, is run_omniscient's oracle.
+only its schedule's steps, is run_omniscient's oracle, and
+oracles.ledger_every_step, the ledger with a trace entry at every price, is
+greedy_threshold_profit's.
 """
 
 import hashlib
@@ -13,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pegstress.engine import SimConfig, run
@@ -24,6 +26,7 @@ from pegstress.theory import (
     L_criterion,
     OmniscientRun,
     _buy_factor,
+    _ledger,
     _sell_factor,
     TailSpread,
     converging_spread_series,
@@ -34,7 +37,7 @@ from pegstress.theory import (
     tail_spread,
 )
 
-from oracles import optimal_profit_bruteforce, realized_profit_trace, sensitivity_check
+from oracles import ledger_every_step, optimal_profit_bruteforce, realized_profit_trace, sensitivity_check
 
 
 def series(*prices):
@@ -442,3 +445,62 @@ def test_run_omniscient_matches_the_every_step_oracle(sr, eps_alpha, eps_beta, r
     # visits each step.  Both must land on the same record, bit for bit.
     args = (sr, eps_alpha, eps_beta, reserves0, n0)
     assert outcome(run_omniscient, *args) == outcome(run_omniscient_every_step, *args)
+
+
+@st.composite
+def long_series(draw):
+    # Series past what hypothesis draws price by price, from a drawn seed.
+    kind = draw(st.sampled_from(["uniform", "walk", "levels"]))
+    length, seed = draw(st.integers(300, 3000)), draw(st.integers(0, 2**32))
+    if kind == "walk":
+        return random_walk(WalkSpec(0.0, draw(st.sampled_from([0.5, 2.0])), 100.0), length, seed)
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        return series(*rng.uniform(0.5, 2.0, size=length))
+    return series(*rng.choice([95.0, 100.0, 105.0], size=length))
+
+
+@settings(deadline=None)
+@given(
+    sr=oracle_series() | long_series(),
+    eps_alpha=st.sampled_from([0.0, 0.01, 0.05]),
+    eps_beta=st.sampled_from([0.0, 0.01, 0.05]),
+    reserves0=st.sampled_from([0.0, 1.0, 100.0, 1e9]),
+    n0=st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+)
+@example(sr=random_walk(WalkSpec(0.0, 1.0, 2000.0), 50_000, 5), eps_alpha=0.01, eps_beta=0.01, reserves0=100.0, n0=1.0)
+def test_greedy_threshold_profit_matches_the_every_step_oracle(sr, eps_alpha, eps_beta, reserves0, n0):
+    # The ledger records the profit trace as a step function, one entry per
+    # sell that raised the all-out best; the oracle keeps an entry per price.
+    trace, sells, buys = ledger_every_step(sr.prices, eps_alpha, eps_beta, n0)
+    assert repr(greedy_threshold_profit(sr, eps_alpha, eps_beta, n0)) == repr(tuple(trace))
+    assert _ledger(sr.prices, eps_alpha, eps_beta, n0)[:2] == (sells, buys)
+    args = (sr, eps_alpha, eps_beta, reserves0, n0)
+    assert outcome(run_omniscient, *args) == outcome(run_omniscient_every_step, *args)
+
+
+class TestOracleInputs:
+    # The profit oracles refuse what the mechanism and SimConfig refuse,
+    # with their messages.
+    SR = alternating(105.0, 95.0, 5)
+
+    @pytest.mark.parametrize(
+        "eps_alpha, eps_beta",
+        [(-1.0, 0.0), (-2.0, 0.0), (math.nan, 0.0), (math.inf, 0.0), (0.0, 1.5), (0.0, -0.1), (0.0, math.nan)],
+    )
+    def test_bad_fee_is_refused(self, eps_alpha, eps_beta):
+        with pytest.raises(ValueError) as expected:
+            check_schedule(100.0, eps_alpha, eps_beta)
+        for oracle in (greedy_threshold_profit, lambda *fees: run_omniscient(*fees, reserves0=100.0)):
+            with pytest.raises(ValueError) as refused:
+                oracle(self.SR, eps_alpha, eps_beta)
+            assert str(refused.value) == str(expected.value)
+
+    @pytest.mark.parametrize("n0", [-1.0, -1e-300, math.nan, math.inf])
+    def test_bad_n0_is_refused(self, n0):
+        with pytest.raises(ValueError) as expected:
+            SimConfig(source=self.SR, speculator=SpeculatorParams(), reserves0=100.0, n0=n0)
+        assert str(expected.value) == "n0 must be finite and >= 0"
+        for oracle in (greedy_threshold_profit, lambda *args: run_omniscient(*args[:3], 100.0, args[3])):
+            with pytest.raises(ValueError, match=r"^n0 must be finite and >= 0$"):
+                oracle(self.SR, 0.01, 0.01, n0)
